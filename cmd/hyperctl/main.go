@@ -188,7 +188,6 @@ func submit(ctx context.Context, client *service.Client, args []string) error {
 		procs     = fs.Int("procs", 0, "logical processes per core")
 		seed      = fs.Int64("seed", 1, "random seed")
 		maxSteps  = fs.Int64("max-steps", 0, "simulation step budget (0 = default)")
-		engine    = fs.String("engine", "", "simulation engine: event (default) or sweep")
 		timeout   = fs.Duration("timeout", 0, "wall-clock deadline once running (0 = none)")
 		series    = fs.Bool("series", false, "include the interconnect activity trace in the result")
 		heatmap   = fs.Bool("heatmap", false, "include the node activity heatmap in the result")
@@ -206,7 +205,6 @@ func submit(ctx context.Context, client *service.Client, args []string) error {
 		ProcsPerNode: *procs,
 		Seed:         *seed,
 		MaxSteps:     *maxSteps,
-		Engine:       *engine,
 		TimeoutMs:    timeout.Milliseconds(),
 		RecordSeries: *series,
 		Heatmap:      *heatmap,

@@ -283,18 +283,6 @@ const (
 	LinkQueues = simulator.LinkQueues
 )
 
-// Engine selects the layer-1 inner loop; set it as Config.Engine.
-type Engine = simulator.Engine
-
-// Engines for Config.Engine: the discrete-event engine (the default, skips
-// idle slots and steps) and the paper's step-synchronous sweep. The two are
-// bit-identical on every workload (proven by internal/simulator/difftest);
-// sweep remains as the reference implementation.
-const (
-	EngineEvent = simulator.EngineEvent
-	EngineSweep = simulator.EngineSweep
-)
-
 // ParseTopologyMust is ParseTopology that panics on error, for tests and
 // examples.
 func ParseTopologyMust(spec string) Topology { return mesh.MustParse(spec) }
@@ -385,14 +373,6 @@ type SubmitRetry = service.Retry
 // SolveClient.Watch and SolveService.Subscribe. The last snapshot of every
 // stream carries a terminal state.
 type JobProgress = service.Progress
-
-// JobProgressBroker fans one job's progress snapshots out to subscribers
-// with last-event-kept semantics; its Observer plugs into Config.Observer
-// (via core) for library users who want live tracing without the service.
-type JobProgressBroker = service.ProgressBroker
-
-// NewJobProgressBroker returns an empty progress broker.
-func NewJobProgressBroker() *JobProgressBroker { return service.NewProgressBroker() }
 
 // JobTrace is a job's span timeline as served by GET /v1/jobs/{id}/trace
 // and rendered by `hyperctl trace`: the job's identity and state plus

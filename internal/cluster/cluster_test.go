@@ -420,18 +420,17 @@ func TestRouterNegativeShardIsNotFound(t *testing.T) {
 	}
 }
 
-// slowSpec is a job that runs until cancelled (within its huge step
-// budget), used to watch live progress through the router. The sweep engine
-// is pinned because the event engine skips the idle latency gaps and
-// finishes the same job in milliseconds.
+// slowSpec is a job that runs until cancelled (~20 s otherwise), used to
+// watch live progress through the router. The service's progress observer
+// makes the simulator walk every idle latency gap step by step, so the link
+// latency alone sets the run time.
 func slowSpec() service.JobSpec {
 	return service.JobSpec{
 		Kind:     "sum",
 		N:        500,
 		Topology: "ring:4",
-		Link:     service.LinkSpec{LinkLatency: 50000},
+		Link:     service.LinkSpec{LinkLatency: 5_000_000},
 		MaxSteps: 1 << 40,
-		Engine:   "sweep",
 	}
 }
 

@@ -85,6 +85,22 @@ func newReplicatedShard(t *testing.T, workers int) *replicatedShard {
 	return rs
 }
 
+// waitCaughtUp blocks until the standby has applied every record the primary
+// has journaled so far. It compares LSNs: the standby's own lag figure is
+// only as fresh as its last pull, so "lag 0" can predate the newest records.
+func (rs *replicatedShard) waitCaughtUp(t *testing.T, ctx context.Context) {
+	t.Helper()
+	pst, err := (&service.Client{Base: rs.primarySrv.URL}).ReplicationStatus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &service.Client{Base: rs.standbySrv.URL}
+	eventually(t, 10*time.Second, "standby catch-up", func() bool {
+		st, err := sc.ReplicationStatus(ctx)
+		return err == nil && st.LSN >= pst.LSN && st.LastError == ""
+	})
+}
+
 // eventually polls cond until it holds or the deadline passes.
 func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -175,11 +191,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 
 	// Let the standby catch up fully before the kill: asynchronous
 	// replication only guarantees shipped records survive.
-	sc := &service.Client{Base: rs.standbySrv.URL}
-	eventually(t, 10*time.Second, "standby catch-up", func() bool {
-		st, err := sc.ReplicationStatus(ctx)
-		return err == nil && st.Lag == 0 && st.LSN > 0 && st.LastError == ""
-	})
+	rs.waitCaughtUp(t, ctx)
 
 	// Partition the primary mid-solve.
 	rs.primaryKill.dead.Store(true)
@@ -333,11 +345,7 @@ func TestFailoverReRacesPortfolio(t *testing.T) {
 	})
 
 	// Let the standby catch up fully, then partition the primary mid-race.
-	sc := &service.Client{Base: rs.standbySrv.URL}
-	eventually(t, 10*time.Second, "standby catch-up", func() bool {
-		st, err := sc.ReplicationStatus(ctx)
-		return err == nil && st.Lag == 0 && st.LSN > 0 && st.LastError == ""
-	})
+	rs.waitCaughtUp(t, ctx)
 	rs.primaryKill.dead.Store(true)
 	eventually(t, 10*time.Second, "promotion", func() bool {
 		h := r.Health(ctx)

@@ -67,11 +67,6 @@ type Config struct {
 	// RecordSeries enables the per-step interconnect activity trace.
 	RecordSeries bool
 
-	// Engine selects the layer-1 inner loop: simulator.EngineEvent (the
-	// default) or simulator.EngineSweep. The two are bit-identical; sweep
-	// exists for differential testing and as a fallback.
-	Engine simulator.Engine
-
 	// Parallelism bounds how many machines RunSuite simulates concurrently
 	// (a single Machine.Run is always single-threaded; the knob schedules
 	// independent runs, not one run's internals). Values <= 0 default to
@@ -143,9 +138,6 @@ func New(cfg Config) (*Machine, error) {
 		simCfg.MaxSteps = cfg.MaxSteps
 	}
 	simCfg.RecordSeries = cfg.RecordSeries
-	if cfg.Engine != simulator.EngineDefault {
-		simCfg.Engine = cfg.Engine
-	}
 	net, err := mapping.New(mapping.Config{
 		Physical:           cfg.Topology,
 		ProcsPerNode:       cfg.ProcsPerNode,

@@ -262,20 +262,25 @@ func TestCancelSpeculativePreservesSATVerdicts(t *testing.T) {
 	}
 }
 
-// slowConfig builds a machine whose run spans tens of millions of cheap
-// steps: a linear sum chain over high-latency links on a tiny ring. It pins
-// the sweep engine because the point is a run slow enough to cancel — the
-// event engine skips the idle latency gaps and finishes in milliseconds.
+// slowConfig builds a machine whose run spans billions of cheap steps: a
+// linear sum chain over very high-latency links on a tiny ring. The point is
+// a run slow enough to cancel, so a no-op observer is attached: without one
+// the simulator skips each idle latency gap in O(1) and finishes in
+// milliseconds; with one it walks the gap step by step (~20 s uncancelled).
 func slowConfig() Config {
 	return Config{
 		Topology: mesh.MustRing(4),
 		Mapper:   mapping.NewRoundRobin(),
 		Task:     apps.SumTask(),
-		Link:     simulator.Config{LinkLatency: 50000},
+		Link:     simulator.Config{LinkLatency: 5_000_000},
 		MaxSteps: 1 << 40,
-		Engine:   simulator.EngineSweep,
+		Observer: noopObserver{},
 	}
 }
+
+type noopObserver struct{}
+
+func (noopObserver) AfterStep(int64, int) {}
 
 func TestRunContextCancellation(t *testing.T) {
 	m, err := New(slowConfig())

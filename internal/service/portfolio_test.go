@@ -248,13 +248,40 @@ func TestPortfolioRecoveryReRaces(t *testing.T) {
 }
 
 // TestSoloJobHasNoAttemptLedger pins the wire shape: solo jobs carry no
-// attempts or winner fields, before and after a restart.
+// attempts or winner fields, before and after a restart, and the terminal
+// frame of their live event stream carries no strategy.
 func TestSoloJobHasNoAttemptLedger(t *testing.T) {
 	dir := t.TempDir()
 	s1 := New(Config{QueueDepth: 4, Workers: 1, Store: openStore(t, dir)})
+	// Hold the only worker so the subscription below attaches to the solo
+	// job's live broker, not to a frame synthesized from its finished record.
+	blocker, err := s1.Submit(slowSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s1, blocker.ID.Seq, StateRunning, 10*time.Second)
 	job, err := s1.Submit(quickSpec())
 	if err != nil {
 		t.Fatal(err)
+	}
+	frames, unsubscribe, err := s1.Subscribe(job.ID.Seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unsubscribe()
+	if _, err := s1.Cancel(blocker.ID.Seq); err != nil {
+		t.Fatal(err)
+	}
+	var last Progress
+	for p := range frames {
+		last = p
+	}
+	frame, err := json.Marshal(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.State != StateDone || strings.Contains(string(frame), "strategy") {
+		t.Fatalf("solo terminal frame = %s, want done with no strategy", frame)
 	}
 	done := waitState(t, s1, job.ID.Seq, StateDone, 10*time.Second)
 	if done.Winner != "" || done.Attempts != nil {

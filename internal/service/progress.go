@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"hypersolve/internal/simulator"
 	"hypersolve/internal/telemetry"
 )
 
@@ -69,17 +68,11 @@ var ErrTooManySubscribers = errors.New("service: too many event subscribers for 
 type ProgressBroker struct {
 	// steps accumulates executed simulator steps into the service's
 	// telemetry registry. Deltas are added on the observer's throttled
-	// publish cadence (plus a remainder at Finish), never per step, so
-	// the solve loop's cost is unchanged. Nil (a no-op) outside a
-	// service — set before the broker is shared, read-only after.
+	// publish cadence (the service's attempt epilogue adds each attempt's
+	// tail), never per step, so the solve loop's cost is unchanged. Nil (a
+	// no-op) outside a service — set before the broker is shared, read-only
+	// after.
 	steps *telemetry.Counter
-
-	// annotate, when set, receives each published running snapshot's step
-	// count and queue depth — the service points it at the job's run span
-	// so the trace timeline carries step annotations on the publish
-	// cadence. Like steps, it is invoked only on the throttled publish
-	// path (never per step) and must be set before the broker is shared.
-	annotate func(step int64, queued int)
 
 	mu   sync.Mutex
 	subs map[int]chan Progress
@@ -91,25 +84,6 @@ type ProgressBroker struct {
 
 // NewProgressBroker returns an empty broker.
 func NewProgressBroker() *ProgressBroker { return &ProgressBroker{} }
-
-// CountSteps attaches a telemetry counter that receives executed-step
-// deltas on the publish cadence (the service wires this automatically; the
-// bench harness uses it to measure the instrumented path). Call before the
-// broker is shared. Returns the broker for chaining.
-func (b *ProgressBroker) CountSteps(c *telemetry.Counter) *ProgressBroker {
-	b.steps = c
-	return b
-}
-
-// AnnotateSteps attaches a callback invoked with each published running
-// snapshot's step count and queue depth (the service wires the job's
-// trace run span here; the bench harness uses it to measure the
-// tracing-enabled path). Call before the broker is shared. Returns the
-// broker for chaining.
-func (b *ProgressBroker) AnnotateSteps(fn func(step int64, queued int)) *ProgressBroker {
-	b.annotate = fn
-	return b
-}
 
 // Publish delivers a snapshot to every subscriber, conflating with any
 // undelivered previous snapshot. Publishing a snapshot with a terminal
@@ -151,30 +125,10 @@ func (b *ProgressBroker) Publish(p Progress) {
 
 // Finish publishes the terminal snapshot for a job that reached state, using
 // the result's statistics when available and the last published snapshot
-// otherwise, then closes every subscriber channel.
-func (b *ProgressBroker) Finish(state State, errMsg string, res *JobResult) {
-	b.mu.Lock()
-	p := b.last
-	b.mu.Unlock()
-	p.State = state
-	p.Error = errMsg
-	p.StepsPerSec = 0
-	if res != nil {
-		// Count the steps run since the observer's last publish (all of
-		// them, for a short job that never crossed the publish cadence).
-		b.steps.Add(res.Stats.Steps - p.Step)
-		p.Step = res.Stats.Steps
-		p.Queued = 0
-	}
-	b.Publish(p)
-}
-
-// FinishPortfolio publishes the terminal snapshot of a portfolio race:
-// like Finish, but stamped with the winning strategy and without the
-// steps-counter remainder — the service accounts each attempt's steps in
-// the attempt epilogue, so adding the winner's total here would double
-// count the losers' contributions.
-func (b *ProgressBroker) FinishPortfolio(state State, errMsg, strategy string, res *JobResult) {
+// otherwise, then closes every subscriber channel. strategy stamps the
+// frame with a portfolio race's winner; it is empty for solo jobs and for
+// races nobody won.
+func (b *ProgressBroker) Finish(state State, errMsg, strategy string, res *JobResult) {
 	b.mu.Lock()
 	p := b.last
 	b.mu.Unlock()
@@ -235,24 +189,23 @@ func (b *ProgressBroker) Subscribe() (<-chan Progress, func(), error) {
 	return ch, cancel, nil
 }
 
-// Observer returns a simulator.Observer publishing throttled running
-// snapshots into the broker, stamping elapsed time from the moment of this
-// call (the job's run start). The observer allocates nothing per step: the
-// wall clock is consulted once per progressCheckSteps steps, and a snapshot
-// is published only when ProgressInterval has passed since the last one, so
-// a machine stepping millions of times per second still costs its
-// subscribers (and the solve loop) a handful of snapshots per second.
-func (b *ProgressBroker) Observer() simulator.Observer {
-	now := time.Now()
-	return &progressObserver{b: b, started: now, lastPub: now}
-}
-
-// attemptObserver is Observer for one attempt of a portfolio race: frames
-// are stamped with the attempt's strategy, published only while the
-// attempt leads the race (lead, consulted on the throttled publish
-// cadence), and step annotations land on the attempt's own trace span
-// (annotate; both hooks may be nil). Returned concretely so the service's
-// attempt epilogue can read CountedSteps.
+// attemptObserver returns the simulator.Observer of one attempt, publishing
+// throttled running snapshots into the broker and stamping elapsed time from
+// the moment of this call (the attempt's run start). The observer allocates
+// nothing per step: the wall clock is consulted once per progressCheckSteps
+// steps, and a snapshot is published only when ProgressInterval has passed
+// since the last one, so a machine stepping millions of times per second
+// still costs its subscribers (and the solve loop) a handful of snapshots
+// per second.
+//
+// A solo job is a race with one attempt: strategy is empty and lead nil, so
+// every snapshot publishes unstamped. In a portfolio race frames carry the
+// attempt's strategy and are published only while the attempt leads (lead,
+// consulted on the throttled publish cadence). annotate, when non-nil,
+// receives each publish-cadence step count and queue depth — the service
+// aims it at the attempt's trace span, or at the run span when the job has
+// no attempt spans. Returned concretely so the attempt epilogue can read
+// CountedSteps.
 func (b *ProgressBroker) attemptObserver(strategy string, lead func(step int64) bool, annotate func(step int64, queued int)) *progressObserver {
 	now := time.Now()
 	return &progressObserver{b: b, started: now, lastPub: now, strategy: strategy, lead: lead, annotate: annotate}
@@ -264,8 +217,6 @@ type progressObserver struct {
 	lastPub  time.Time
 	lastStep int64
 
-	// Attempt-scoped hooks (nil on the solo path, where the broker's own
-	// annotate applies and every snapshot publishes).
 	strategy string
 	lead     func(step int64) bool
 	annotate func(step int64, queued int)
@@ -299,8 +250,6 @@ func (o *progressObserver) AfterStep(step int64, queued int) {
 	o.b.steps.Add(step - o.lastStep)
 	if o.annotate != nil {
 		o.annotate(step, queued)
-	} else if o.b.annotate != nil {
-		o.b.annotate(step, queued)
 	}
 	o.lastPub = now
 	o.lastStep = step

@@ -52,7 +52,7 @@ func TestBrokerTerminalAlwaysDelivered(t *testing.T) {
 	// Fill the subscriber's buffer, then finish without it ever reading.
 	b.Publish(Progress{State: StateRunning, Step: 1})
 	b.Publish(Progress{State: StateRunning, Step: 2})
-	b.Finish(StateDone, "", &JobResult{Stats: statsWithSteps(42)})
+	b.Finish(StateDone, "", "", &JobResult{Stats: statsWithSteps(42)})
 
 	var last Progress
 	n := 0
@@ -77,7 +77,7 @@ func TestBrokerTerminalAlwaysDelivered(t *testing.T) {
 func TestBrokerSubscribeAfterDone(t *testing.T) {
 	b := NewProgressBroker()
 	b.Publish(Progress{State: StateRunning, Step: 7, Queued: 3})
-	b.Finish(StateFailed, "boom", nil)
+	b.Finish(StateFailed, "boom", "", nil)
 
 	ch, cancel, err := b.Subscribe()
 	if err != nil {
@@ -144,7 +144,7 @@ func TestBrokerConcurrentPublishSubscribe(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		b.Publish(Progress{State: StateRunning, Step: int64(i)})
 	}
-	b.Finish(StateCancelled, "", nil)
+	b.Finish(StateCancelled, "", "", nil)
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -159,7 +159,7 @@ func TestBrokerConcurrentPublishSubscribe(t *testing.T) {
 // progressCheckSteps cadence.
 func TestObserverThrottle(t *testing.T) {
 	b := NewProgressBroker()
-	obs := b.Observer().(*progressObserver)
+	obs := b.attemptObserver("", nil, nil)
 	// Pretend the last publish is long past so the very next check fires.
 	obs.lastPub = time.Now().Add(-time.Hour)
 	ch, cancel, err := b.Subscribe()

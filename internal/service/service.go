@@ -116,7 +116,7 @@ type Attempt struct {
 	FinishedAt time.Time `json:"finished_at,omitzero"`
 	// Steps is the layer-1 steps this attempt executed (zero for attempts
 	// cancelled before running or interrupted mid-slice).
-	Steps int64 `json:"steps,omitempty"`
+	Steps int64  `json:"steps,omitempty"`
 	Error string `json:"error,omitempty"`
 	// Winner marks the attempt whose successful result became the job's.
 	Winner bool `json:"winner,omitempty"`
@@ -202,24 +202,16 @@ type Service struct {
 	pending []workItem
 	queued  int
 	// runs holds each live (queued or running) job's in-flight state: the
-	// admission-time compilation, the resolved strategy list, and the
-	// race's per-attempt bookkeeping. Entries are dropped when the job
-	// goes terminal.
+	// admission-time compilation, the resolved strategy list, the race's
+	// per-attempt bookkeeping, the progress broker and the span timeline.
+	// Entries are dropped when the job goes terminal.
 	runs map[int64]*jobRun
 	// raws keeps the undecoded core.Result of done jobs for in-process
 	// callers (Job.Raw); never persisted.
 	raws map[int64]*core.Result
 	// adapt is the per-problem-class strategy-stats table biasing
 	// portfolio launch order (see adapt.go).
-	adapt *strategyStats
-	// brokers fan each live (queued or running) job's progress snapshots
-	// out to event subscribers; the terminal transition publishes the final
-	// snapshot and drops the entry, so the map never outlives the queue.
-	brokers map[int64]*ProgressBroker
-	// traces holds each live job's in-flight span timeline; the terminal
-	// transition persists the timeline through the store and drops the
-	// entry, mirroring brokers.
-	traces map[int64]*liveTrace
+	adapt  *strategyStats
 	closed bool
 
 	// root is the ancestor context of every job run; Close cancels it so
@@ -252,14 +244,12 @@ func New(cfg Config) *Service {
 		st = store.NewMemory(cfg.History)
 	}
 	s := &Service{
-		cfg:     cfg,
-		store:   st,
-		runs:    make(map[int64]*jobRun),
-		raws:    make(map[int64]*core.Result),
-		adapt:   newStrategyStats(),
-		brokers: make(map[int64]*ProgressBroker),
-		traces:  make(map[int64]*liveTrace),
-		done:    make(chan struct{}),
+		cfg:   cfg,
+		store: st,
+		runs:  make(map[int64]*jobRun),
+		raws:  make(map[int64]*core.Result),
+		adapt: newStrategyStats(),
+		done:  make(chan struct{}),
 	}
 	s.registerMetrics()
 	s.wake = sync.NewCond(&s.mu)
@@ -339,15 +329,6 @@ func (s *Service) portfolioWins(strategy string) *telemetry.Counter {
 		telemetry.Label{Key: "strategy", Value: strategy})
 }
 
-// newBroker returns a progress broker wired into the service's step
-// counter. Must be called before the broker is shared (see
-// ProgressBroker.steps).
-func (s *Service) newBroker() *ProgressBroker {
-	b := NewProgressBroker()
-	b.steps = s.metrics.steps
-	return b
-}
-
 // Telemetry returns the registry holding the service's metrics (the one
 // from Config, or the private default). The HTTP layer serves it on
 // GET /metrics.
@@ -369,8 +350,8 @@ func (s *Service) StepsPerSec() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var sum float64
-	for _, b := range s.brokers {
-		sum += b.LastRate()
+	for _, jr := range s.runs {
+		sum += jr.broker.LastRate()
 	}
 	return sum
 }
@@ -393,7 +374,6 @@ func (s *Service) recover() {
 				fmt.Sprintf("recovery: %v", err), nil)
 			continue
 		}
-		s.admitLocked(sj.ID, spec, &built)
 		// Resume the persisted timeline under the original trace ID so the
 		// re-run links to the pre-crash spans; jobs admitted before tracing
 		// existed get a fresh trace. The instant requeued span marks the
@@ -403,7 +383,8 @@ func (s *Service) recover() {
 			tr = tracelog.NewTrace(tracelog.TraceContext{})
 		}
 		tr.AddInstant("requeued", nil)
-		s.traces[sj.ID] = &liveTrace{tr: tr, queue: tr.StartSpan("queue")}
+		jr := s.admitLocked(sj.ID, spec, &built, tr)
+		jr.queueSpan = tr.StartSpan("queue")
 	}
 }
 
@@ -411,11 +392,13 @@ func (s *Service) recover() {
 // work item for a solo job, one per strategy for a portfolio race (the
 // launch order fixed here by the adaptive ranking). Callers hold s.mu (or,
 // in New, have not yet shared the service).
-func (s *Service) admitLocked(id int64, spec JobSpec, built *buildOut) *jobRun {
+func (s *Service) admitLocked(id int64, spec JobSpec, built *buildOut, tr *tracelog.Trace) *jobRun {
 	strategies := s.resolveStrategies(spec, built)
 	jr := &jobRun{
 		spec:       spec,
 		built:      built,
+		broker:     NewProgressBroker(),
+		trace:      tr,
 		strategies: strategies,
 		portfolio:  len(built.portfolio) > 0,
 		winner:     -1,
@@ -427,9 +410,11 @@ func (s *Service) admitLocked(id int64, spec JobSpec, built *buildOut) *jobRun {
 	for i, strat := range strategies {
 		jr.attempts[i] = Attempt{Strategy: strat, State: StateQueued}
 	}
+	// The step counter must be wired before the broker is shared (see
+	// ProgressBroker.steps).
+	jr.broker.steps = s.metrics.steps
+	jr.broker.Publish(Progress{State: StateQueued})
 	s.runs[id] = jr
-	s.brokers[id] = s.newBroker()
-	s.brokers[id].Publish(Progress{State: StateQueued})
 	for i := range strategies {
 		s.pending = append(s.pending, workItem{id: id, attempt: i})
 	}
@@ -453,6 +438,14 @@ type jobRun struct {
 	built      *buildOut
 	strategies []string
 	portfolio  bool // persist the attempt ledger (len(strategies) may be 1)
+
+	// broker fans the job's progress snapshots out to event subscribers;
+	// trace is its in-flight span timeline and queueSpan the open queue-wait
+	// span, ended when a worker dequeues the first attempt. The terminal
+	// transition publishes the final snapshot and persists the timeline.
+	broker    *ProgressBroker
+	trace     *tracelog.Trace
+	queueSpan int64
 
 	started bool // first attempt dequeued; the job is running
 	// ctx is the job-level context (deadline-bounded when the spec asks);
@@ -554,9 +547,9 @@ func (s *Service) SubmitTraced(spec JobSpec, tc tracelog.TraceContext) (Job, err
 		return Job{}, fmt.Errorf("%w: %v", ErrStore, err)
 	}
 	s.metrics.submitted.Inc()
-	jr := s.admitLocked(sj.ID, spec, &built)
+	jr := s.admitLocked(sj.ID, spec, &built, tr)
 	tr.EndSpan(admission)
-	s.traces[sj.ID] = &liveTrace{tr: tr, queue: tr.StartSpan("queue")}
+	jr.queueSpan = tr.StartSpan("queue")
 	// Persist the opening timeline now (journaled like any transition) so
 	// a crash before the job finishes still leaves the trace ID and
 	// admission spans for recovery to resume. Failure costs observability
@@ -651,9 +644,9 @@ func (s *Service) Counts() map[State]int {
 // fan-out bound is exhausted returns ErrTooManySubscribers.
 func (s *Service) Subscribe(id int64) (<-chan Progress, func(), error) {
 	s.mu.Lock()
-	if b := s.brokers[id]; b != nil {
+	if jr := s.runs[id]; jr != nil {
 		defer s.mu.Unlock()
-		return b.Subscribe()
+		return jr.broker.Subscribe()
 	}
 	sj, ok := s.store.Get(id)
 	s.mu.Unlock()
@@ -701,7 +694,7 @@ func (s *Service) Cancel(id int64) (Job, error) {
 		}
 		s.pending = kept
 		s.queued--
-		s.finishLocked(id, StateCancelled, "", nil)
+		s.finishLocked(id, StateCancelled, "", "", nil)
 		sj, _ = s.store.Get(id)
 	case StateRunning:
 		if jr := s.runs[id]; jr != nil && jr.cancel != nil {
@@ -715,8 +708,10 @@ func (s *Service) Cancel(id int64) (Job, error) {
 
 // finishLocked records a terminal transition in the store, drops the job's
 // cached build, and clears service-side caches for any records the store
-// evicted beyond its retention bound. Callers hold s.mu.
-func (s *Service) finishLocked(id int64, state State, errMsg string, result *JobResult) {
+// evicted beyond its retention bound. strategy is a won portfolio race's
+// winner, stamped on the terminal progress frame; empty otherwise. Callers
+// hold s.mu.
+func (s *Service) finishLocked(id int64, state State, errMsg, strategy string, result *JobResult) {
 	var raw json.RawMessage
 	if result != nil {
 		raw, _ = json.Marshal(result)
@@ -726,26 +721,13 @@ func (s *Service) finishLocked(id int64, state State, errMsg string, result *Job
 	// authoritative for this process.
 	evicted, _ := s.store.Finish(id, state, time.Now().UTC(), errMsg, raw)
 	s.metrics.finished[state].Inc()
-	if lt := s.traces[id]; lt != nil {
-		// Close whatever is still open (the queue span for a
-		// cancelled-while-queued job, the run span otherwise) and persist
-		// the full timeline next to the finish record.
-		lt.tr.EndOpen()
-		_ = s.store.SetTrace(id, lt.tr.JSON())
-		delete(s.traces, id)
-	}
-	if b := s.brokers[id]; b != nil {
-		if jr := s.runs[id]; jr != nil && jr.portfolio {
-			strat := ""
-			if jr.winner >= 0 && jr.winErr == nil {
-				strat = jr.strategies[jr.winner]
-			}
-			b.FinishPortfolio(state, errMsg, strat, result)
-		} else {
-			b.Finish(state, errMsg, result)
-		}
-		delete(s.brokers, id)
-	}
+	jr := s.runs[id]
+	// Close whatever is still open (the queue span for a
+	// cancelled-while-queued job) and persist the full timeline next to the
+	// finish record.
+	jr.trace.EndOpen()
+	_ = s.store.SetTrace(id, jr.trace.JSON())
+	jr.broker.Finish(state, errMsg, strategy, result)
 	delete(s.runs, id)
 	for _, eid := range evicted {
 		delete(s.raws, eid)
@@ -777,7 +759,7 @@ func (s *Service) Close() {
 			// runs entry, so this job's remaining attempt items fall through
 			// the nil check above.
 			s.queued--
-			s.finishLocked(it.id, StateCancelled, "", nil)
+			s.finishLocked(it.id, StateCancelled, "", "", nil)
 			continue
 		}
 		// A running job's not-yet-dequeued attempt: no worker will pick it
@@ -816,7 +798,7 @@ func (s *Service) runAttempt(it workItem) {
 		s.mu.Unlock()
 		return
 	}
-	lt := s.traces[id]
+	tr := jr.trace
 	if !jr.started {
 		jr.started = true
 		s.queued--
@@ -824,13 +806,9 @@ func (s *Service) runAttempt(it workItem) {
 		// only fail on a journal write, which degrades durability, not
 		// correctness.
 		_ = s.store.Start(id, time.Now().UTC())
-		if lt != nil {
-			lt.tr.EndSpan(lt.queue)
-			jr.runSpan = lt.tr.StartSpan("run")
-		}
-		if b := s.brokers[id]; b != nil {
-			b.Publish(Progress{State: StateRunning})
-		}
+		tr.EndSpan(jr.queueSpan)
+		jr.runSpan = tr.StartSpan("run")
+		jr.broker.Publish(Progress{State: StateRunning})
 		if d := jr.spec.Deadline(); d > 0 {
 			jr.ctx, jr.cancel = context.WithDeadlineCause(s.root, time.Now().Add(d),
 				fmt.Errorf("service: job %d exceeded its %v deadline", id, d))
@@ -844,40 +822,24 @@ func (s *Service) runAttempt(it workItem) {
 	s.metrics.attemptsStarted.Inc()
 	actx, acancel := context.WithCancel(jr.ctx)
 	jr.cancels[idx] = acancel
-	var span int64
-	if lt != nil && jr.portfolio {
-		span = lt.tr.StartChild("attempt", jr.runSpan)
-		lt.tr.SetAttr(span, "strategy", strat)
-		jr.spans[idx] = span
-	}
-	var obs simulator.Observer
-	var po *progressObserver
-	if b := s.brokers[id]; b != nil && jr.portfolio {
-		var ann func(step int64, queued int)
-		if lt != nil {
-			// Step annotations land on the attempt's own span, riding the
-			// observer's throttled publish cadence, never the per-step path.
-			tr, sp := lt.tr, span
-			ann = func(step int64, queued int) {
-				tr.Annotate(sp, fmt.Sprintf("step %d, %d queued", step, queued))
-			}
-		}
-		po = b.attemptObserver(strat, jr.leadFunc(idx), ann)
-		obs = po
-	} else if b != nil {
-		if lt != nil {
-			// Solo path: annotations land on the run span itself, same
-			// cadence.
-			tr, sp := lt.tr, jr.runSpan
-			b.annotate = func(step int64, queued int) {
-				tr.Annotate(sp, fmt.Sprintf("step %d, %d queued", step, queued))
-			}
-		}
-		obs = b.Observer()
-	}
+	// What a portfolio job adds to the shape of its output, and a mapper job
+	// does not: an attempt child span (which then takes the annotations and
+	// the step count instead of the run span), the strategy and lead gate on
+	// progress frames, and the journaled ledger.
+	span, frameStrategy := jr.runSpan, ""
+	var lead func(step int64) bool
 	if jr.portfolio {
+		span = tr.StartChild("attempt", jr.runSpan)
+		tr.SetAttr(span, "strategy", strat)
+		jr.spans[idx] = span
+		frameStrategy, lead = strat, jr.leadFunc(idx)
 		s.persistAttemptsLocked(id, jr)
 	}
+	// Step annotations ride the observer's throttled publish cadence, never
+	// the per-step path.
+	obs := jr.broker.attemptObserver(frameStrategy, lead, func(step int64, queued int) {
+		tr.Annotate(span, fmt.Sprintf("step %d, %d queued", step, queued))
+	})
 	s.mu.Unlock()
 	defer acancel()
 
@@ -893,20 +855,17 @@ func (s *Service) runAttempt(it workItem) {
 	var steps int64
 	if res != nil {
 		steps = res.Stats.Steps
-	}
-	if po != nil && res != nil {
-		// The broker's Finish remainder is solo-only (see FinishPortfolio);
-		// account this attempt's tail — the steps run since its observer's
-		// last publish — here.
-		s.metrics.steps.Add(res.Stats.Steps - po.CountedSteps())
+		// The observer counted steps up to its last publish; account the
+		// tail (all of them, for a run that never crossed the cadence).
+		s.metrics.steps.Add(steps - obs.CountedSteps())
 	}
 	switch {
 	case jr.winner < 0 && runErr == nil:
 		jr.winner = idx
 		jr.winRes, jr.winRaw = res, raw
 		jr.attempts[idx].Winner = true
-		if lt != nil && span != 0 {
-			lt.tr.SetAttr(span, "winner", true)
+		if jr.portfolio {
+			tr.SetAttr(jr.spans[idx], "winner", true)
 		}
 		s.cancelLosersLocked(id, jr, idx)
 		s.settleAttemptLocked(id, jr, idx, StateDone, "", steps)
@@ -943,23 +902,18 @@ func (s *Service) settleAttemptLocked(id int64, jr *jobRun, idx int, state State
 	if state == StateCancelled {
 		s.metrics.attemptsCancelled.Inc()
 	}
-	if lt := s.traces[id]; lt != nil {
-		if span := jr.spans[idx]; span != 0 {
-			if state == StateCancelled {
-				lt.tr.SetAttr(span, "cancelled", true)
-			}
-			if steps > 0 {
-				lt.tr.SetAttr(span, "steps", steps)
-			}
-			lt.tr.EndSpan(span)
-		} else if !jr.portfolio && jr.runSpan != 0 {
-			// Solo path: the run span itself carries the step count, as it
-			// did before attempts existed.
-			if steps > 0 {
-				lt.tr.SetAttr(jr.runSpan, "steps", steps)
-			}
-			lt.tr.EndSpan(jr.runSpan)
+	if span := jr.spans[idx]; span != 0 {
+		if state == StateCancelled {
+			jr.trace.SetAttr(span, "cancelled", true)
 		}
+		if steps > 0 {
+			jr.trace.SetAttr(span, "steps", steps)
+		}
+		jr.trace.EndSpan(span)
+	} else if steps > 0 {
+		// An attempt that ran without a span of its own is a mapper job's:
+		// the run span carries the step count.
+		jr.trace.SetAttr(jr.runSpan, "steps", steps)
 	}
 	jr.settled++
 	if jr.settled == len(jr.attempts) {
@@ -999,25 +953,24 @@ func (s *Service) finishRaceLocked(id int64, jr *jobRun) {
 		// Release the job context (and its deadline timer, if any).
 		jr.cancel()
 	}
+	jr.trace.EndSpan(jr.runSpan)
 	if jr.portfolio {
-		if lt := s.traces[id]; lt != nil && jr.runSpan != 0 {
-			lt.tr.EndSpan(jr.runSpan)
-		}
 		s.persistAttemptsLocked(id, jr)
 	}
 	switch {
 	case jr.winner >= 0 && jr.winErr == nil:
 		s.raws[id] = jr.winRaw
+		strat := ""
 		if jr.portfolio {
-			strat := jr.strategies[jr.winner]
+			strat = jr.strategies[jr.winner]
 			s.adapt.Record(problemClass(jr.spec), strat)
 			s.portfolioWins(strat).Inc()
 		}
-		s.finishLocked(id, StateDone, "", jr.winRes)
+		s.finishLocked(id, StateDone, "", strat, jr.winRes)
 	case jr.winner >= 0:
-		s.finishLocked(id, StateFailed, jr.winErr.Error(), nil)
+		s.finishLocked(id, StateFailed, jr.winErr.Error(), "", nil)
 	default:
-		s.finishLocked(id, StateCancelled, "", nil)
+		s.finishLocked(id, StateCancelled, "", "", nil)
 	}
 }
 

@@ -12,19 +12,18 @@ import (
 	"hypersolve/internal/store"
 )
 
-// slowSpec is a job that runs for several seconds if never cancelled: a
-// linear sum chain whose ~1000 link hops each spend 50k steps in flight, on
-// a tiny ring where steps are cheap. It completes only at ~50M steps. The
-// sweep engine is pinned because the event engine skips the idle latency
-// gaps and finishes the same job in milliseconds.
+// slowSpec is a job that runs for ~20 s if never cancelled: a linear sum
+// chain whose ~1000 link hops each spend 5M steps in flight, on a tiny ring.
+// The service always attaches its progress observer, so the simulator walks
+// every idle latency gap step by step instead of skipping it; the latency
+// alone sets the run time.
 func slowSpec() JobSpec {
 	return JobSpec{
 		Kind:     "sum",
 		N:        500,
 		Topology: "ring:4",
-		Link:     LinkSpec{LinkLatency: 50000},
+		Link:     LinkSpec{LinkLatency: 5_000_000},
 		MaxSteps: 1 << 40,
-		Engine:   "sweep",
 	}
 }
 

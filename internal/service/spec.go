@@ -80,11 +80,6 @@ type JobSpec struct {
 	// running; 0 means no deadline.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 
-	// Engine selects the layer-1 simulation loop: "event" (the default) or
-	// "sweep". The two are bit-identical on every workload; sweep exists
-	// for differential testing and as a fallback.
-	Engine string `json:"engine,omitempty"`
-
 	// RecordSeries includes the per-step interconnect activity trace in the
 	// result payload; Heatmap includes the node-activity heatmap.
 	RecordSeries bool `json:"record_series,omitempty"`
@@ -253,9 +248,6 @@ func (s JobSpec) build() (buildOut, error) {
 		Seed:         s.Seed,
 		MaxSteps:     s.MaxSteps,
 		RecordSeries: s.RecordSeries,
-	}
-	if cfg.Engine, err = simulator.ParseEngine(s.Engine); err != nil {
-		return out, fmt.Errorf("service: %w", err)
 	}
 	if cfg.Link, err = s.Link.simConfig(); err != nil {
 		return out, err

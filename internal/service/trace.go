@@ -31,13 +31,6 @@ func jobTraceFromRecord(sj store.Job) JobTrace {
 	return jt
 }
 
-// liveTrace pairs a job's in-flight trace with the ID of its open
-// queue-wait span (started at admission, ended when a worker dequeues).
-type liveTrace struct {
-	tr    *tracelog.Trace
-	queue int64
-}
-
 // Trace returns the span timeline of one job: the live trace while the
 // job is queued or running, the persisted one once it is terminal.
 func (s *Service) Trace(id int64) (JobTrace, bool) {
@@ -47,8 +40,8 @@ func (s *Service) Trace(id int64) (JobTrace, bool) {
 	if !ok {
 		return JobTrace{}, false
 	}
-	if lt := s.traces[id]; lt != nil {
-		return JobTrace{JobID: JobID{Seq: id}, State: sj.State, Timeline: lt.tr.Timeline()}, true
+	if jr := s.runs[id]; jr != nil {
+		return JobTrace{JobID: JobID{Seq: id}, State: sj.State, Timeline: jr.trace.Timeline()}, true
 	}
 	return jobTraceFromRecord(sj), true
 }

@@ -1,4 +1,4 @@
-package difftest
+package simulator
 
 import (
 	"context"
@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hypersolve/internal/mesh"
-	"hypersolve/internal/simulator"
 )
 
 // emptyTopo is a zero-slot machine: no nodes, no links. The sweep loop
@@ -15,18 +14,18 @@ import (
 // quiescent step.
 type emptyTopo struct{}
 
-func (emptyTopo) Name() string                        { return "empty" }
-func (emptyTopo) Size() int                           { return 0 }
-func (emptyTopo) Degree(mesh.NodeID) int              { return 0 }
+func (emptyTopo) Name() string                         { return "empty" }
+func (emptyTopo) Size() int                            { return 0 }
+func (emptyTopo) Degree(mesh.NodeID) int               { return 0 }
 func (emptyTopo) Neighbours(mesh.NodeID) []mesh.NodeID { return nil }
-func (emptyTopo) Coords(mesh.NodeID) []int            { return nil }
-func (emptyTopo) Dims() []int                         { return []int{0} }
-func (emptyTopo) Distance(a, b mesh.NodeID) int       { return 0 }
+func (emptyTopo) Coords(mesh.NodeID) []int             { return nil }
+func (emptyTopo) Dims() []int                          { return []int{0} }
+func (emptyTopo) Distance(a, b mesh.NodeID) int        { return 0 }
 
-func bothEngines(t *testing.T, run func(t *testing.T, eng simulator.Engine) simulator.Stats) {
+func bothEngines(t *testing.T, run func(t *testing.T, eng loop) Stats) {
 	t.Helper()
-	sweep := run(t, simulator.EngineSweep)
-	event := run(t, simulator.EngineEvent)
+	sweep := run(t, sweepLoop)
+	event := run(t, eventLoop)
 	if !reflect.DeepEqual(sweep, event) {
 		t.Fatalf("engines diverge:\n sweep: %+v\n event: %+v", sweep, event)
 	}
@@ -34,19 +33,18 @@ func bothEngines(t *testing.T, run func(t *testing.T, eng simulator.Engine) simu
 
 // TestZeroSlotMachine runs a machine with no nodes at all.
 func TestZeroSlotMachine(t *testing.T) {
-	run := func(t *testing.T, eng simulator.Engine) simulator.Stats {
-		sim, err := simulator.New(simulator.Config{
+	run := func(t *testing.T, eng loop) Stats {
+		sim, err := New(Config{
 			Topology: emptyTopo{},
-			Factory:  func(mesh.NodeID) simulator.Handler { panic("no slots to build") },
-			Engine:   eng,
+			Factory:  func(mesh.NodeID) Handler { panic("no slots to build") },
 		})
 		if err != nil {
 			t.Fatalf("New(%s): %v", eng, err)
 		}
-		return sim.Run()
+		return eng.run(context.Background(), sim)
 	}
 	bothEngines(t, run)
-	stats := run(t, simulator.EngineEvent)
+	stats := run(t, eventLoop)
 	if !stats.Quiescent || stats.Steps != 1 {
 		t.Fatalf("zero-slot machine: stats %+v, want one quiescent step", stats)
 	}
@@ -58,7 +56,7 @@ func TestMaxStepsZero(t *testing.T) {
 	c := Case{Topo: "ring:5", Workload: "chain", Param: 8, LinkLatency: 3,
 		DeliverPerStep: 1, MaxSteps: 0, RecordSeries: true}
 	assertIdentical(t, c)
-	res := runEngine(t, c, simulator.EngineEvent)
+	res := runEngine(t, c, eventLoop)
 	if !res.stats.Quiescent {
 		t.Fatalf("stats %+v, want quiescent under the default horizon", res.stats)
 	}
@@ -70,36 +68,35 @@ func TestMaxStepsZero(t *testing.T) {
 // engines must agree on both sides of the boundary.
 func TestMessageDueExactlyAtMaxSteps(t *testing.T) {
 	const lat = 50
-	run := func(maxSteps int64) func(t *testing.T, eng simulator.Engine) simulator.Stats {
-		return func(t *testing.T, eng simulator.Engine) simulator.Stats {
+	run := func(maxSteps int64) func(t *testing.T, eng loop) Stats {
+		return func(t *testing.T, eng loop) Stats {
 			tr := &trace{}
-			sim, err := simulator.New(simulator.Config{
+			sim, err := New(Config{
 				Topology: mesh.MustRing(3),
-				Factory: func(n mesh.NodeID) simulator.Handler {
+				Factory: func(n mesh.NodeID) Handler {
 					return &chainHandler{tr: tr, node: n, hops: 0}
 				},
-				Engine:      eng,
 				LinkLatency: lat,
 				MaxSteps:    maxSteps,
 			})
 			if err != nil {
 				t.Fatalf("New(%s): %v", eng, err)
 			}
-			return sim.Run()
+			return eng.run(context.Background(), sim)
 		}
 	}
 
 	// The chain's Init send flushes at step 0 and arrives at step lat.
 	t.Run("due-at-horizon", func(t *testing.T) {
 		bothEngines(t, run(lat))
-		stats := run(lat)(t, simulator.EngineEvent)
+		stats := run(lat)(t, eventLoop)
 		if stats.Quiescent || stats.TotalDelivered != 0 || stats.Steps != lat {
 			t.Fatalf("stats %+v, want undelivered truncation at step %d", stats, lat)
 		}
 	})
 	t.Run("due-inside-horizon", func(t *testing.T) {
 		bothEngines(t, run(lat+1))
-		stats := run(lat + 1)(t, simulator.EngineEvent)
+		stats := run(lat+1)(t, eventLoop)
 		if !stats.Quiescent || stats.TotalDelivered != 1 || stats.FirstDelivery != lat {
 			t.Fatalf("stats %+v, want one delivery at step %d", stats, lat)
 		}
@@ -112,17 +109,16 @@ func TestMessageDueExactlyAtMaxSteps(t *testing.T) {
 // subsequent cancel-slice boundary with identical stats.
 func TestCancellationInEmptyGap(t *testing.T) {
 	const cancelAt = 1500 // inside the first latency gap, past poll 1024
-	run := func(t *testing.T, eng simulator.Engine) simulator.Stats {
+	run := func(t *testing.T, eng loop) Stats {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		obs := &cancellingObserver{cancelAt: cancelAt, cancel: cancel, inner: &recordingObserver{}}
 		tr := &trace{}
-		sim, err := simulator.New(simulator.Config{
+		sim, err := New(Config{
 			Topology: mesh.MustRing(4),
-			Factory: func(n mesh.NodeID) simulator.Handler {
+			Factory: func(n mesh.NodeID) Handler {
 				return &chainHandler{tr: tr, node: n, hops: 20}
 			},
-			Engine:      eng,
 			LinkLatency: 5000, // every hop opens a ~5000-step empty gap
 			MaxSteps:    1 << 20,
 			Observer:    obs,
@@ -130,11 +126,11 @@ func TestCancellationInEmptyGap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%s): %v", eng, err)
 		}
-		stats := sim.RunContext(ctx)
+		stats := eng.run(ctx, sim)
 		if !stats.Interrupted || stats.Quiescent {
 			t.Fatalf("stats %+v, want interrupted", stats)
 		}
-		if stats.Steps%simulator.CancelSliceSteps != 0 || stats.Steps <= cancelAt {
+		if stats.Steps%CancelSliceSteps != 0 || stats.Steps <= cancelAt {
 			t.Fatalf("stopped at step %d, want the first slice boundary after %d", stats.Steps, cancelAt)
 		}
 		if last := obs.inner.entries[len(obs.inner.entries)-1]; last.Step != stats.Steps-1 {
@@ -150,20 +146,19 @@ func TestCancellationInEmptyGap(t *testing.T) {
 // machine whose event queue is empty from the start.
 func TestCancellationBeforeStart(t *testing.T) {
 	for _, workload := range []string{"silent", "chain"} {
-		run := func(t *testing.T, eng simulator.Engine) simulator.Stats {
+		run := func(t *testing.T, eng loop) Stats {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			tr := &trace{}
 			c := Case{Workload: workload, Param: 5}
-			sim, err := simulator.New(simulator.Config{
+			sim, err := New(Config{
 				Topology: mesh.MustRing(4),
 				Factory:  factory(c, tr),
-				Engine:   eng,
 			})
 			if err != nil {
 				t.Fatalf("New(%s): %v", eng, err)
 			}
-			stats := sim.RunContext(ctx)
+			stats := eng.run(ctx, sim)
 			if !stats.Interrupted || stats.Steps != 0 {
 				t.Fatalf("%s: stats %+v, want interruption at step 0", workload, stats)
 			}
@@ -177,19 +172,18 @@ func TestCancellationBeforeStart(t *testing.T) {
 // handler ever sends and nothing is injected: there are no subscribers for
 // the observer to watch, yet it must still see the single quiescent step.
 func TestObserverOnSilentMachine(t *testing.T) {
-	run := func(t *testing.T, eng simulator.Engine) simulator.Stats {
+	run := func(t *testing.T, eng loop) Stats {
 		obs := &recordingObserver{}
 		tr := &trace{}
-		sim, err := simulator.New(simulator.Config{
+		sim, err := New(Config{
 			Topology: mesh.MustStar(6),
 			Factory:  factory(Case{Workload: "silent"}, tr),
-			Engine:   eng,
 			Observer: obs,
 		})
 		if err != nil {
 			t.Fatalf("New(%s): %v", eng, err)
 		}
-		stats := sim.Run()
+		stats := eng.run(context.Background(), sim)
 		want := []obsEntry{{Step: 0, Queued: 0}}
 		if !reflect.DeepEqual(obs.entries, want) {
 			t.Fatalf("observer saw %+v, want exactly %+v", obs.entries, want)

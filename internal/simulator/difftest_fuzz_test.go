@@ -1,9 +1,7 @@
-package difftest
+package simulator
 
 import (
 	"testing"
-
-	"hypersolve/internal/simulator"
 )
 
 // decodeCase maps an arbitrary fuzz payload onto a bounded Case. Every
@@ -38,7 +36,7 @@ func decodeCase(data []byte) Case {
 		Observe:         at(10)%4 < 2,
 	}
 	if at(11)%2 == 1 {
-		c.QueueModel = simulator.LinkQueues
+		c.QueueModel = LinkQueues
 	}
 	if at(12)%3 == 0 {
 		c.QueueCap = 1 + int(at(12))%4
@@ -68,12 +66,12 @@ func decodeCase(data []byte) Case {
 // loss+reliability and a horizon truncation; CI runs a short -fuzztime
 // smoke on top of the checked-in corpus.
 func FuzzEngineEquivalence(f *testing.F) {
-	f.Add([]byte{0, 0, 2, 0, 1, 4, 42, 0, 0, 3, 0, 0, 1, 1})           // flood, node queues
-	f.Add([]byte{3, 1, 3, 1, 5, 5, 7, 1, 2, 4, 1, 1, 0, 0})            // chain, link queues, capped, lossy
-	f.Add([]byte{8, 2, 1, 0, 2, 4, 0, 0, 0, 2, 2, 0, 1, 1})            // burst on a torus
-	f.Add([]byte{6, 3, 2, 2, 0, 6, 9, 9, 5, 1, 0, 1, 0, 3})            // demand ticker, link queues
-	f.Add([]byte{1, 4, 1, 0, 7, 0, 0, 0, 4, 1, 1, 0, 3, 0})            // silent + injections, MaxSteps=1
-	f.Add([]byte{11, 1, 4, 1, 6, 2, 250, 3, 1, 11, 0, 1, 0, 0})        // chain truncated at a tiny horizon
+	f.Add([]byte{0, 0, 2, 0, 1, 4, 42, 0, 0, 3, 0, 0, 1, 1})    // flood, node queues
+	f.Add([]byte{3, 1, 3, 1, 5, 5, 7, 1, 2, 4, 1, 1, 0, 0})     // chain, link queues, capped, lossy
+	f.Add([]byte{8, 2, 1, 0, 2, 4, 0, 0, 0, 2, 2, 0, 1, 1})     // burst on a torus
+	f.Add([]byte{6, 3, 2, 2, 0, 6, 9, 9, 5, 1, 0, 1, 0, 3})     // demand ticker, link queues
+	f.Add([]byte{1, 4, 1, 0, 7, 0, 0, 0, 4, 1, 1, 0, 3, 0})     // silent + injections, MaxSteps=1
+	f.Add([]byte{11, 1, 4, 1, 6, 2, 250, 3, 1, 11, 0, 1, 0, 0}) // chain truncated at a tiny horizon
 	f.Fuzz(func(t *testing.T, data []byte) {
 		assertIdentical(t, decodeCase(data))
 	})

@@ -1,4 +1,23 @@
-package difftest
+package simulator
+
+// The difftest_*_test.go files differentially test the event engine against
+// the reference sweep (runSweep).
+//
+// The event engine claims bit-identity with the step-synchronous sweep:
+// identical Stats, identical per-slot delivery traces (step, slot, source,
+// payload, in order), and identical observer callback sequences, on every
+// workload. These files are the proof: a seeded ~200-case randomized matrix
+// over (topology, workload kind, queue model, loss/latency, queue capacity,
+// MaxSteps, seed), a native fuzz target decoding arbitrary bytes into
+// configs, and directed edge-case tests for the corners the sweep loop
+// never exercised (zero-slot machines, horizons landing exactly on an
+// arrival, cancellation inside a skipped idle gap).
+//
+// The harness lives in package simulator because the sweep is not a
+// selectable engine: it is reachable only through the unexported runSweep.
+// All tests here construct every run twice from scratch — fresh handlers,
+// fresh trace — so the two loops cannot share state, and run under -race in
+// CI.
 
 import (
 	"context"
@@ -8,17 +27,31 @@ import (
 	"testing"
 
 	"hypersolve/internal/mesh"
-	"hypersolve/internal/simulator"
 )
 
+// loop names which of the package's two step loops executes a run.
+type loop string
+
+const (
+	sweepLoop loop = "sweep" // runSweep, the reference
+	eventLoop loop = "event" // RunContext, what production runs
+)
+
+func (l loop) run(ctx context.Context, sim *Simulator) Stats {
+	if l == sweepLoop {
+		return sim.runSweep(ctx)
+	}
+	return sim.RunContext(ctx)
+}
+
 // Case is one differential configuration: everything needed to build the
-// same machine twice, once per engine.
+// same machine twice, once per loop.
 type Case struct {
 	Topo     string // mesh.Parse spec
 	Workload string // flood | chain | burst | demand | silent
 	Param    int    // workload intensity: flood TTL, chain hops, burst count
 
-	QueueModel      simulator.QueueModel
+	QueueModel      QueueModel
 	DeliverPerStep  int
 	LinkLatency     int64
 	QueueCap        int
@@ -71,15 +104,15 @@ func (o *recordingObserver) AfterStep(step int64, queued int) {
 // machines built from the same Case evolve identically if and only if the
 // engines deliver identically — which is exactly what the tests assert.
 
-// floodHandler broadcasts a TTL to all neighbours; receivers re-broadcast
+// ttlFloodHandler broadcasts a TTL to all neighbours; receivers re-broadcast
 // TTL-1 while positive. Dense traffic, the paper's flood shape.
-type floodHandler struct {
+type ttlFloodHandler struct {
 	tr   *trace
 	node mesh.NodeID
 	ttl  int
 }
 
-func (h *floodHandler) Init(ctx *simulator.Context) {
+func (h *ttlFloodHandler) Init(ctx *Context) {
 	if h.node == 0 {
 		for _, nb := range ctx.Neighbours() {
 			ctx.Send(nb, h.ttl)
@@ -87,7 +120,7 @@ func (h *floodHandler) Init(ctx *simulator.Context) {
 	}
 }
 
-func (h *floodHandler) Receive(ctx *simulator.Context, src mesh.NodeID, p simulator.Payload) {
+func (h *ttlFloodHandler) Receive(ctx *Context, src mesh.NodeID, p Payload) {
 	v := p.(int)
 	h.tr.record(ctx.Step(), h.node, src, v)
 	if v > 0 {
@@ -105,14 +138,14 @@ type chainHandler struct {
 	hops int
 }
 
-func (h *chainHandler) Init(ctx *simulator.Context) {
+func (h *chainHandler) Init(ctx *Context) {
 	if h.node == 0 {
 		nbs := ctx.Neighbours()
 		ctx.Send(nbs[0], h.hops)
 	}
 }
 
-func (h *chainHandler) Receive(ctx *simulator.Context, src mesh.NodeID, p simulator.Payload) {
+func (h *chainHandler) Receive(ctx *Context, src mesh.NodeID, p Payload) {
 	v := p.(int)
 	h.tr.record(ctx.Step(), h.node, src, v)
 	if v > 0 {
@@ -136,13 +169,13 @@ type burstHandler struct {
 	fired  int
 }
 
-func (h *burstHandler) Init(ctx *simulator.Context) {
+func (h *burstHandler) Init(ctx *Context) {
 	if h.node == 0 {
 		ctx.Send(ctx.Neighbours()[0], 1) // kick: keep step 0 non-quiescent
 	}
 }
 
-func (h *burstHandler) Receive(ctx *simulator.Context, src mesh.NodeID, p simulator.Payload) {
+func (h *burstHandler) Receive(ctx *Context, src mesh.NodeID, p Payload) {
 	v := p.(int)
 	h.tr.record(ctx.Step(), h.node, src, v)
 	if v > 0 {
@@ -150,7 +183,7 @@ func (h *burstHandler) Receive(ctx *simulator.Context, src mesh.NodeID, p simula
 	}
 }
 
-func (h *burstHandler) Tick(ctx *simulator.Context) {
+func (h *burstHandler) Tick(ctx *Context) {
 	h.ticks++
 	if h.node != 0 || h.fired >= h.bursts || h.ticks%h.period != 0 {
 		return
@@ -172,19 +205,19 @@ type demandHandler struct {
 	backlog []int
 }
 
-func (h *demandHandler) Init(ctx *simulator.Context) {
+func (h *demandHandler) Init(ctx *Context) {
 	if h.node == 0 {
 		h.backlog = append(h.backlog, 3, 7) // Init-time pending work
 	}
 }
 
-func (h *demandHandler) Receive(ctx *simulator.Context, src mesh.NodeID, p simulator.Payload) {
+func (h *demandHandler) Receive(ctx *Context, src mesh.NodeID, p Payload) {
 	v := p.(int)
 	h.tr.record(ctx.Step(), h.node, src, v)
 	h.backlog = append(h.backlog, v)
 }
 
-func (h *demandHandler) Tick(ctx *simulator.Context) {
+func (h *demandHandler) Tick(ctx *Context) {
 	for i := 0; i < h.budget && len(h.backlog) > 0; i++ {
 		v := h.backlog[0]
 		h.backlog = h.backlog[1:]
@@ -204,18 +237,18 @@ type silentHandler struct {
 	node mesh.NodeID
 }
 
-func (h *silentHandler) Init(*simulator.Context) {}
+func (h *silentHandler) Init(*Context) {}
 
-func (h *silentHandler) Receive(ctx *simulator.Context, src mesh.NodeID, p simulator.Payload) {
+func (h *silentHandler) Receive(ctx *Context, src mesh.NodeID, p Payload) {
 	v, _ := p.(int)
 	h.tr.record(ctx.Step(), h.node, src, v)
 }
 
-func factory(c Case, tr *trace) simulator.HandlerFactory {
-	return func(node mesh.NodeID) simulator.Handler {
+func factory(c Case, tr *trace) HandlerFactory {
+	return func(node mesh.NodeID) Handler {
 		switch c.Workload {
 		case "flood":
-			return &floodHandler{tr: tr, node: node, ttl: c.Param}
+			return &ttlFloodHandler{tr: tr, node: node, ttl: c.Param}
 		case "chain":
 			return &chainHandler{tr: tr, node: node, hops: c.Param}
 		case "burst":
@@ -230,24 +263,23 @@ func factory(c Case, tr *trace) simulator.HandlerFactory {
 
 // runResult is everything observable from one run.
 type runResult struct {
-	stats simulator.Stats
+	stats Stats
 	trace []traceEntry
 	obs   []obsEntry
 }
 
 // runEngine builds the Case's machine from scratch for one engine and runs
 // it to completion.
-func runEngine(t testing.TB, c Case, eng simulator.Engine) runResult {
+func runEngine(t testing.TB, c Case, eng loop) runResult {
 	t.Helper()
 	topo, err := mesh.Parse(c.Topo)
 	if err != nil {
 		t.Fatalf("%v: topology: %v", c, err)
 	}
 	tr := &trace{}
-	cfg := simulator.Config{
+	cfg := Config{
 		Topology:        topo,
 		Factory:         factory(c, tr),
-		Engine:          eng,
 		QueueModel:      c.QueueModel,
 		LinkLatency:     c.LinkLatency,
 		DeliverPerStep:  c.DeliverPerStep,
@@ -264,7 +296,7 @@ func runEngine(t testing.TB, c Case, eng simulator.Engine) runResult {
 		obs = &recordingObserver{}
 		cfg.Observer = obs
 	}
-	sim, err := simulator.New(cfg)
+	sim, err := New(cfg)
 	if err != nil {
 		t.Fatalf("%v: New(%s): %v", c, eng, err)
 	}
@@ -274,7 +306,7 @@ func runEngine(t testing.TB, c Case, eng simulator.Engine) runResult {
 			t.Fatalf("%v: Inject: %v", c, err)
 		}
 	}
-	res := runResult{stats: sim.Run(), trace: tr.entries}
+	res := runResult{stats: eng.run(context.Background(), sim), trace: tr.entries}
 	if obs != nil {
 		res.obs = obs.entries
 	}
@@ -285,8 +317,8 @@ func runEngine(t testing.TB, c Case, eng simulator.Engine) runResult {
 // Stats, delivery traces and observer sequences.
 func assertIdentical(t testing.TB, c Case) {
 	t.Helper()
-	sweep := runEngine(t, c, simulator.EngineSweep)
-	event := runEngine(t, c, simulator.EngineEvent)
+	sweep := runEngine(t, c, sweepLoop)
+	event := runEngine(t, c, eventLoop)
 	if !reflect.DeepEqual(sweep.stats, event.stats) {
 		t.Fatalf("%v: Stats diverge:\n sweep: %+v\n event: %+v", c, sweep.stats, event.stats)
 	}
@@ -341,7 +373,7 @@ func randomCase(rng *rand.Rand) Case {
 		RetransmitAfter: int64(1 + rng.Intn(12)),
 	}
 	if rng.Intn(2) == 0 {
-		c.QueueModel = simulator.LinkQueues
+		c.QueueModel = LinkQueues
 	}
 	if rng.Intn(3) == 0 {
 		c.QueueCap = 1 + rng.Intn(3)

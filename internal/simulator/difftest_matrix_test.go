@@ -1,11 +1,9 @@
-package difftest
+package simulator
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"hypersolve/internal/simulator"
 )
 
 // TestDifferentialMatrix is the main equivalence proof: 200 seeded random
@@ -42,8 +40,8 @@ func TestQueuedSeriesGapFill(t *testing.T) {
 		{Topo: "ring:5", Workload: "chain", Param: 50, LinkLatency: 400,
 			DeliverPerStep: 1, MaxSteps: 1000, RecordSeries: true},
 	} {
-		sweep := runEngine(t, c, simulator.EngineSweep)
-		event := runEngine(t, c, simulator.EngineEvent)
+		sweep := runEngine(t, c, sweepLoop)
+		event := runEngine(t, c, eventLoop)
 		if int64(len(event.stats.QueuedSeries)) != event.stats.Steps {
 			t.Errorf("%v: event engine series has %d entries, want one per step (%d)",
 				c, len(event.stats.QueuedSeries), event.stats.Steps)

@@ -2,16 +2,17 @@ package simulator
 
 import "context"
 
-// This file is the discrete-event engine (Config.Engine == EngineEvent, the
-// default): instead of sweeping every slot on every step, it keeps an
+// This file is the discrete-event engine, the only loop Run and RunContext
+// execute: instead of sweeping every slot on every step, it keeps an
 // indexed min-queue of pending (tick, kind, slot) activations and visits
 // only slots with due messages, pending handler work or in-flight link
 // deliveries. Idle steps between events are skipped wholesale (or replayed
 // as pure bookkeeping when a series or observer needs per-step values).
 //
-// Equivalence with the sweep engine is bit-exact, not approximate; the
-// differential harness in internal/simulator/difftest proves it per commit.
-// The engine preserves the sweep's order everywhere an order is observable:
+// Equivalence with the reference sweep (runSweep) is bit-exact, not
+// approximate; the differential harness in this package's difftest_*_test.go
+// files proves it per commit. The engine preserves the sweep's order
+// everywhere an order is observable:
 //
 //   - phases within a step run in the sweep's sequence — deliveries, ticks,
 //     retransmits, outbox flushes — via the evKind ordering below;
@@ -19,7 +20,7 @@ import "context"
 //     orders events by tick, then kind, then slot);
 //   - within a slot, link queues are visited in the active-list order the
 //     sweep uses, and each queue pops in FIFO arrival order. The active
-//     lists themselves evolve identically because both engines perform the
+//     lists themselves evolve identically because both loops perform the
 //     same activate/deactivate calls at the same ticks.
 //
 // A skipped step is one in which the sweep would have visited every slot
@@ -30,10 +31,10 @@ import "context"
 // earliest deadline is tracked as a single global event) and no blocked
 // outbox (flush events reschedule themselves while backpressure persists).
 // Skipping such a step changes no state, consumes no randomness and emits
-// the same per-step bookkeeping, so the two engines cannot diverge on it.
+// the same per-step bookkeeping, so the two loops cannot diverge on it.
 
-// evKind is the within-step phase of an event, ordered exactly as the sweep
-// engine's runStep phases so the heap replays a step in the same sequence.
+// evKind is the within-step phase of an event, ordered exactly as the
+// sweep's runStep phases so the heap replays a step in the same sequence.
 type evKind uint8
 
 const (
@@ -66,8 +67,8 @@ func evLess(a, b event) bool {
 // pair keeps at most one live entry: schedule only ever moves a visit
 // earlier, and entries superseded that way are dropped lazily on pop.
 type eventEngine struct {
-	s    *Simulator
-	heap []event
+	s     *Simulator
+	heap  []event
 	sched [evKinds][]int64
 }
 
@@ -137,9 +138,9 @@ func (e *eventEngine) pop() event {
 	return top
 }
 
-// runEvent is the event engine's replacement for runSweep. The shared
-// prologue in RunContext has already initialised handlers (whose sends were
-// captured by the send/enqueueRaw hooks) and scheduled injected deliveries.
+// runEvent is the event loop. The prologue (start) has already initialised
+// handlers (whose sends were captured by the send/enqueueRaw hooks) and
+// scheduled injected deliveries.
 func (s *Simulator) runEvent(ctx context.Context) Stats {
 	e := s.eng
 	// Seed the tick events: Ticker-only handlers tick every step from step

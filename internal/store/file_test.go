@@ -253,7 +253,11 @@ func TestAttemptsSurviveReplayAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash + replay from the raw journal: last attempts record wins.
+	// Crash + replay: last attempts record wins. The fourth record above
+	// started a background compaction; a real crash would kill it, the
+	// simulated one must wait it out or it races the reopen's own snapshot
+	// write.
+	s.barrier()
 	crashed := reopen(t, s, dir, FileConfig{SnapshotEvery: 4})
 	got, ok := crashed.Get(j.ID)
 	if !ok || string(got.Attempts) != string(final) {
