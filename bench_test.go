@@ -467,3 +467,63 @@ func BenchmarkAblationCancellation(b *testing.B) {
 		})
 	}
 }
+
+// uf50Unsat returns 24 unsatisfiable phase-transition instances (50
+// variables, 213 clauses) whose sequential search takes 600-1800 DPLL calls:
+// the difficulty band of the benchmark's lib-uf50 ladder, so a change to
+// layers 4-5 can be measured with `go test -bench UF50Unsat` between harness
+// runs.
+var uf50Unsat = sync.OnceValue(func() []hypersolve.Formula {
+	pool, err := hypersolve.GenerateSATSuite(sat.SuiteParams{Count: 128, NumVars: 50, NumClauses: 213, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	var picked []hypersolve.Formula
+	for _, f := range pool {
+		res := hypersolve.SolveSAT(f, hypersolve.SATOptions{MaxCalls: 1800})
+		if res.Status == hypersolve.StatusUNSAT && res.Calls >= 600 && len(picked) < 24 {
+			picked = append(picked, f)
+		}
+	}
+	if len(picked) < 24 {
+		panic(fmt.Sprintf("uf50 pool holds %d usable instances, want 24", len(picked)))
+	}
+	return picked
+})
+
+// uf50Config is lib-uf50's machine: a fresh one is built for every solve.
+func uf50Config() hypersolve.Config {
+	return hypersolve.Config{
+		Topology: hypersolve.MustTorus(14, 14),
+		Mapper:   hypersolve.LeastBusyMapper(),
+		Task:     hypersolve.SATTask(hypersolve.HeuristicFirst),
+		Seed:     1,
+	}
+}
+
+// BenchmarkUF50Unsat solves the 24 instances in rotation: "lib" through the
+// whole stack, "seq" with the sequential oracle the harness sizes its ladder
+// with. One op is one solve.
+func BenchmarkUF50Unsat(b *testing.B) {
+	suite := uf50Unsat()
+	b.Run("lib", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := hypersolve.Run(uf50Config(), hypersolve.NewSATProblem(suite[i%len(suite)]))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if o, ok := res.Value.(hypersolve.SATOutcome); !ok || o.Status != hypersolve.StatusUNSAT {
+				b.Fatalf("solve %d: %+v, want UNSAT", i, res.Value)
+			}
+		}
+	})
+	b.Run("seq", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if res := hypersolve.SolveSAT(suite[i%len(suite)], hypersolve.SATOptions{}); res.Status != hypersolve.StatusUNSAT {
+				b.Fatalf("solve %d: %v, want UNSAT", i, res.Status)
+			}
+		}
+	})
+}

@@ -1,7 +1,7 @@
 // Package core assembles the five-layer solver stack of Tarawneh et al.
 // (P2S2 2017) into a single Machine: a simulated hyperspace computer
 // (layer 1), node-level scheduling (layer 2), ticketed mapping (layer 3),
-// the continuation-based recursion runtime (layer 4) and a user task
+// the coroutine-based recursion runtime (layer 4) and a user task
 // (layer 5). It is the primary entry point of the library: configure a
 // Machine, Run a task, read the result and the activity metrics.
 package core
@@ -179,13 +179,23 @@ func (m *Machine) Run(arg recursion.Value) (Result, error) {
 // the interruption. Runs that complete are bit-identical to Run's — the
 // poll only ever aborts the loop, never reorders it — so determinism of
 // completed runs is preserved at any cancellation pressure.
-func (m *Machine) RunContext(ctx context.Context, arg recursion.Value) (Result, error) {
+//
+// A task that panics fails the run, not the process: frames are coroutines
+// resumed on this goroutine, so the panic surfaces here, every outstanding
+// frame is unwound and the panic value is returned as an error.
+func (m *Machine) RunContext(ctx context.Context, arg recursion.Value) (res Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.abort()
+			res, err = Result{}, fmt.Errorf("core: task panicked: %v", r)
+		}
+	}()
 	if err := m.net.Trigger(m.cfg.Root, arg); err != nil {
 		return Result{}, err
 	}
 	stats := m.net.RunContext(ctx)
 
-	res := Result{
+	res = Result{
 		Stats:           stats,
 		ComputationTime: stats.ComputationTime(),
 		QueuedSeries:    metrics.Series(stats.QueuedSeries),
@@ -207,16 +217,20 @@ func (m *Machine) RunContext(ctx context.Context, arg recursion.Value) (Result, 
 	res.Value, res.OK = rootRT.RootResult()
 
 	if !stats.Quiescent {
-		// Abandoned run: unwind outstanding frames so their goroutines
-		// exit rather than leak.
-		for pid := 0; pid < size; pid++ {
-			m.net.App(sched.PID(pid)).(*recursion.Runtime).Abort()
-		}
+		m.abort()
 	}
 	if stats.Interrupted {
 		return res, fmt.Errorf("core: run interrupted: %w", context.Cause(ctx))
 	}
 	return res, nil
+}
+
+// abort unwinds the outstanding frames of an abandoned run so their
+// coroutines exit rather than leak.
+func (m *Machine) abort() {
+	for pid := 0; pid < m.net.Virtual().Size(); pid++ {
+		m.net.App(sched.PID(pid)).(*recursion.Runtime).Abort()
+	}
 }
 
 // NodeHeatmap folds the per-process received counts onto the physical

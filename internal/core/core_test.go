@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -354,5 +356,34 @@ func TestRunContextCompletedRunsIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, viaCtx) {
 		t.Fatalf("RunContext result differs from Run:\nrun:  %+v\nctx:  %+v", plain, viaCtx)
+	}
+}
+
+// A task that panics deep in the call tree must fail the run with an error,
+// on the caller's goroutine, and leave no frame coroutine behind.
+func TestTaskPanicFailsRun(t *testing.T) {
+	task := func(f *recursion.Frame, arg recursion.Value) recursion.Value {
+		switch n := arg.(int); {
+		case n == 2:
+			panic("boom in a grandchild")
+		case n >= 10 && n < 40: // a chain still parked on its subcalls when the panic hits
+			return f.CallSync(n + 1)
+		case n < 2:
+			f.Call(10)
+			f.Call(n + 1)
+			return len(f.Sync())
+		}
+		return 0
+	}
+	before := runtime.NumGoroutine()
+	res, err := RunOnce(Config{Topology: mesh.MustTorus(4, 4), Mapper: mapping.NewRoundRobin(), Task: task}, 0)
+	if err == nil || !strings.Contains(err.Error(), "core: task panicked: boom in a grandchild") {
+		t.Fatalf("err = %v, want the task's panic as an error", err)
+	}
+	if res.OK {
+		t.Error("panicked run reported OK")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines leaked: before=%d after=%d", before, after)
 	}
 }

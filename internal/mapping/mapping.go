@@ -305,27 +305,15 @@ func (c *Context) Step() int64 { return c.sctx.Step() }
 // Degree returns the number of candidate destinations this node maps onto.
 func (c *Context) Degree() int { return len(c.rt.nbrs) }
 
-// SendOption customises a work send.
-type SendOption func(*sendOpts)
-
-type sendOpts struct {
-	hint float64
-}
-
-// WithHint attaches a cross-layer hint (e.g. estimated sub-problem size) to
-// the work message; hint-aware mappers bias placement with it (paper
-// Section III-B3).
-func WithHint(h float64) SendOption {
-	return func(o *sendOpts) { o.hint = h }
-}
-
 // SendWork maps a new piece of work onto a neighbour chosen by the mapping
-// algorithm and returns the ticket that will identify its reply.
-func (c *Context) SendWork(payload any, opts ...SendOption) (Ticket, error) {
+// algorithm and returns the ticket that will identify its reply. hint is the
+// cross-layer hint (e.g. estimated sub-problem size) attached to the work
+// message; hint-aware mappers bias placement with it (paper Section III-B3),
+// and zero or less means "no information".
+func (c *Context) SendWork(payload any, hint float64) (Ticket, error) {
 	rt := c.rt
-	var o sendOpts
-	for _, opt := range opts {
-		opt(&o)
+	if hint < 0 {
+		hint = 0
 	}
 	if len(rt.nbrs) == 0 {
 		return NoTicket, fmt.Errorf("mapping: pid %d has no neighbours to map work onto", rt.self)
@@ -335,7 +323,7 @@ func (c *Context) SendWork(payload any, opts ...SendOption) (Ticket, error) {
 		Neighbours:  rt.nbrs,
 		Loads:       rt.loads,
 		Outstanding: rt.outstanding,
-		Hint:        o.hint,
+		Hint:        hint,
 		Step:        c.sctx.Step(),
 	}
 	idx := rt.algo.Choose(view)
@@ -345,12 +333,12 @@ func (c *Context) SendWork(payload any, opts ...SendOption) (Ticket, error) {
 	dst := rt.nbrs[idx]
 	rt.nextSeq++
 	ticket := Ticket(uint64(rt.self)<<24 | rt.nextSeq&0xFFFFFF)
-	weight := o.hint
-	if weight <= 0 {
+	weight := hint
+	if weight == 0 {
 		weight = 1
 	}
 	rt.outstanding[idx] += weight
-	env := envelope{Kind: Work, Ticket: ticket, Activity: rt.received, Hint: o.hint, Payload: payload}
+	env := envelope{Kind: Work, Ticket: ticket, Activity: rt.received, Hint: hint, Payload: payload}
 	if err := c.sctx.Send(dst, env); err != nil {
 		return NoTicket, err
 	}

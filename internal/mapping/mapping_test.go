@@ -34,7 +34,7 @@ func (s *sumApp) Recv(ctx *Context, ticket Ticket, kind Kind, payload any) {
 	switch kind {
 	case Trigger:
 		n := payload.(int)
-		sub, err := ctx.SendWork(sumCall{N: n})
+		sub, err := ctx.SendWork(sumCall{N: n}, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -47,7 +47,7 @@ func (s *sumApp) Recv(ctx *Context, ticket Ticket, kind Kind, payload any) {
 			}
 			return
 		}
-		sub, err := ctx.SendWork(sumCall{N: call.N - 1})
+		sub, err := ctx.SendWork(sumCall{N: call.N - 1}, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -127,7 +127,7 @@ func TestTicketsUniquePerSender(t *testing.T) {
 			return
 		}
 		for i := 0; i < 100; i++ {
-			tk, err := ctx.SendWork(sumCall{N: 0})
+			tk, err := ctx.SendWork(sumCall{N: 0}, 0)
 			if err != nil {
 				panic(err)
 			}
@@ -206,7 +206,7 @@ func TestReplyTicketConsumedOnce(t *testing.T) {
 	})
 	root := appFunc(func(ctx *Context, ticket Ticket, kind Kind, payload any) {
 		if kind == Trigger {
-			if _, err := ctx.SendWork(nil); err != nil {
+			if _, err := ctx.SendWork(nil, 0); err != nil {
 				panic(err)
 			}
 		}
@@ -328,7 +328,7 @@ func TestOutstandingResetsOnFreshActivity(t *testing.T) {
 	root := appFunc(func(ctx *Context, ticket Ticket, kind Kind, payload any) {
 		switch kind {
 		case Trigger:
-			if _, err := ctx.SendWork(nil); err != nil {
+			if _, err := ctx.SendWork(nil, 0); err != nil {
 				panic(err)
 			}
 			view0 = snapshotView(ctx)
@@ -391,7 +391,7 @@ func TestActivityPiggybackUpdatesLoads(t *testing.T) {
 	root := appFunc(func(ctx *Context, ticket Ticket, kind Kind, payload any) {
 		switch kind {
 		case Trigger:
-			if _, err := ctx.SendWork(nil); err != nil {
+			if _, err := ctx.SendWork(nil, 0); err != nil {
 				panic(err)
 			}
 		case Reply:

@@ -7,9 +7,9 @@ import (
 	"hypersolve/internal/mesh"
 )
 
-// BenchmarkFrameOverhead measures the cost of the goroutine-continuation
-// machinery: a fib(14) run creates ~1200 frames, each with one goroutine
-// and two channel handshakes per yield.
+// BenchmarkFrameOverhead measures the cost of the coroutine machinery: a
+// fib(14) run creates ~1200 frames, each an iter.Pull coroutine with one
+// switch in and one out per yield.
 func BenchmarkFrameOverhead(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -3,7 +3,6 @@ package recursion
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"hypersolve/internal/mapping"
 	"hypersolve/internal/mesh"
@@ -248,14 +247,11 @@ func TestCancelNoGoroutineLeaks(t *testing.T) {
 			t.Fatal("run did not quiesce")
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	// No grace period: a frame's coroutine is gone by the time next() or
+	// stop() returns, so the count is back as soon as Run is.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines leaked: before=%d after=%d", before, after)
 	}
-	t.Errorf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
 func TestCancelRaceWithInFlightReply(t *testing.T) {

@@ -9,11 +9,12 @@
 // recursive function yields Call objects to request subcalls, yields Sync to
 // collect their results, and may yield a validation function together with
 // several Calls to request a non-deterministic choice (first valid result
-// wins). Go has no yield; each in-flight call frame instead runs in its own
-// goroutine that rendezvous with the node's layer-4 runtime over unbuffered
-// channels. The handshake is strictly alternating — exactly one of
-// {runtime, frame} executes at any instant — so simulation remains
-// deterministic.
+// wins). Here each in-flight call frame is an iter.Pull coroutine: Call, Sync
+// and Choose yield a frameOp to the node's layer-4 runtime, which resumes the
+// frame with next() once the answer is ready. Control passes directly between
+// the two — exactly one of {runtime, frame} executes at any instant — so
+// simulation remains deterministic, and a frame whose task returns is gone
+// by the time next() reports it.
 //
 // Call records work as in the paper's Figure 3: each subcall's ticket is
 // stored alongside an empty result slot; replies fill slots; Sync blocks
@@ -23,6 +24,7 @@ package recursion
 
 import (
 	"fmt"
+	"iter"
 
 	"hypersolve/internal/mapping"
 	"hypersolve/internal/sched"
@@ -47,14 +49,13 @@ type HintedCall struct {
 	Hint float64
 }
 
-// frameOp is the frame-to-runtime yield message.
+// frameOp is what a frame yields to the runtime.
 type frameOp struct {
-	kind   opKind
-	arg    Value
-	hint   float64
-	valid  func(Value) bool
-	calls  []HintedCall
-	result Value
+	kind  opKind
+	arg   Value
+	hint  float64
+	valid func(Value) bool
+	calls []HintedCall
 }
 
 type opKind int
@@ -63,15 +64,13 @@ const (
 	opCall opKind = iota
 	opSync
 	opChoose
-	opReturn
 )
 
-// resumeMsg is the runtime-to-frame resume message.
+// resumeMsg is what the runtime hands a frame before resuming it.
 type resumeMsg struct {
-	values  []Value // Sync results, in issue order
-	value   Value   // Choose result
-	ok      bool    // Choose validity
-	aborted bool    // simulation aborted; unwind the frame
+	values []Value // Sync results, in issue order
+	value  Value   // Choose result
+	ok     bool    // Choose validity
 }
 
 // frameAborted is the panic value used to unwind frames when a simulation
@@ -82,9 +81,27 @@ func (frameAbortedError) Error() string { return "recursion: frame aborted" }
 
 // Frame is the user-facing handle for one in-flight invocation.
 type Frame struct {
-	ops    chan frameOp
-	resume chan resumeMsg
-	node   sched.PID
+	node sched.PID
+	// yield suspends the task until the runtime resumes it; false means
+	// the frame was stopped and must unwind.
+	yield func(frameOp) bool
+	// next resumes the task until its next yield (ok) or its return
+	// (!ok); stop unwinds a suspended task. Both are the runtime's side.
+	next func() (frameOp, bool)
+	stop func()
+	// resume is written by the runtime before next() and read by the task
+	// after yield returns; result is written by the task as it returns.
+	resume resumeMsg
+	result Value
+}
+
+// suspend yields op to the runtime and returns what it resumed the frame
+// with.
+func (f *Frame) suspend(op frameOp) resumeMsg {
+	if !f.yield(op) {
+		panic(frameAbortedError{})
+	}
+	return f.resume
 }
 
 // Node returns the PID of the process evaluating this frame, for
@@ -98,21 +115,13 @@ func (f *Frame) Call(arg Value) { f.CallHinted(arg, 0) }
 
 // CallHinted is Call with a cross-layer mapping hint attached.
 func (f *Frame) CallHinted(arg Value, hint float64) {
-	f.ops <- frameOp{kind: opCall, arg: arg, hint: hint}
-	if r := <-f.resume; r.aborted {
-		panic(frameAbortedError{})
-	}
+	f.suspend(frameOp{kind: opCall, arg: arg, hint: hint})
 }
 
 // Sync blocks until every call issued since the previous Sync has returned,
 // then yields their results in issue order (the paper's "yield Sync()").
 func (f *Frame) Sync() []Value {
-	f.ops <- frameOp{kind: opSync}
-	r := <-f.resume
-	if r.aborted {
-		panic(frameAbortedError{})
-	}
-	return r.values
+	return f.suspend(frameOp{kind: opSync}).values
 }
 
 // CallSync evaluates a single subcall and waits for its result: shorthand
@@ -144,11 +153,7 @@ func (f *Frame) ChooseHinted(valid func(Value) bool, calls ...HintedCall) (Value
 	if valid == nil {
 		valid = func(Value) bool { return true }
 	}
-	f.ops <- frameOp{kind: opChoose, valid: valid, calls: calls}
-	r := <-f.resume
-	if r.aborted {
-		panic(frameAbortedError{})
-	}
+	r := f.suspend(frameOp{kind: opChoose, valid: valid, calls: calls})
 	return r.value, r.ok
 }
 
@@ -281,8 +286,8 @@ func (rt *Runtime) LiveFrames() int {
 	return n
 }
 
-// startFrame launches a task invocation in a fresh goroutine and drives it
-// to its first park point.
+// startFrame launches a task invocation as a coroutine and drives it to its
+// first park point.
 func (rt *Runtime) startFrame(ctx *mapping.Context, arg Value, parent mapping.Ticket, isRoot bool) {
 	rt.nextID++
 	rt.framesStarted++
@@ -290,54 +295,64 @@ func (rt *Runtime) startFrame(ctx *mapping.Context, arg Value, parent mapping.Ti
 		id:           rt.nextID,
 		parentTicket: parent,
 		isRoot:       isRoot,
-		frame: &Frame{
-			ops:    make(chan frameOp),
-			resume: make(chan resumeMsg),
-			node:   rt.self,
-		},
+		frame:        &Frame{node: rt.self},
 	}
 	rt.frames[f.id] = f
 	if !isRoot {
 		rt.byParent[parent] = f
 	}
-	go runTask(rt.task, f.frame, arg)
+	f.frame.next, f.frame.stop = iter.Pull(taskSeq(rt.task, f.frame, arg))
 	rt.drive(ctx, f)
 }
 
-// runTask is the frame goroutine wrapper: it evaluates the task and yields
-// the final result, or unwinds silently when the frame is aborted.
-func runTask(task Task, frame *Frame, arg Value) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(frameAbortedError); ok {
-				return // simulation abandoned; exit quietly
+// taskSeq is the frame's coroutine body: the sequence of ops the task yields.
+// The sequence ends when the task returns (its result is then on the frame)
+// or when the frame is stopped, which unwinds the task silently. Any other
+// panic of the task propagates to whoever resumed the frame.
+func taskSeq(task Task, frame *Frame, arg Value) iter.Seq[frameOp] {
+	return func(yield func(frameOp) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(frameAbortedError); !ok {
+					panic(r)
+				}
 			}
-			panic(r)
-		}
-	}()
-	result := task(frame, arg)
-	frame.ops <- frameOp{kind: opReturn, result: result}
+		}()
+		frame.yield = yield
+		frame.result = task(frame, arg)
+	}
+}
+
+// resumeWith hands r to a parked frame and runs it to its next park point.
+func (rt *Runtime) resumeWith(ctx *mapping.Context, f *frameState, r resumeMsg) {
+	f.parked = nil
+	f.frame.resume = r
+	rt.drive(ctx, f)
 }
 
 // drive runs the runtime side of the yield handshake until the frame parks
 // or finishes.
 func (rt *Runtime) drive(ctx *mapping.Context, f *frameState) {
 	for {
-		op := <-f.frame.ops
+		op, ok := f.frame.next()
+		if !ok {
+			rt.finishFrame(ctx, f, f.frame.result)
+			return
+		}
 		switch op.kind {
 		case opCall:
 			rt.issueCall(ctx, f, op.arg, op.hint)
-			f.frame.resume <- resumeMsg{}
+			f.frame.resume = resumeMsg{}
 
 		case opSync:
 			g := f.open
 			f.open = nil
 			if g == nil {
-				f.frame.resume <- resumeMsg{values: nil}
+				f.frame.resume = resumeMsg{}
 				continue
 			}
 			if g.remaining == 0 {
-				f.frame.resume <- resumeMsg{values: g.values}
+				f.frame.resume = resumeMsg{values: g.values}
 				continue
 			}
 			f.parked = g
@@ -355,10 +370,6 @@ func (rt *Runtime) drive(ctx *mapping.Context, f *frameState) {
 				rt.issueInto(ctx, f, g, c.Arg, c.Hint)
 			}
 			f.parked = g
-			return
-
-		case opReturn:
-			rt.finishFrame(ctx, f, op.result)
 			return
 
 		default:
@@ -389,11 +400,7 @@ func (rt *Runtime) issueInto(ctx *mapping.Context, f *frameState, g *callGroup, 
 
 // sendWork maps one subcall through layer 3 and records the ticket.
 func (rt *Runtime) sendWork(ctx *mapping.Context, f *frameState, g *callGroup, slot int, arg Value, hint float64) {
-	var opts []mapping.SendOption
-	if hint > 0 {
-		opts = append(opts, mapping.WithHint(hint))
-	}
-	ticket, err := ctx.SendWork(arg, opts...)
+	ticket, err := ctx.SendWork(arg, hint)
 	if err != nil {
 		panic(fmt.Sprintf("recursion: pid %d failed to map subcall: %v", rt.self, err))
 	}
@@ -452,9 +459,7 @@ func (rt *Runtime) handleReply(ctx *mapping.Context, ticket mapping.Ticket, payl
 	switch g.kind {
 	case gatherGroup:
 		if f.parked == g && g.remaining == 0 {
-			f.parked = nil
-			f.frame.resume <- resumeMsg{values: g.values}
-			rt.drive(ctx, f)
+			rt.resumeWith(ctx, f, resumeMsg{values: g.values})
 		}
 	case choiceGroup:
 		if g.resolved {
@@ -468,17 +473,13 @@ func (rt *Runtime) handleReply(ctx *mapping.Context, ticket mapping.Ticket, payl
 			if rt.opts.CancelSpeculative {
 				rt.cancelFrameTickets(ctx, f, g)
 			}
-			f.parked = nil
-			f.frame.resume <- resumeMsg{value: payload, ok: true}
-			rt.drive(ctx, f)
+			rt.resumeWith(ctx, f, resumeMsg{value: payload, ok: true})
 			return
 		}
 		if g.remaining == 0 {
 			// All evaluations returned, none valid: yield null (paper
 			// Section IV-C).
-			f.parked = nil
-			f.frame.resume <- resumeMsg{value: nil, ok: false}
-			rt.drive(ctx, f)
+			rt.resumeWith(ctx, f, resumeMsg{})
 		}
 	}
 }
@@ -508,7 +509,7 @@ func (rt *Runtime) cancelFrameTickets(ctx *mapping.Context, f *frameState, g *ca
 }
 
 // handleCancel abandons the frame spawned by the given work ticket: the
-// frame's goroutine is unwound and its own outstanding subcalls are
+// frame's coroutine is unwound and its own outstanding subcalls are
 // cancelled recursively across the mesh.
 func (rt *Runtime) handleCancel(ctx *mapping.Context, ticket mapping.Ticket) {
 	f, ok := rt.byParent[ticket]
@@ -524,7 +525,7 @@ func (rt *Runtime) killFrame(ctx *mapping.Context, f *frameState) {
 	rt.cancelFrameTickets(ctx, f, nil)
 	if f.parked != nil {
 		f.parked = nil
-		f.frame.resume <- resumeMsg{aborted: true}
+		f.frame.stop()
 	}
 	f.dead = true
 	if !f.isRoot {
@@ -537,14 +538,15 @@ func (rt *Runtime) killFrame(ctx *mapping.Context, f *frameState) {
 // speculative cancellation.
 func (rt *Runtime) FramesCancelled() int64 { return rt.framesCancelled }
 
-// Abort unwinds every parked frame so its goroutine exits. It must only be
+// Abort unwinds every parked frame so its coroutine exits. It must only be
 // called after the simulation loop has stopped (frames are then either
-// parked or finished); the machine layer uses it when MaxSteps is exceeded.
+// parked or finished); the machine layer uses it when a run is cut short —
+// MaxSteps exceeded, context cancelled, or a task panicked.
 func (rt *Runtime) Abort() {
 	for id, f := range rt.frames {
 		if !f.dead && f.parked != nil {
 			f.parked = nil
-			f.frame.resume <- resumeMsg{aborted: true}
+			f.frame.stop()
 		}
 		delete(rt.frames, id)
 	}

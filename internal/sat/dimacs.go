@@ -61,7 +61,7 @@ func ParseDIMACS(r io.Reader) (Formula, error) {
 			return f, fmt.Errorf("dimacs: line %d: clause before problem line", lineNo)
 		}
 		for _, tok := range strings.Fields(line) {
-			v, err := strconv.Atoi(tok)
+			v, err := strconv.ParseInt(tok, 10, 32)
 			if err != nil {
 				return f, fmt.Errorf("dimacs: line %d: bad literal %q", lineNo, tok)
 			}
@@ -69,6 +69,9 @@ func ParseDIMACS(r io.Reader) (Formula, error) {
 				f.Clauses = append(f.Clauses, current)
 				current = nil
 				continue
+			}
+			if max(v, -v) > int64(f.NumVars) {
+				return f, fmt.Errorf("dimacs: line %d: literal %d references a variable beyond the declared %d", lineNo, v, f.NumVars)
 			}
 			current = append(current, Lit(v))
 		}

@@ -63,3 +63,24 @@ func TestDIMACSSATLIBQuirks(t *testing.T) {
 		}
 	})
 }
+
+// Literals are 32-bit: a token that does not fit must not wrap around into
+// some other literal, and the one value whose negation overflows must not
+// slip past the variable-range check. Both used to reach the solver.
+func TestDIMACSLiteralRange(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"wraps to literal 1", "p cnf 3 1\n4294967297 2 0\n", `line 2: bad literal "4294967297"`},
+		{"most negative int32", "p cnf 3 1\n-2147483648 2 0\n", "line 2: literal -2147483648 references a variable beyond the declared 3"},
+		{"largest int32", "p cnf 3 2\n1 0\n2147483647 0\n", "line 3: literal 2147483647 references"},
+		{"beyond int64", "p cnf 3 1\n-99999999999999999999 0\n", "line 2: bad literal"},
+	} {
+		_, err := ParseDIMACS(strings.NewReader(tc.src))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ParseDIMACS(%q) = %v, want an error containing %q", tc.name, tc.src, err, tc.want)
+		}
+	}
+	f := Formula{NumVars: 3, Clauses: []Clause{{-2147483648, 2}}}
+	if err := f.Validate(); err == nil {
+		t.Error("Validate accepted the most negative literal")
+	}
+}

@@ -68,9 +68,11 @@ func SelectLiteral(p *Problem, h Heuristic) Lit {
 	case JeroslowWang:
 		return selectJW(p)
 	default:
-		for _, c := range p.Clauses {
-			if len(c) > 0 {
-				return c[0]
+		for _, c := range p.live {
+			for _, l := range p.clauses.clause(c) {
+				if p.Assign[l.Var()] == 0 {
+					return l
+				}
 			}
 		}
 	}
@@ -80,10 +82,14 @@ func SelectLiteral(p *Problem, h Heuristic) Lit {
 // selectByCount picks the most frequent variable (polarity-insensitive) or,
 // for DLIS, the single most frequent literal.
 func selectByCount(p *Problem, perLiteral bool) Lit {
-	pos := make([]int, p.NumVars+1)
-	neg := make([]int, p.NumVars+1)
-	for _, c := range p.Clauses {
-		for _, l := range c {
+	var buf [2 * (smallVars + 1)]int
+	counts := scratch(buf[:], 2*(p.NumVars+1))
+	pos, neg := counts[:p.NumVars+1], counts[p.NumVars+1:]
+	for _, c := range p.live {
+		for _, l := range p.clauses.clause(c) {
+			if p.Assign[l.Var()] != 0 {
+				continue
+			}
 			if l.Positive() {
 				pos[l.Var()]++
 			} else {
@@ -111,22 +117,52 @@ func selectByCount(p *Problem, perLiteral bool) Lit {
 	return best
 }
 
-// selectJW implements the (one-sided) Jeroslow-Wang rule.
+// jwWeights[k] is the Jeroslow-Wang weight 2^-k of a clause with k literals
+// left; longer clauses fall back to math.Pow.
+var jwWeights = func() (w [16]float64) {
+	for k := range w {
+		w[k] = math.Pow(2, -float64(k))
+	}
+	return w
+}()
+
+// selectJW implements the (one-sided) Jeroslow-Wang rule. Weights are added
+// clause by clause in list order, so a literal's score is the same float
+// whatever holds the sums.
 func selectJW(p *Problem) Lit {
-	score := make(map[Lit]float64, p.NumVars*2)
-	for _, c := range p.Clauses {
-		w := math.Pow(2, -float64(len(c)))
-		for _, l := range c {
-			score[l] += w
+	var scoreBuf [2 * (smallVars + 1)]float64
+	var seenBuf [smallVars + 1]uint8
+	scores, seen := scratch(scoreBuf[:], 2*(p.NumVars+1)), scratch(seenBuf[:], p.NumVars+1)
+	pos, neg := scores[:p.NumVars+1], scores[p.NumVars+1:]
+	for _, c := range p.live {
+		lits := p.clauses.clause(c)
+		k := p.remaining(lits)
+		var w float64
+		if k < len(jwWeights) {
+			w = jwWeights[k]
+		} else {
+			w = math.Pow(2, -float64(k))
+		}
+		for _, l := range lits {
+			if p.Assign[l.Var()] != 0 {
+				continue
+			}
+			if l.Positive() {
+				pos[l.Var()] += w
+				seen[l.Var()] |= seenPos
+			} else {
+				neg[l.Var()] += w
+				seen[l.Var()] |= seenNeg
+			}
 		}
 	}
 	best, bestScore := Lit(0), -1.0
-	// Iterate variables in order for determinism (map order is random).
 	for v := 1; v <= p.NumVars; v++ {
-		for _, l := range []Lit{NewLit(v, true), NewLit(v, false)} {
-			if s, ok := score[l]; ok && s > bestScore {
-				best, bestScore = l, s
-			}
+		if seen[v]&seenPos != 0 && pos[v] > bestScore {
+			best, bestScore = NewLit(v, true), pos[v]
+		}
+		if seen[v]&seenNeg != 0 && neg[v] > bestScore {
+			best, bestScore = NewLit(v, false), neg[v]
 		}
 	}
 	if best == 0 {

@@ -95,14 +95,15 @@ func TestWithAssignment(t *testing.T) {
 	p := NewProblem(Formula{NumVars: 3, Clauses: []Clause{{1, 2}, {-1, 3}, {2}}})
 	q := p.WithAssignment(NewLit(1, true))
 	// Clause 1 satisfied and dropped; clause 2 loses !x1; clause 3 intact.
-	if len(q.Clauses) != 2 {
-		t.Fatalf("clauses after assignment: %v", q.Clauses)
+	qc := residual(q)
+	if len(qc) != 2 {
+		t.Fatalf("clauses after assignment: %v", qc)
 	}
-	if len(q.Clauses[0]) != 1 || q.Clauses[0][0] != 3 {
-		t.Errorf("clause 2 should reduce to {3}: %v", q.Clauses[0])
+	if len(qc[0]) != 1 || qc[0][0] != 3 {
+		t.Errorf("clause 2 should reduce to {3}: %v", qc[0])
 	}
 	// Original untouched.
-	if len(p.Clauses) != 3 || len(p.Clauses[1]) != 2 {
+	if pc := residual(p); len(pc) != 3 || len(pc[1]) != 2 {
 		t.Error("WithAssignment mutated the receiver")
 	}
 }
@@ -112,7 +113,7 @@ func TestSimplifyUnitPropagation(t *testing.T) {
 	p := NewProblem(Formula{NumVars: 3, Clauses: []Clause{{1}, {-1, 2}, {-2, 3}}})
 	s, stats := p.Simplify()
 	if !s.Consistent() {
-		t.Fatalf("expected full simplification, clauses: %v", s.Clauses)
+		t.Fatalf("expected full simplification, clauses: %v", residual(s))
 	}
 	if stats.UnitPropagations < 3 {
 		t.Errorf("UnitPropagations = %d, want >= 3", stats.UnitPropagations)
@@ -132,7 +133,7 @@ func TestSimplifyPureLiteral(t *testing.T) {
 		t.Error("expected pure literal assignments")
 	}
 	if !s.Consistent() {
-		t.Errorf("expected consistency, clauses: %v", s.Clauses)
+		t.Errorf("expected consistency, clauses: %v", residual(s))
 	}
 	if s.Assign.Value(1) != 1 {
 		t.Errorf("pure x1 should be true, got %d", s.Assign.Value(1))
@@ -161,8 +162,8 @@ func TestSimplifyPreservesSatisfiability(t *testing.T) {
 			}
 			continue
 		}
-		residual := Formula{NumVars: f.NumVars, Clauses: s.Clauses}
-		got := SolveBruteForce(residual).Status
+		rest := Formula{NumVars: f.NumVars, Clauses: residual(s)}
+		got := SolveBruteForce(rest).Status
 		if got != want {
 			t.Fatalf("case %d: simplified status %v != original %v", i, got, want)
 		}
@@ -187,7 +188,7 @@ func TestHeuristicsPickValidLiterals(t *testing.T) {
 		for _, h := range []Heuristic{FirstUnassigned, MostFrequent, JeroslowWang, DLIS} {
 			l := SelectLiteral(p, h)
 			found := false
-			for _, c := range p.Clauses {
+			for _, c := range residual(p) {
 				for _, cl := range c {
 					if cl.Var() == l.Var() {
 						found = true
@@ -437,11 +438,11 @@ func TestCloneIndependence(t *testing.T) {
 		t.Error("Formula.Clone aliases clause storage")
 	}
 	p := NewProblem(f)
+	f.Clauses[0][0] = -2
 	q := p.Clone()
-	q.Clauses[0][0] = -2
-	q.Assign.Set(NewLit(1, true))
-	if p.Clauses[0][0] != 1 || p.Assign.Value(1) != 0 {
-		t.Error("Problem.Clone aliases storage")
+	q.assignInPlace(NewLit(1, true))
+	if pc := residual(p); len(pc) != 1 || pc[0][0] != 1 || p.Assign.Value(1) != 0 {
+		t.Error("NewProblem or Problem.Clone aliases storage")
 	}
 }
 

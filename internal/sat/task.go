@@ -50,8 +50,8 @@ func TaskWithMode(h Heuristic, mode SimplifyMode) recursion.Task {
 		sub1 := simplified.WithAssignment(lit)
 		sub2 := simplified.WithAssignment(lit.Negate())
 		v, found := f.ChooseHinted(IsSAT,
-			recursion.HintedCall{Arg: sub1, Hint: float64(len(sub1.Clauses))},
-			recursion.HintedCall{Arg: sub2, Hint: float64(len(sub2.Clauses))},
+			recursion.HintedCall{Arg: sub1, Hint: float64(len(sub1.live))},
+			recursion.HintedCall{Arg: sub2, Hint: float64(len(sub2.live))},
 		)
 		if found {
 			return v

@@ -72,7 +72,8 @@ func (f Formula) Validate() error {
 			if l == 0 {
 				return fmt.Errorf("sat: clause %d contains zero literal", i)
 			}
-			if v := l.Var(); v > f.NumVars {
+			// Compared in 64 bits: negating the most negative Lit overflows.
+			if v := max(int64(l), -int64(l)); v > int64(f.NumVars) {
 				return fmt.Errorf("sat: clause %d references variable %d > NumVars %d", i, v, f.NumVars)
 			}
 		}

@@ -189,8 +189,15 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatalf("GET ?state=bogus status = %d, want 400", resp.StatusCode)
 	}
 
-	// Malformed JSON and unknown fields are 400s.
-	for _, body := range []string{"{", `{"kind":"sat","surprise":1}`} {
+	// Malformed JSON, unknown fields and DIMACS literals outside 32 bits or
+	// the declared variables are 400s (the last two used to reach the solver:
+	// one as literal 1, the other as an index that killed the daemon).
+	for _, body := range []string{
+		"{",
+		`{"kind":"sat","surprise":1}`,
+		`{"kind":"sat","cnf":"p cnf 3 1\n4294967297 2 0\n","topology":"ring:4"}`,
+		`{"kind":"sat","cnf":"p cnf 3 1\n-2147483648 2 0\n","topology":"ring:4"}`,
+	} {
 		resp, err := srv.Client().Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -251,6 +251,28 @@ func TestDeadlineFailsJob(t *testing.T) {
 	})
 }
 
+// A task that panics fails its job and nothing else. The spec is one a
+// client can really send: a one-node torus has no neighbour to map the first
+// subcall onto, which the recursion layer reports by panicking inside the
+// frame. The worker must journal a failed job and go on to the next one.
+func TestTaskPanicFailsJobOnly(t *testing.T) {
+	backends(t, Config{QueueDepth: 4, Workers: 1}, func(t *testing.T, s *Service) {
+		bad, err := s.Submit(JobSpec{Kind: "sum", N: 3, Topology: "torus:1x1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := waitState(t, s, bad.ID.Seq, StateFailed, 10*time.Second)
+		if !strings.Contains(got.Error, "core: task panicked") {
+			t.Fatalf("failure error = %q, want the task's panic", got.Error)
+		}
+		good, err := s.Submit(quickSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, good.ID.Seq, StateDone, 10*time.Second)
+	})
+}
+
 func TestCloseCancelsOutstanding(t *testing.T) {
 	backends(t, Config{QueueDepth: 4, Workers: 1}, func(t *testing.T, s *Service) {
 		slow, err := s.Submit(slowSpec())
