@@ -73,11 +73,8 @@ func (t *strategyStats) Rank(class string, candidates []string) []string {
 // order.
 func (s *Service) rebuildAdapt() {
 	for _, sj := range s.store.List(store.StateDone) {
-		if len(sj.Attempts) == 0 {
-			continue
-		}
-		var doc attemptsDoc
-		if json.Unmarshal(sj.Attempts, &doc) != nil || doc.Winner == "" {
+		doc, ok := attemptsFromRecord(sj)
+		if !ok || doc.Winner == "" {
 			continue
 		}
 		var spec JobSpec

@@ -10,7 +10,6 @@ import (
 
 	"hypersolve/internal/telemetry"
 	"hypersolve/internal/tracelog"
-	"hypersolve/internal/version"
 )
 
 // Health is the /healthz payload: a liveness verdict plus queue occupancy
@@ -41,7 +40,21 @@ type Health struct {
 // applies the same bound.
 const MaxSpecBytes = 64 << 20
 
-// NewHandler wraps a service in its HTTP JSON surface:
+// jobAPI is what the HTTP job routes are written over: a running *Service,
+// or a standby's read-only view of its replica store (node.go), whose
+// mutations fail with ErrStandby.
+type jobAPI interface {
+	SubmitTraced(spec JobSpec, tc tracelog.TraceContext) (Job, error)
+	Get(id int64) (Job, bool)
+	List(states ...State) []Job
+	Trace(id int64) (JobTrace, bool)
+	Subscribe(id int64) (<-chan Progress, func(), error)
+	Cancel(id int64) (Job, error)
+	Health() Health
+	Telemetry() *telemetry.Registry
+}
+
+// NewHandler wraps a job API in its HTTP JSON surface:
 //
 //	POST   /v1/jobs             submit a JobSpec  → 202 Job (429 when the queue is full)
 //	GET    /v1/jobs             list jobs         → 200 []Job; ?state= filters
@@ -55,7 +68,7 @@ const MaxSpecBytes = 64 << 20
 // (?state=done&state=failed, ?state=queued,running); an unknown state is a
 // 400. Errors are returned as {"error": "..."} with the matching status
 // code.
-func NewHandler(s *Service) http.Handler {
+func NewHandler(s jobAPI) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		spec, ok := ReadJobSpec(w, r)
@@ -122,7 +135,8 @@ func NewHandler(s *Service) http.Handler {
 			WriteError(w, http.StatusNotFound, err)
 			return
 		case err != nil:
-			// The fan-out bound: shed this subscriber, keep the solve.
+			// The fan-out bound (shed this subscriber, keep the solve), or
+			// a standby asked for a live stream.
 			WriteError(w, http.StatusServiceUnavailable, err)
 			return
 		}
@@ -140,6 +154,8 @@ func NewHandler(s *Service) http.Handler {
 			WriteError(w, http.StatusNotFound, err)
 		case errors.Is(err, ErrFinished):
 			WriteError(w, http.StatusConflict, err)
+		case errors.Is(err, ErrStandby):
+			WriteError(w, http.StatusServiceUnavailable, err)
 		case err != nil:
 			WriteError(w, http.StatusInternalServerError, err)
 		default:
@@ -147,16 +163,7 @@ func NewHandler(s *Service) http.Handler {
 		}
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		depth, workers := s.Queue()
-		WriteJSON(w, http.StatusOK, Health{
-			Status:      "ok",
-			QueueDepth:  depth,
-			Workers:     workers,
-			Jobs:        s.Counts(),
-			Queued:      s.Load(),
-			StepsPerSec: s.StepsPerSec(),
-			Version:     version.String(),
-		})
+		WriteJSON(w, http.StatusOK, s.Health())
 	})
 	mux.HandleFunc("GET /metrics", MetricsHandler(s.Telemetry()))
 	return mux
@@ -287,7 +294,7 @@ func submitStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrClosed), errors.Is(err, ErrStandby):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrStore):
 		return http.StatusInternalServerError

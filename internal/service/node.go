@@ -37,8 +37,8 @@ type Node struct {
 	cfg NodeConfig
 
 	// inner holds the role-dependent part of the HTTP surface (the
-	// /v1/jobs API): the Service handler on a primary, the read-only
-	// standby handler otherwise. Swapped atomically at role transitions.
+	// /v1/jobs API): NewHandler over the Service on a primary, over a
+	// replicaView otherwise. Swapped atomically at role transitions.
 	inner atomic.Value // http.Handler
 
 	mu        sync.Mutex
@@ -189,7 +189,7 @@ func (n *Node) startPrimary() {
 	n.inner.Store(NewHandler(n.svc))
 }
 
-// startStandby swaps in the read-only handler and starts the pull loop.
+// startStandby swaps in the read-only job API and starts the pull loop.
 // reset forces a from-zero pull, discarding local state in favour of a
 // fresh snapshot from the source (the demote path: a stepped-down primary
 // cannot trust its divergent tail). Callers hold n.mu or own the node
@@ -197,7 +197,7 @@ func (n *Node) startPrimary() {
 func (n *Node) startStandby(follow string, reset bool) {
 	n.svc = nil
 	n.following = follow
-	n.inner.Store(newStandbyHandler(n))
+	n.inner.Store(NewHandler(replicaView{node: n, file: n.file}))
 	ctx, cancel := context.WithCancel(context.Background())
 	n.pullCancel = cancel
 	n.pullDone = make(chan struct{})
@@ -232,7 +232,7 @@ func (n *Node) pullLoop(ctx context.Context, follow string, reset bool) {
 		page, err := client.ReplicationFeed(ctx, from, n.cfg.PullLimit)
 		var res store.FeedResult
 		if err == nil {
-			res, err = n.file.ApplyFeed(page)
+			res, err = n.file.ApplyFeed(page, stampReplicaApply(time.Now().UTC()))
 		}
 		n.pullMu.Lock()
 		if err != nil {
@@ -471,106 +471,77 @@ func queryInt64(r *http.Request, key string) (int64, error) {
 	return v, nil
 }
 
+// stampReplicaApply is the standby's arrive hook for store.ApplyFeed: a
+// trace annotation gets a replica_apply span, from the pull of its page to
+// the landing of its record, so a promoted standby serves traces that show
+// when the replication stream delivered them.
+func stampReplicaApply(pulled time.Time) func(key string, value json.RawMessage) json.RawMessage {
+	return func(key string, value json.RawMessage) json.RawMessage {
+		if key == annotationTrace {
+			if stamped, err := tracelog.AppendSpan(value, "replica_apply", pulled, time.Now().UTC()); err == nil {
+				return stamped
+			}
+		}
+		return value
+	}
+}
+
 // ErrStandby rejects mutations addressed to a standby: the caller (usually
 // the router failing over a read) should submit to the primary.
 var ErrStandby = errors.New("service: standby is read-only (this node follows a primary)")
 
-// newStandbyHandler serves the job API read-only, straight from the replica
-// store: Get and List work (that is the point of a warm standby), mutations
-// are 503s naming the role, and event streams are served for terminal jobs
-// only (a standby has no live brokers; its view of a running job is a
-// replication tail, not a progress stream).
-func newStandbyHandler(n *Node) http.Handler {
-	mux := http.NewServeMux()
-	reject := func(w http.ResponseWriter, r *http.Request) {
-		WriteError(w, http.StatusServiceUnavailable, ErrStandby)
-	}
-	mux.HandleFunc("POST /v1/jobs", reject)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", reject)
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		states, err := StatesFromQuery(r)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, err)
-			return
-		}
-		recs := n.file.List(states...)
-		jobs := make([]Job, 0, len(recs))
-		for _, sj := range recs {
-			jobs = append(jobs, jobFromRecord(sj))
-		}
-		WriteJSON(w, http.StatusOK, jobs)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, ok := pathID(w, r)
-		if !ok {
-			return
-		}
-		sj, found := n.file.Get(id)
-		if !found {
-			WriteError(w, http.StatusNotFound, ErrNotFound)
-			return
-		}
-		WriteJSON(w, http.StatusOK, jobFromRecord(sj))
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		id, ok := pathID(w, r)
-		if !ok {
-			return
-		}
-		sj, found := n.file.Get(id)
-		if !found {
-			WriteError(w, http.StatusNotFound, ErrNotFound)
-			return
-		}
-		// The replicated timeline (including the standby's own
-		// replica_apply span, stamped at feed-apply time) is served
-		// as-is: a read failed over to a standby keeps its trace ID.
-		WriteJSON(w, http.StatusOK, jobTraceFromRecord(sj))
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		id, ok := pathID(w, r)
-		if !ok {
-			return
-		}
-		sj, found := n.file.Get(id)
-		if !found {
-			WriteError(w, http.StatusNotFound, ErrNotFound)
-			return
-		}
-		if !sj.State.Terminal() {
-			WriteError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("%w: live progress streams come from the primary", ErrStandby))
-			return
-		}
-		// Synthesize the terminal frame exactly as Service.Subscribe does
-		// for jobs finished before its process started.
-		p := Progress{State: sj.State, Error: sj.Error}
-		if len(sj.Result) > 0 {
-			var res struct {
-				Stats struct {
-					Steps int64 `json:"steps"`
-				} `json:"stats"`
-			}
-			if json.Unmarshal(sj.Result, &res) == nil {
-				p.Step = res.Stats.Steps
-			}
-		}
-		ch := make(chan Progress, 1)
-		ch <- p
-		close(ch)
-		ServeEvents(w, r, ch)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		counts := make(map[State]int)
-		for _, sj := range n.file.List() {
-			counts[sj.State]++
-		}
-		WriteJSON(w, http.StatusOK, Health{
-			Status:         "standby",
-			Jobs:           counts,
-			ReplicationLag: n.Status().Lag,
-			Version:        version.String(),
-		})
-	})
-	return mux
+// replicaView is a standby's job API, straight from the replica store: Get,
+// List and Trace work (that is the point of a warm standby), mutations fail
+// with ErrStandby, and event streams are served for terminal jobs only (a
+// standby has no live brokers; its view of a running job is a replication
+// tail, not a progress stream).
+type replicaView struct {
+	node *Node
+	file *store.File
 }
+
+func (replicaView) SubmitTraced(JobSpec, tracelog.TraceContext) (Job, error) {
+	return Job{}, ErrStandby
+}
+func (replicaView) Cancel(int64) (Job, error) { return Job{}, ErrStandby }
+
+func (v replicaView) Get(id int64) (Job, bool) {
+	sj, ok := v.file.Get(id)
+	return jobFromRecord(sj), ok
+}
+
+func (v replicaView) List(states ...State) []Job {
+	recs := v.file.List(states...)
+	jobs := make([]Job, 0, len(recs))
+	for _, sj := range recs {
+		jobs = append(jobs, jobFromRecord(sj))
+	}
+	return jobs
+}
+
+func (v replicaView) Trace(id int64) (JobTrace, bool) {
+	sj, ok := v.file.Get(id)
+	return jobTraceFromRecord(sj), ok
+}
+
+func (v replicaView) Subscribe(id int64) (<-chan Progress, func(), error) {
+	sj, ok := v.file.Get(id)
+	if !ok {
+		return nil, nil, ErrNotFound
+	}
+	if !sj.State.Terminal() {
+		return nil, nil, fmt.Errorf("%w: live progress streams come from the primary", ErrStandby)
+	}
+	return terminalProgress(sj), func() {}, nil
+}
+
+func (v replicaView) Health() Health {
+	return Health{
+		Status:         "standby",
+		Jobs:           countStates(v.file),
+		ReplicationLag: v.node.Status().Lag,
+		Version:        version.String(),
+	}
+}
+
+func (v replicaView) Telemetry() *telemetry.Registry { return v.node.Telemetry() }

@@ -226,7 +226,7 @@ func TestPortfolioRecoveryReRaces(t *testing.T) {
 		{Strategy: "rr", State: StateRunning},
 		{Strategy: "lbn", State: StateRunning},
 	}})
-	if err := st.SetAttempts(sj.ID, stale); err != nil {
+	if err := st.Annotate(sj.ID, annotationAttempts, stale); err != nil {
 		t.Fatal(err)
 	}
 	st.Close() // crash-equivalent: no transition records written

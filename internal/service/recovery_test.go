@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +14,7 @@ import (
 	"hypersolve/internal/core"
 	"hypersolve/internal/sat"
 	"hypersolve/internal/store"
+	"hypersolve/internal/tracelog"
 )
 
 func openStore(t *testing.T, dir string) *store.File {
@@ -194,4 +197,88 @@ func TestRecoveredHistorySurvivesJSONRoundTrip(t *testing.T) {
 			t.Fatalf("unexpected file %s in data dir", filepath.Join(dir, name))
 		}
 	}
+}
+
+// TestRecoveryOfLegacyDataDirectory: a data directory written before the
+// store's annotations were generic (../store/testdata/legacy — old journal
+// ops, old snapshot fields, a crash mid-compaction) recovers to exactly
+// what the commit that wrote it served from it: the job documents with
+// their race ledgers, the trace documents over HTTP, the learned win table,
+// and the job the crash caught running re-admitted under its own trace ID.
+func TestRecoveryOfLegacyDataDirectory(t *testing.T) {
+	const fixture = "../store/testdata/legacy"
+	dir := t.TempDir()
+	for _, name := range []string{store.SnapshotName, store.JournalPrevName, store.JournalName} {
+		data, err := os.ReadFile(filepath.Join(fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var parent []struct {
+		Job   Job      `json:"job"`
+		Trace JobTrace `json:"trace"`
+	}
+	data, err := os.ReadFile(filepath.Join(fixture, "parent", "service.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &parent); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Config{QueueDepth: 8, Workers: 1, Store: openStore(t, dir)})
+	srv := httptest.NewServer(NewHandler(s))
+	defer func() { srv.Close(); s.Close() }()
+	client := &Client{Base: srv.URL, HTTP: srv.Client()}
+	ctx := context.Background()
+
+	wins := map[string]map[string]int{}
+	races := 0
+	for _, p := range parent {
+		got, err := client.Get(ctx, p.Job.ID)
+		if err != nil || !reflect.DeepEqual(got, p.Job) {
+			t.Errorf("job %s = %+v (%v), the parent served %+v", p.Job.ID, got, err, p.Job)
+		}
+		jt, err := client.Trace(ctx, p.Job.ID)
+		if err != nil || !reflect.DeepEqual(jt, p.Trace) {
+			t.Errorf("trace of job %s = %+v (%v), the parent served %+v", p.Job.ID, jt, err, p.Trace)
+		}
+		if p.Job.Winner != "" {
+			races++
+			if len(p.Job.Attempts) != 3 {
+				t.Errorf("fixture race %s has %d attempts, want 3", p.Job.ID, len(p.Job.Attempts))
+			}
+			class := problemClass(p.Job.Spec)
+			if wins[class] == nil {
+				wins[class] = map[string]int{}
+			}
+			wins[class][p.Job.Winner]++
+		}
+	}
+	if len(parent) != 4 || races != 2 {
+		t.Fatalf("fixture holds %d finished jobs, %d of them races; want 4 and 2", len(parent), races)
+	}
+	if !reflect.DeepEqual(s.adapt.wins, wins) {
+		t.Errorf("win table rebuilt as %v, the ledgers say %v", s.adapt.wins, wins)
+	}
+
+	sj, _ := s.store.Get(5)
+	var persisted tracelog.Timeline
+	if err := json.Unmarshal(sj.Annotation(annotationTrace), &persisted); err != nil || persisted.TraceID == "" {
+		t.Fatalf("job 5's persisted timeline: %v (%s)", err, sj.Annotation(annotationTrace))
+	}
+	jt, err := client.Trace(ctx, JobID{Seq: 5})
+	if err != nil || jt.TraceID != persisted.TraceID {
+		t.Fatalf("re-admitted job's trace ID = %q (%v), want the pre-crash %q", jt.TraceID, err, persisted.TraceID)
+	}
+	if _, ok := spansByName(jt)["requeued"]; !ok || jt.State.Terminal() {
+		t.Fatalf("job 5 is %s with spans %+v, want re-admitted with a requeued span", jt.State, jt.Spans)
+	}
+	if _, err := client.Cancel(ctx, JobID{Seq: 5}); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, 5, StateCancelled, 10*time.Second)
 }

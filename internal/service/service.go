@@ -122,9 +122,20 @@ type Attempt struct {
 	Winner bool `json:"winner,omitempty"`
 }
 
-// attemptsDoc is the JSON shape persisted through store.SetAttempts: the
-// ledger the service writes on every attempt transition and decodes back
-// into Job.Winner/Job.Attempts.
+// The store keeps opaque keyed annotations with a job; these are the keys
+// the service owns.
+const (
+	// annotationTrace holds the span timeline (tracelog.Timeline): written
+	// at submit, so a crash before the job finishes still leaves the trace
+	// ID and admission spans for recovery to resume, and again at finish.
+	annotationTrace = "trace"
+	// annotationAttempts holds a portfolio job's attemptsDoc, rewritten on
+	// every attempt transition.
+	annotationAttempts = "attempts"
+)
+
+// attemptsDoc is the race ledger the service persists and decodes back into
+// Job.Winner/Job.Attempts.
 type attemptsDoc struct {
 	Winner   string    `json:"winner,omitempty"`
 	Attempts []Attempt `json:"attempts"`
@@ -378,7 +389,7 @@ func (s *Service) recover() {
 		// re-run links to the pre-crash spans; jobs admitted before tracing
 		// existed get a fresh trace. The instant requeued span marks the
 		// re-admission, then a new queue-wait span opens.
-		tr, err := tracelog.Resume(sj.Trace)
+		tr, err := tracelog.Resume(sj.Annotation(annotationTrace))
 		if err != nil {
 			tr = tracelog.NewTrace(tracelog.TraceContext{})
 		}
@@ -550,11 +561,8 @@ func (s *Service) SubmitTraced(spec JobSpec, tc tracelog.TraceContext) (Job, err
 	jr := s.admitLocked(sj.ID, spec, &built, tr)
 	tr.EndSpan(admission)
 	jr.queueSpan = tr.StartSpan("queue")
-	// Persist the opening timeline now (journaled like any transition) so
-	// a crash before the job finishes still leaves the trace ID and
-	// admission spans for recovery to resume. Failure costs observability
-	// only.
-	_ = s.store.SetTrace(sj.ID, tr.JSON())
+	// Failure to persist the opening timeline costs observability only.
+	_ = s.store.Annotate(sj.ID, annotationTrace, tr.JSON())
 	// A portfolio race needs one worker per attempt to start concurrently;
 	// Signal would hand all its entries to a single woken worker's loop.
 	if len(jr.strategies) > 1 {
@@ -573,9 +581,9 @@ func (s *Service) jobFromStore(sj store.Job) Job {
 	return j
 }
 
-// jobFromRecord decodes a persisted record into the API shape. The standby
-// handler (see node.go) serves jobs straight from a replica store through
-// it, so the wire shape cannot diverge between a primary and its standby.
+// jobFromRecord decodes a persisted record into the API shape. A standby
+// (see node.go) serves jobs straight from a replica store through it, so
+// the wire shape cannot diverge between a primary and its standby.
 func jobFromRecord(sj store.Job) Job {
 	j := Job{
 		ID:          JobID{Seq: sj.ID},
@@ -592,14 +600,18 @@ func jobFromRecord(sj store.Job) Job {
 		j.Result = new(JobResult)
 		_ = json.Unmarshal(sj.Result, j.Result)
 	}
-	if len(sj.Attempts) > 0 {
-		var doc attemptsDoc
-		if json.Unmarshal(sj.Attempts, &doc) == nil {
-			j.Winner = doc.Winner
-			j.Attempts = doc.Attempts
-		}
+	if doc, ok := attemptsFromRecord(sj); ok {
+		j.Winner = doc.Winner
+		j.Attempts = doc.Attempts
 	}
 	return j
+}
+
+// attemptsFromRecord decodes a persisted record's race ledger; !ok for a
+// job that never raced.
+func attemptsFromRecord(sj store.Job) (doc attemptsDoc, ok bool) {
+	data := sj.Annotation(annotationAttempts)
+	return doc, len(data) > 0 && json.Unmarshal(data, &doc) == nil
 }
 
 // Get returns a snapshot of one job.
@@ -626,13 +638,26 @@ func (s *Service) List(states ...State) []Job {
 	return out
 }
 
-// Counts reports how many jobs sit in each state.
-func (s *Service) Counts() map[State]int {
+// countStates reports how many of a store's jobs sit in each state.
+func countStates(st store.Store) map[State]int {
 	out := make(map[State]int)
-	for _, j := range s.store.List() {
+	for _, j := range st.List() {
 		out[j.State]++
 	}
 	return out
+}
+
+// Health is the service's /healthz report.
+func (s *Service) Health() Health {
+	return Health{
+		Status:      "ok",
+		QueueDepth:  s.cfg.QueueDepth,
+		Workers:     s.cfg.Workers,
+		Jobs:        countStates(s.store),
+		Queued:      s.Load(),
+		StepsPerSec: s.StepsPerSec(),
+		Version:     version.String(),
+	}
 }
 
 // Subscribe returns a live progress channel for one job, plus an
@@ -655,6 +680,13 @@ func (s *Service) Subscribe(id int64) (<-chan Progress, func(), error) {
 	}
 	// Decode outside the lock: a result carrying series/heatmap payloads
 	// can be megabytes, and parsing it must not stall admissions.
+	return terminalProgress(sj), func() {}, nil
+}
+
+// terminalProgress is the event stream of a terminal job with no live
+// broker (it finished before this process started, or this is a standby): a
+// closed channel pre-loaded with a final snapshot synthesized from the record.
+func terminalProgress(sj store.Job) <-chan Progress {
 	p := Progress{State: sj.State, Error: sj.Error}
 	if len(sj.Result) > 0 {
 		var res struct {
@@ -669,7 +701,7 @@ func (s *Service) Subscribe(id int64) (<-chan Progress, func(), error) {
 	ch := make(chan Progress, 1)
 	ch <- p
 	close(ch)
-	return ch, func() {}, nil
+	return ch
 }
 
 // Cancel stops a job. A queued job transitions to cancelled immediately
@@ -726,7 +758,7 @@ func (s *Service) finishLocked(id int64, state State, errMsg, strategy string, r
 	// cancelled-while-queued job) and persist the full timeline next to the
 	// finish record.
 	jr.trace.EndOpen()
-	_ = s.store.SetTrace(id, jr.trace.JSON())
+	_ = s.store.Annotate(id, annotationTrace, jr.trace.JSON())
 	jr.broker.Finish(state, errMsg, strategy, result)
 	delete(s.runs, id)
 	for _, eid := range evicted {
@@ -986,7 +1018,7 @@ func (s *Service) persistAttemptsLocked(id int64, jr *jobRun) {
 	if err != nil {
 		return
 	}
-	_ = s.store.SetAttempts(id, data)
+	_ = s.store.Annotate(id, annotationAttempts, data)
 }
 
 // execute runs one admission-compiled spec under ctx with the given mapping

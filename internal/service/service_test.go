@@ -375,7 +375,7 @@ func TestConcurrentJobsAllComplete(t *testing.T) {
 				t.Fatalf("job %d result = %+v, want OK", id, j.Result)
 			}
 		}
-		if counts := s.Counts(); counts[StateDone] != 12 {
+		if counts := s.Health().Jobs; counts[StateDone] != 12 {
 			t.Fatalf("counts = %v, want 12 done", counts)
 		}
 	})

@@ -20,8 +20,9 @@ import (
 
 // journalRec is the slice of a journal line these tests read.
 type journalRec struct {
-	Op       string          `json:"op"`
-	Attempts json.RawMessage `json:"attempts"`
+	Op    string          `json:"op"`
+	Key   string          `json:"key"`
+	Value json.RawMessage `json:"value"`
 }
 
 func readJournal(t *testing.T, dir string) []journalRec {
@@ -63,9 +64,9 @@ func TestSoloJobOutputShape(t *testing.T) {
 
 	var ops []string
 	for _, r := range readJournal(t, dir) {
-		ops = append(ops, r.Op)
+		ops = append(ops, strings.TrimSuffix(r.Op+":"+r.Key, ":"))
 	}
-	if want := []string{"submit", "trace", "start", "finish", "trace"}; !reflect.DeepEqual(ops, want) {
+	if want := []string{"submit", "annotate:trace", "start", "finish", "annotate:trace"}; !reflect.DeepEqual(ops, want) {
 		t.Fatalf("solo job journaled %v, want %v", ops, want)
 	}
 
@@ -120,8 +121,8 @@ func TestRaceJournalsLedger(t *testing.T) {
 
 	var last json.RawMessage
 	for _, r := range readJournal(t, dir) {
-		if r.Op == "attempts" {
-			last = r.Attempts
+		if r.Op == "annotate" && r.Key == annotationAttempts {
+			last = r.Value
 		}
 	}
 	if last == nil {

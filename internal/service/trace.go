@@ -25,9 +25,7 @@ type JobTrace struct {
 // tracing.
 func jobTraceFromRecord(sj store.Job) JobTrace {
 	jt := JobTrace{JobID: JobID{Seq: sj.ID}, State: sj.State}
-	if len(sj.Trace) > 0 {
-		_ = json.Unmarshal(sj.Trace, &jt.Timeline)
-	}
+	_ = json.Unmarshal(sj.Annotation(annotationTrace), &jt.Timeline)
 	return jt
 }
 

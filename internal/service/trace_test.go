@@ -109,7 +109,7 @@ func TestTraceSurvivesRestart(t *testing.T) {
 	tr.EndSpan(tr.StartSpan("compile"))
 	tr.EndSpan(tr.StartSpan("admission"))
 	tr.StartSpan("queue")
-	if err := st.SetTrace(sj.ID, tr.JSON()); err != nil {
+	if err := st.Annotate(sj.ID, annotationTrace, tr.JSON()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Start(sj.ID, time.Now().UTC()); err != nil {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"hypersolve/internal/ringbuf"
 	"hypersolve/internal/telemetry"
 )
 
@@ -68,11 +70,11 @@ type fileMetrics struct {
 
 // File is the durable backend: a Memory view kept in lockstep with an
 // append-only JSONL write-ahead journal. One record is appended per job
-// transition (submit/start/finish); every SnapshotEvery records the
-// journal is rotated aside and a background goroutine writes the full view
-// to SnapshotName (tmp-file + fsync + rename + dir sync), then deletes the
-// rotated journal — so the log never grows without bound and the
-// transition that trips the threshold pays only a rename, not the
+// transition (submit/start/finish) and per annotation; every SnapshotEvery
+// records the journal is rotated aside and a background goroutine writes
+// the full view to SnapshotName (tmp-file + fsync + rename + dir sync),
+// then deletes the rotated journal — so the log never grows without bound
+// and the transition that trips the threshold pays only a rename, not the
 // snapshot write. Open replays snapshot + rotated journal + journal,
 // tolerating a torn trailing record, and re-queues jobs that were running
 // at crash time; every replay step is idempotent, so a crash anywhere in
@@ -94,18 +96,20 @@ type File struct {
 	// Replication state. Every record carries a log sequence number (LSN)
 	// that survives compaction and restarts; epoch is the fencing token
 	// bumped by each promotion. tail keeps the most recent records in
-	// memory — covering (baseLSN, lsn] — so Feed can serve a caught-up
-	// replica without touching the (possibly rotated) journal files.
+	// memory — the contiguous run (lsn-tail.Len(), lsn], at most
+	// 2*SnapshotEvery of them — so Feed can serve a caught-up replica
+	// without touching the (possibly rotated) journal files; a replica
+	// whose cursor has fallen off it is bootstrapped from a snapshot.
 	lsn     int64
 	epoch   int64
-	baseLSN int64
-	tail    []rec
+	tail    ringbuf.Ring[rec]
 	replica bool // read-only until Promote
 
 	// compacting marks a background compaction in flight; retryInline
 	// marks that the last one failed (the rotated journal still exists),
 	// so the next trigger compacts synchronously instead of rotating
-	// again. compactErr carries the failure to that retry's caller.
+	// again. compactErr is the last compaction's failure, nil once a later
+	// one succeeds; Close returns it.
 	compacting  bool
 	retryInline bool
 	compactErr  error
@@ -117,13 +121,22 @@ type File struct {
 // while asserting that transitions do not block behind it.
 var testHookCompacting func()
 
+// The journal's ops: three transitions, one key/value annotation, and a
+// promotion (see replication.go), which carries no job.
+const (
+	opSubmit   = "submit"
+	opStart    = "start"
+	opFinish   = "finish"
+	opAnnotate = "annotate"
+	opEpoch    = "epoch"
+)
+
 // rec is one journal line. LSN is the record's log sequence number —
 // monotonic across compactions and restarts, the replication stream's
 // cursor. Records written before LSNs existed carry none and are assigned
-// one during replay. The "epoch" op records a promotion (see
-// replication.go); it carries no job transition.
+// one during replay; wireRec (legacy.go) reads those from before opAnnotate.
 type rec struct {
-	Op     string          `json:"op"` // "submit" | "start" | "finish" | "trace" | "attempts" | "epoch"
+	Op     string          `json:"op"`
 	LSN    int64           `json:"lsn,omitempty"`
 	ID     int64           `json:"id,omitempty"`
 	At     time.Time       `json:"at,omitzero"`
@@ -131,20 +144,19 @@ type rec struct {
 	State  State           `json:"state,omitempty"`
 	Error  string          `json:"error,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
-	Trace  json.RawMessage `json:"trace,omitempty"`
-	// Attempts carries the portfolio attempt ledger of an "attempts" op.
-	Attempts json.RawMessage `json:"attempts,omitempty"`
-	Epoch    int64           `json:"epoch,omitempty"`
+	Key    string          `json:"key,omitempty"`
+	Value  json.RawMessage `json:"value,omitempty"`
+	Epoch  int64           `json:"epoch,omitempty"`
 }
 
 // snapshot is the compacted full state. LSN is the last record folded in;
 // Epoch the fencing epoch at capture time.
 type snapshot struct {
-	NextID   int64   `json:"next_id"`
-	Finished []int64 `json:"finished"`
-	Jobs     []Job   `json:"jobs"`
-	LSN      int64   `json:"lsn,omitempty"`
-	Epoch    int64   `json:"epoch,omitempty"`
+	NextID   int64     `json:"next_id"`
+	Finished []int64   `json:"finished"`
+	Jobs     []wireJob `json:"jobs"`
+	LSN      int64     `json:"lsn,omitempty"`
+	Epoch    int64     `json:"epoch,omitempty"`
 }
 
 // Open loads (or creates) a durable store in cfg.Dir. Recovery is
@@ -190,7 +202,6 @@ func Open(cfg FileConfig) (*File, error) {
 		}
 		f.mem.install(snap.NextID, snap.Finished, snap.Jobs)
 		f.lsn, f.epoch = snap.LSN, snap.Epoch
-		f.baseLSN = snap.LSN
 	} else if !os.IsNotExist(err) {
 		return fail(fmt.Errorf("store: %w", err))
 	}
@@ -290,11 +301,11 @@ func (f *File) replay(name string) (good int64, applied int, err error) {
 		if nl < 0 {
 			break // torn write: no terminating newline
 		}
-		var r rec
+		var r wireRec
 		if json.Unmarshal(data[:nl], &r) != nil {
 			break // torn or corrupt record: discard it and everything after
 		}
-		f.applyRec(r)
+		f.applyRec(r.modern())
 		good += int64(nl + 1)
 		applied++
 		data = data[nl+1:]
@@ -308,17 +319,15 @@ func (f *File) replay(name string) (good int64, applied int, err error) {
 // (crash windows, replica catch-up) advance the cursor without mutating.
 func (f *File) applyRec(r rec) {
 	switch r.Op {
-	case "submit":
+	case opSubmit:
 		f.mem.restoreSubmit(r.ID, r.Spec, r.At)
-	case "start":
-		f.mem.restoreStart(r.ID, r.At)
-	case "finish":
-		f.mem.restoreFinish(r.ID, r.State, r.At, r.Error, r.Result)
-	case "trace":
-		f.mem.restoreTrace(r.ID, r.Trace)
-	case "attempts":
-		f.mem.restoreAttempts(r.ID, r.Attempts)
-	case "epoch":
+	case opStart:
+		_ = f.mem.Start(r.ID, r.At)
+	case opFinish:
+		_, _ = f.mem.Finish(r.ID, r.State, r.At, r.Error, r.Result)
+	case opAnnotate:
+		_ = f.mem.Annotate(r.ID, r.Key, r.Value)
+	case opEpoch:
 		if r.Epoch > f.epoch {
 			f.epoch = r.Epoch
 		}
@@ -327,40 +336,64 @@ func (f *File) applyRec(r rec) {
 		r.LSN = f.lsn + 1
 	}
 	if r.LSN > f.lsn {
-		f.lsn = r.LSN
-		f.tailPush(r)
+		f.advance(r)
 	}
 }
 
-// tailPush retains r in the in-memory feed tail, trimming it to the cap so
-// a slow replica costs bounded memory (it falls back to a snapshot
-// bootstrap once the tail no longer reaches back far enough).
-func (f *File) tailPush(r rec) {
-	f.tail = append(f.tail, r)
-	if cap := 2 * f.cfg.SnapshotEvery; len(f.tail) > cap {
-		drop := len(f.tail) - cap
-		f.tail = append(f.tail[:0:0], f.tail[drop:]...)
+// advance moves the cursor to r and retains it in the feed tail, dropping
+// the oldest record once the tail is at its bound.
+func (f *File) advance(r rec) {
+	f.lsn = r.LSN
+	if f.tail.Len() == 2*f.cfg.SnapshotEvery {
+		f.tail.Pop()
 	}
-	f.baseLSN = f.lsn - int64(len(f.tail))
+	f.tail.Push(r)
 }
 
-// append journals one record on the primary write path: it stamps the next
-// LSN, retains the record in the feed tail, and hands it to the shared
-// write path. The in-memory view has already been updated: on a write
-// error the view stays authoritative for this process and the error
-// reports the lost durability to the caller.
+// write is the one path by which a primary mutates: under f.mu it refuses a
+// closed or replica store, lets apply change the view and describe the
+// change as a record, and logs the record. If logging fails the view stays
+// ahead of the journal — it is authoritative for this process, the error
+// reports the lost durability — except for an admission: the service
+// rejects a submission that errors, so the job is taken back out of the
+// view, where it would otherwise sit visible-but-unrunnable forever.
+func (f *File) write(apply func() (rec, error)) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return ErrClosed
+	}
+	if f.replica {
+		return ErrReplica
+	}
+	r, err := apply()
+	if err != nil {
+		return err
+	}
+	err = f.append(r)
+	if err != nil && r.Op == opSubmit {
+		f.mem.rollbackSubmit(r.ID)
+	}
+	return err
+}
+
+// append stamps the next LSN on r and logs it. The record enters the feed
+// tail only once the journal has it, so an error means it is not in the log
+// at all: the cursor has not moved and Feed will never serve it. Callers
+// hold f.mu.
 func (f *File) append(r rec) error {
 	r.LSN = f.lsn + 1
-	f.lsn = r.LSN
-	f.tailPush(r)
-	return f.appendLocked(r)
+	if err := f.journalWrite(r); err != nil {
+		return err
+	}
+	f.advance(r)
+	f.compactIfDue()
+	return nil
 }
 
-// appendLocked writes one already-LSN'd record to the journal. Crossing the
-// SnapshotEvery threshold rotates the journal aside and hands the snapshot
-// write to a background goroutine; the append itself pays only the rename.
-// Callers hold f.mu.
-func (f *File) appendLocked(r rec) error {
+// journalWrite writes one LSN'd record to the journal, synced when the
+// store is configured to. Callers hold f.mu.
+func (f *File) journalWrite(r rec) error {
 	data, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -377,25 +410,28 @@ func (f *File) appendLocked(r rec) error {
 	}
 	f.metrics.records.Inc()
 	f.recs++
+	return nil
+}
+
+// compactIfDue starts a compaction once the live journal holds
+// SnapshotEvery records: the journal is rotated aside and the snapshot
+// write handed to a background goroutine, so the record that trips the
+// threshold pays only the renames. A failed compaction is not that record's
+// failure — the record is in the log — so the error is parked in
+// compactErr and the next record retries. Callers hold f.mu.
+func (f *File) compactIfDue() {
 	if f.recs < f.cfg.SnapshotEvery || f.compacting {
-		return nil
+		return
 	}
 	if f.retryInline {
 		// The last background compaction failed and its rotated journal is
 		// still on disk; a second rotation would orphan it. Pay the stall
-		// and fold everything synchronously. A successful retry heals the
-		// earlier failure (the fresh snapshot supersedes it), so only a
-		// renewed failure is surfaced to this transition.
-		f.retryInline = false
-		if err := f.compactInline(); err != nil {
-			f.retryInline = true
-			f.compactErr = errors.Join(f.compactErr, err)
-			return err
-		}
-		f.compactErr = nil
-		return nil
+		// and fold everything synchronously.
+		f.compactErr = f.compactInline()
+		f.retryInline = f.compactErr != nil
+	} else if err := f.rotateAndCompact(); err != nil {
+		f.compactErr = err
 	}
-	return f.rotateAndCompact()
 }
 
 // rotateAndCompact captures the view, rotates the live journal aside and
@@ -466,9 +502,9 @@ func (f *File) finishCompaction(rotated *os.File, snap snapshot) {
 
 	f.mu.Lock()
 	f.compacting = false
+	f.compactErr = err
 	if err != nil {
 		f.retryInline = true
-		f.compactErr = err
 	} else {
 		f.metrics.compactions.Inc()
 		f.metrics.compactionSeconds.Observe(time.Since(compactStart).Seconds())
@@ -504,17 +540,13 @@ func (f *File) compactInline() error {
 // writeSnapshot persists snap via tmp-file + fsync + rename + dir sync, so
 // a crash leaves either the old snapshot or the new one, never a torn mix.
 func writeSnapshot(dir string, snap snapshot) error {
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	path := filepath.Join(dir, SnapshotName)
 	tmp := path + ".tmp"
 	w, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err = w.Write(append(data, '\n')); err == nil {
+	if err = snap.encode(bufio.NewWriter(w)); err == nil {
 		err = w.Sync()
 	}
 	if cerr := w.Close(); err == nil {
@@ -529,6 +561,29 @@ func writeSnapshot(dir string, snap snapshot) error {
 	return syncDir(dir)
 }
 
+// encode writes the document json.Marshal(s) would, one job at a time:
+// marshaling the history in one piece allocated several times its size per
+// compaction, and that transient — not the view — set a durable node's
+// resident size. Write errors stick to w until its Flush.
+func (s snapshot) encode(w *bufio.Writer) error {
+	enc := json.NewEncoder(w)
+	fmt.Fprintf(w, `{"next_id":%d,"lsn":%d,"epoch":%d,"finished":`, s.NextID, s.LSN, s.Epoch)
+	if err := enc.Encode(s.Finished); err != nil {
+		return err
+	}
+	w.WriteString(`,"jobs":[`)
+	for i := range s.Jobs {
+		if i > 0 {
+			w.WriteByte(',')
+		}
+		if err := enc.Encode(&s.Jobs[i].Job); err != nil {
+			return err
+		}
+	}
+	w.WriteString("]}\n")
+	return w.Flush()
+}
+
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -541,103 +596,39 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Submit implements Store: the admission is recorded in the view and
-// journaled; a failed journal append rolls the view back.
-func (f *File) Submit(spec json.RawMessage, at time.Time) (Job, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return Job{}, ErrClosed
-	}
-	if f.replica {
-		return Job{}, ErrReplica
-	}
-	j, err := f.mem.Submit(spec, at)
+// Submit implements Store.
+func (f *File) Submit(spec json.RawMessage, at time.Time) (j Job, err error) {
+	err = f.write(func() (rec, error) {
+		j, err = f.mem.Submit(spec, at)
+		return rec{Op: opSubmit, ID: j.ID, At: at, Spec: spec}, err
+	})
 	if err != nil {
-		return Job{}, err
-	}
-	if err := f.append(rec{Op: "submit", ID: j.ID, At: at, Spec: spec}); err != nil {
-		// Unlike Start/Finish (where the view staying ahead of the journal
-		// only costs durability), a failed admission must leave no trace:
-		// the service rejects the submission, so a job surviving in the
-		// view would be visible-but-unrunnable forever. If the record did
-		// reach the journal before the failure (fsync, compaction), the
-		// next Open resurrects the job queued and simply re-runs it.
-		f.mem.rollbackSubmit(j.ID)
 		return Job{}, err
 	}
 	return j, nil
 }
 
-// Start implements Store: the transition is recorded in the view and
-// journaled.
+// Start implements Store.
 func (f *File) Start(id int64, at time.Time) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
-	}
-	if f.replica {
-		return ErrReplica
-	}
-	if err := f.mem.Start(id, at); err != nil {
-		return err
-	}
-	return f.append(rec{Op: "start", ID: id, At: at})
+	return f.write(func() (rec, error) {
+		return rec{Op: opStart, ID: id, At: at}, f.mem.Start(id, at)
+	})
 }
 
-// Finish implements Store: the terminal transition (with error message
-// and result payload) is recorded in the view and journaled.
-func (f *File) Finish(id int64, state State, at time.Time, errMsg string, result json.RawMessage) ([]int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil, ErrClosed
-	}
-	if f.replica {
-		return nil, ErrReplica
-	}
-	evicted, err := f.mem.Finish(id, state, at, errMsg, result)
-	if err != nil {
-		return nil, err
-	}
-	return evicted, f.append(rec{Op: "finish", ID: id, At: at, State: state, Error: errMsg, Result: result})
+// Finish implements Store.
+func (f *File) Finish(id int64, state State, at time.Time, errMsg string, result json.RawMessage) (evicted []int64, err error) {
+	err = f.write(func() (rec, error) {
+		evicted, err = f.mem.Finish(id, state, at, errMsg, result)
+		return rec{Op: opFinish, ID: id, At: at, State: state, Error: errMsg, Result: result}, err
+	})
+	return evicted, err
 }
 
-// SetTrace implements Store: the trace timeline is attached in the view
-// and journaled as its own record, so it replicates to standbys and is
-// folded into snapshots like any transition.
-func (f *File) SetTrace(id int64, trace json.RawMessage) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
-	}
-	if f.replica {
-		return ErrReplica
-	}
-	if err := f.mem.SetTrace(id, trace); err != nil {
-		return err
-	}
-	return f.append(rec{Op: "trace", ID: id, Trace: trace})
-}
-
-// SetAttempts implements Store: the portfolio attempt ledger is attached
-// in the view and journaled as its own "attempts" record, so it replicates
-// to standbys and is folded into snapshots like any transition.
-func (f *File) SetAttempts(id int64, attempts json.RawMessage) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
-	}
-	if f.replica {
-		return ErrReplica
-	}
-	if err := f.mem.SetAttempts(id, attempts); err != nil {
-		return err
-	}
-	return f.append(rec{Op: "attempts", ID: id, Attempts: attempts})
+// Annotate implements Store.
+func (f *File) Annotate(id int64, key string, value json.RawMessage) error {
+	return f.write(func() (rec, error) {
+		return rec{Op: opAnnotate, ID: id, Key: key, Value: value}, f.mem.Annotate(id, key, value)
+	})
 }
 
 // Get implements Store, reading the in-memory view (never blocked by an

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -228,59 +230,6 @@ func TestStaleJournalReplaysIdempotently(t *testing.T) {
 	}
 }
 
-// TestAttemptsSurviveReplayAndCompaction: the attempt ledger written by a
-// portfolio race must come back byte-identical after a crash + journal
-// replay, and again after the journal has been fully folded into a
-// snapshot — the durability contract behind a promoted standby re-serving
-// attempt history.
-func TestAttemptsSurviveReplayAndCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s := reopen(t, nil, dir, FileConfig{SnapshotEvery: 4})
-	j, err := s.Submit(spec(1), at(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = s.Start(j.ID, at(1))
-	stale := json.RawMessage(`{"winner":"","attempts":[{"strategy":"rr","state":"running"},{"strategy":"lbn","state":"running"}]}`)
-	if err := s.SetAttempts(j.ID, stale); err != nil {
-		t.Fatal(err)
-	}
-	final := json.RawMessage(`{"winner":"lbn","attempts":[{"strategy":"rr","state":"cancelled"},{"strategy":"lbn","state":"done","winner":true}]}`)
-	if err := s.SetAttempts(j.ID, final); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Finish(j.ID, StateDone, at(2), "", json.RawMessage(`{"ok":true}`)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash + replay: last attempts record wins. The fourth record above
-	// started a background compaction; a real crash would kill it, the
-	// simulated one must wait it out or it races the reopen's own snapshot
-	// write.
-	s.barrier()
-	crashed := reopen(t, s, dir, FileConfig{SnapshotEvery: 4})
-	got, ok := crashed.Get(j.ID)
-	if !ok || string(got.Attempts) != string(final) {
-		t.Fatalf("attempts after replay = %s, want %s", got.Attempts, final)
-	}
-
-	// Push past SnapshotEvery so the ledger's records fold into a snapshot,
-	// then replay again from the snapshot.
-	for i := 2; i <= 4; i++ {
-		jj, _ := crashed.Submit(spec(i), at(i))
-		_ = crashed.Start(jj.ID, at(i))
-		if _, err := crashed.Finish(jj.ID, StateDone, at(i+1), "", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	crashed.barrier()
-	compacted := reopen(t, crashed, dir, FileConfig{SnapshotEvery: 4})
-	got, ok = compacted.Get(j.ID)
-	if !ok || string(got.Attempts) != string(final) {
-		t.Fatalf("attempts after compaction = %s, want %s", got.Attempts, final)
-	}
-}
-
 // TestFsyncBackendWorks exercises the fsync-per-record path end to end.
 func TestFsyncBackendWorks(t *testing.T) {
 	dir := t.TempDir()
@@ -339,11 +288,15 @@ func TestDataDirLocked(t *testing.T) {
 }
 
 // TestSubmitRollsBackOnAppendFailure: a submission whose journal append
-// fails must leave no trace in the view — otherwise the service would
-// reject the submission while a zombie queued job stays visible forever.
+// fails must leave no trace — not in the view (the service rejects the
+// submission, so a zombie queued job would stay visible forever), not in
+// the feed (a standby that pulled it would keep it forever) and not in its
+// ID (the next admission must not reuse it for a different spec).
 func TestSubmitRollsBackOnAppendFailure(t *testing.T) {
-	s := reopen(t, nil, t.TempDir(), FileConfig{})
-	s.journal.Close() // force every append to fail
+	dir := t.TempDir()
+	s := reopen(t, nil, dir, FileConfig{})
+	live := s.journal
+	s.journal, _ = os.Open(filepath.Join(dir, JournalName)) // read-only: every append fails
 	if _, err := s.Submit(spec(1), at(0)); err == nil {
 		t.Fatal("Submit with a dead journal succeeded")
 	}
@@ -352,6 +305,35 @@ func TestSubmitRollsBackOnAppendFailure(t *testing.T) {
 	}
 	if _, ok := s.Get(1); ok {
 		t.Fatal("failed Submit left job 1 gettable")
+	}
+	if _, lsn := s.ReplicationState(); lsn != 0 {
+		t.Fatalf("failed Submit moved the cursor to %d", lsn)
+	}
+
+	// Re-arm the journal: the next admission gets a fresh ID, and it is the
+	// only record a standby is ever served.
+	s.journal.Close()
+	s.journal = live
+	j, err := s.Submit(spec(2), at(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID != 2 {
+		t.Fatalf("admission after a failed one got ID %d, want 2 (the failed ID stays burned)", j.ID)
+	}
+	r := reopen(t, nil, t.TempDir(), FileConfig{Replica: true})
+	if res := syncReplica(t, s, r); res.Applied != 1 {
+		t.Fatalf("standby applied %d records, want only the successful submit", res.Applied)
+	}
+	if !viewsEqual(s, r) {
+		t.Fatalf("standby view %+v, want the primary's %+v", r.List(), s.List())
+	}
+	if _, ok := r.Get(1); ok {
+		t.Fatal("standby holds the rolled-back job")
+	}
+	before := s.List()
+	if after := reopen(t, s, dir, FileConfig{}).List(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("reopen after a rolled-back submit:\nbefore: %+v\nafter:  %+v", before, after)
 	}
 }
 
@@ -492,5 +474,75 @@ func TestBackgroundCompactionConvergesUnderLoad(t *testing.T) {
 	recovered := reopen(t, s, dir, FileConfig{SnapshotEvery: 2})
 	if after := recovered.List(); !reflect.DeepEqual(before, after) {
 		t.Fatalf("state diverged under compaction load:\nbefore: %d jobs\nafter:  %d jobs", len(before), len(after))
+	}
+}
+
+// TestAppendAtTailBoundAllocatesNoMore: once the feed tail is at its bound
+// an append evicts one record and stores one, in place. The slice the ring
+// replaced reallocated and copied the whole tail (2*SnapshotEvery records) on
+// every append from that point on — one more allocation than below the bound,
+// which is exactly what this compares.
+func TestAppendAtTailBoundAllocatesNoMore(t *testing.T) {
+	const every = 64
+	perAppend := func(tail int) float64 {
+		s := reopen(t, nil, t.TempDir(), FileConfig{SnapshotEvery: every})
+		j, err := s.Submit(spec(1), at(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		note := func() {
+			if err := s.Annotate(j.ID, "k", json.RawMessage(`{"v":1}`)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// tail is a multiple of every, so the last append rotates the journal
+		// and the measured ones (fewer than every) trigger no compaction;
+		// each compactor is waited out so the next rotation is not skipped.
+		for s.tail.Len() < tail {
+			note()
+			s.barrier()
+		}
+		if s.tail.Len() != tail || s.recs != 0 {
+			t.Fatalf("set-up left tail %d (want %d), %d records in the journal (want 0)", s.tail.Len(), tail, s.recs)
+		}
+		return testing.AllocsPerRun(every/2, note)
+	}
+	below, at := perAppend(every), perAppend(2*every)
+	if at != below {
+		t.Fatalf("an append allocates %v times with the tail at its bound, %v below it", at, below)
+	}
+}
+
+// TestSnapshotEncodeMatchesMarshal: the streamed snapshot is the document
+// json.Marshal writes, field for field — checked with every field set, so
+// one added to the struct and not to encode fails here.
+func TestSnapshotEncodeMatchesMarshal(t *testing.T) {
+	snap := snapshot{NextID: 7, Finished: []int64{2, 1}, LSN: 40, Epoch: 3, Jobs: []wireJob{
+		{Job: Job{ID: 1, Spec: spec(1), State: StateDone, SubmittedAt: at(0), StartedAt: at(1), FinishedAt: at(2),
+			Result: json.RawMessage(`{"ok":true}`), Annotations: []Annotation{{"k", blob("k", 1)}}}},
+		{Job: Job{ID: 2, Spec: spec(2), State: StateFailed, SubmittedAt: at(3), FinishedAt: at(4), Error: "boom"}},
+	}}
+	for v, i := reflect.ValueOf(snap), 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("snapshot.%s is unset: extend this test", v.Type().Field(i).Name)
+		}
+	}
+	var streamed bytes.Buffer
+	if err := snap.encode(bufio.NewWriter(&streamed)); err != nil {
+		t.Fatal(err)
+	}
+	marshaled, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want any
+	if err := json.Unmarshal(streamed.Bytes(), &got); err != nil {
+		t.Fatalf("streamed snapshot is not JSON: %v\n%s", err, streamed.Bytes())
+	}
+	if err := json.Unmarshal(marshaled, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("streamed: %s\nmarshaled: %s", streamed.Bytes(), marshaled)
 	}
 }

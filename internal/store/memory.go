@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -59,10 +60,6 @@ func (m *Memory) Start(id int64, at time.Time) error {
 func (m *Memory) Finish(id int64, state State, at time.Time, errMsg string, result json.RawMessage) ([]int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.finishLocked(id, state, at, errMsg, result)
-}
-
-func (m *Memory) finishLocked(id int64, state State, at time.Time, errMsg string, result json.RawMessage) ([]int64, error) {
 	j, ok := m.jobs[id]
 	if !ok {
 		return nil, ErrNotFound
@@ -87,31 +84,23 @@ func (m *Memory) finishLocked(id int64, state State, at time.Time, errMsg string
 	return evicted, nil
 }
 
-// SetTrace implements Store: it attaches the opaque trace timeline to a
-// job. Unlike the lifecycle transitions it is valid in any state — the
-// final timeline lands just after Finish.
-func (m *Memory) SetTrace(id int64, trace json.RawMessage) error {
+// Annotate implements Store: it installs a fresh annotation slice holding
+// the new value, so Job copies already handed out keep the one they share.
+func (m *Memory) Annotate(id int64, key string, value json.RawMessage) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
 		return ErrNotFound
 	}
-	j.Trace = trace
-	return nil
-}
-
-// SetAttempts implements Store: it attaches the opaque portfolio attempt
-// ledger to a job. Like SetTrace it is valid in any state — the final
-// ledger lands just after Finish.
-func (m *Memory) SetAttempts(id int64, attempts json.RawMessage) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return ErrNotFound
+	next := make([]Annotation, len(j.Annotations), len(j.Annotations)+1)
+	copy(next, j.Annotations)
+	if i := slices.IndexFunc(next, func(a Annotation) bool { return a.Key == key }); i >= 0 {
+		next[i].Value = value
+	} else {
+		next = append(next, Annotation{key, value})
 	}
-	j.Attempts = attempts
+	j.Annotations = next
 	return nil
 }
 
@@ -132,7 +121,7 @@ func (m *Memory) List(states ...State) []Job {
 	m.mu.Lock()
 	out := make([]Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
-		if matches(j.State, states) {
+		if len(states) == 0 || slices.Contains(states, j.State) {
 			out = append(out, *j)
 		}
 	}
@@ -147,10 +136,11 @@ func (m *Memory) Close() error { return nil }
 // --- replay hooks -----------------------------------------------------------
 //
 // The File backend rebuilds its Memory view by replaying snapshot + journal.
-// These restore variants are idempotent: a record already reflected in the
-// snapshot (the compaction crash window between snapshot rename and journal
-// truncation) is silently skipped, so replaying a stale journal over a fresh
-// snapshot converges to the same state.
+// Replay is idempotent: a record already reflected in the snapshot (the
+// compaction crash window between snapshot rename and journal truncation)
+// changes nothing. Start, Finish and Annotate are idempotent as they stand
+// — they refuse what does not apply, and replay drops the refusal — so only
+// Submit, which must take its ID from the record, has a variant.
 
 func (m *Memory) restoreSubmit(id int64, spec json.RawMessage, at time.Time) {
 	m.mu.Lock()
@@ -164,52 +154,14 @@ func (m *Memory) restoreSubmit(id int64, spec json.RawMessage, at time.Time) {
 	m.jobs[id] = &Job{ID: id, Spec: spec, State: StateQueued, SubmittedAt: at}
 }
 
-// rollbackSubmit undoes a Submit whose journal append failed, so a
-// rejected admission leaves no trace in the view.
+// rollbackSubmit undoes a Submit whose record never reached the journal, so
+// a rejected admission is gone from the view. Its ID stays burned: IDs are
+// monotonic, and nothing that might have glimpsed this one can ever see it
+// name a different spec.
 func (m *Memory) rollbackSubmit(id int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.jobs, id)
-	if m.nextID == id {
-		m.nextID--
-	}
-}
-
-func (m *Memory) restoreStart(id int64, at time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if j, ok := m.jobs[id]; ok && j.State == StateQueued {
-		j.State = StateRunning
-		j.StartedAt = at
-	}
-}
-
-// restoreTrace replays a trace record; last writer wins, matching
-// SetTrace semantics.
-func (m *Memory) restoreTrace(id int64, trace json.RawMessage) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if j, ok := m.jobs[id]; ok {
-		j.Trace = trace
-	}
-}
-
-// restoreAttempts replays an attempts record; last writer wins, matching
-// SetAttempts semantics.
-func (m *Memory) restoreAttempts(id int64, attempts json.RawMessage) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if j, ok := m.jobs[id]; ok {
-		j.Attempts = attempts
-	}
-}
-
-func (m *Memory) restoreFinish(id int64, state State, at time.Time, errMsg string, result json.RawMessage) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if j, ok := m.jobs[id]; ok && !j.State.Terminal() && state.Terminal() {
-		_, _ = m.finishLocked(id, state, at, errMsg, result)
-	}
 }
 
 // requeueRunning normalises jobs that were running at crash time back to
@@ -231,26 +183,26 @@ func (m *Memory) requeueRunning() []int64 {
 }
 
 // snapshotState copies the full view for compaction.
-func (m *Memory) snapshotState() (nextID int64, finished []int64, jobs []Job) {
+func (m *Memory) snapshotState() (nextID int64, finished []int64, jobs []wireJob) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	jobs = make([]Job, 0, len(m.jobs))
+	jobs = make([]wireJob, 0, len(m.jobs))
 	for _, j := range m.jobs {
-		jobs = append(jobs, *j)
+		jobs = append(jobs, wireJob{Job: *j})
 	}
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
 	return m.nextID, append([]int64(nil), m.finished...), jobs
 }
 
 // install replaces the view with a loaded snapshot.
-func (m *Memory) install(nextID int64, finished []int64, jobs []Job) {
+func (m *Memory) install(nextID int64, finished []int64, jobs []wireJob) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextID = nextID
 	m.finished = finished
 	m.jobs = make(map[int64]*Job, len(jobs))
 	for i := range jobs {
-		j := jobs[i]
+		j := jobs[i].modern()
 		m.jobs[j.ID] = &j
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"time"
 
-	"hypersolve/internal/tracelog"
+	"hypersolve/internal/ringbuf"
 )
 
 // Replication turns the File store's write-ahead journal into a shipping
@@ -48,7 +48,7 @@ type feedPage struct {
 	// predates the source's in-memory tail (or overruns its history).
 	Snapshot *snapshot `json:"snapshot,omitempty"`
 	// Records are journal records from the requested LSN, in order.
-	Records []rec `json:"records,omitempty"`
+	Records []wireRec `json:"records,omitempty"`
 }
 
 // FeedResult summarises one applied feed page.
@@ -82,15 +82,15 @@ func (f *File) Feed(from int64, limit int) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	page := feedPage{Epoch: f.epoch, LSN: f.lsn}
-	if from <= f.baseLSN || from > f.lsn+1 {
+	if base := f.lsn - int64(f.tail.Len()); from <= base || from > f.lsn+1 {
 		nextID, finished, jobs := f.mem.snapshotState()
 		page.Snapshot = &snapshot{NextID: nextID, Finished: finished, Jobs: jobs, LSN: f.lsn, Epoch: f.epoch}
 	} else {
-		recs := f.tail[from-f.baseLSN-1:]
-		if len(recs) > limit {
-			recs = recs[:limit]
+		first := int(from - base - 1)
+		page.Records = make([]wireRec, min(limit, f.tail.Len()-first))
+		for i := range page.Records {
+			page.Records[i].rec = f.tail.At(first + i)
 		}
-		page.Records = recs
 	}
 	data, err := json.Marshal(page)
 	if err != nil {
@@ -102,15 +102,20 @@ func (f *File) Feed(from int64, limit int) ([]byte, error) {
 // ApplyFeed folds one JSON-encoded feed page (as served by Feed on the
 // primary) into a replica-mode store: a snapshot page replaces the whole
 // view (and is persisted immediately — snapshot written, journal
-// truncated), record pages are applied through the replay machinery and
-// journaled verbatim, LSNs preserved, so the replica's directory is a
-// faithful copy the next Open (or a promotion) can build on. Records at or
-// below the replica's LSN are skipped — re-applying a page is a no-op.
+// truncated), record pages are journaled, LSNs preserved, and applied
+// through the replay machinery, so the replica's directory is a faithful
+// copy the next Open (or a promotion) can build on. Records at or below the
+// replica's LSN are skipped — re-applying a page is a no-op.
+//
+// arrive, when non-nil, sees every annotation a record page delivers and
+// returns the value the replica keeps: the layer that owns a key can mark
+// its copy as replicated. Such a record diverges from the primary's by
+// exactly that value; LSNs are untouched.
 //
 // A page from a source whose epoch is behind the replica's own fails with
 // ErrFenced: after a failover the old primary's stream must never be
 // applied over the promoted history.
-func (f *File) ApplyFeed(data []byte) (FeedResult, error) {
+func (f *File) ApplyFeed(data []byte, arrive func(key string, value json.RawMessage) json.RawMessage) (FeedResult, error) {
 	var page feedPage
 	if err := json.Unmarshal(data, &page); err != nil {
 		return FeedResult{}, fmt.Errorf("store: decoding feed page: %w", err)
@@ -124,8 +129,13 @@ func (f *File) ApplyFeed(data []byte) (FeedResult, error) {
 	if !f.replica {
 		return res, ErrNotReplica
 	}
-	if page.Epoch < f.epoch {
-		return res, fmt.Errorf("%w: source epoch %d < local epoch %d", ErrFenced, page.Epoch, f.epoch)
+	// A snapshot page installs the snapshot's own epoch: fence on that one.
+	epoch := page.Epoch
+	if page.Snapshot != nil {
+		epoch = page.Snapshot.Epoch
+	}
+	if epoch < f.epoch {
+		return res, fmt.Errorf("%w: source epoch %d < local epoch %d", ErrFenced, epoch, f.epoch)
 	}
 	if page.Snapshot != nil {
 		// Wait out any in-flight background compaction: the inline persist
@@ -135,32 +145,26 @@ func (f *File) ApplyFeed(data []byte) (FeedResult, error) {
 		}
 		f.mem.install(page.Snapshot.NextID, page.Snapshot.Finished, page.Snapshot.Jobs)
 		f.lsn, f.epoch = page.Snapshot.LSN, page.Snapshot.Epoch
-		f.tail = nil
-		f.baseLSN = f.lsn
+		f.tail = ringbuf.Ring[rec]{}
 		res.Applied, res.Snapshot = 1, true
 		return res, f.compactInline()
 	}
-	applyStart := time.Now().UTC()
-	for _, r := range page.Records {
+	for _, w := range page.Records {
+		r := w.modern()
 		if r.LSN <= f.lsn {
 			continue // already applied (page overlap or replayed at Open)
 		}
 		if r.LSN != f.lsn+1 {
 			return res, fmt.Errorf("store: feed gap: record lsn %d after local lsn %d (re-sync from 0)", r.LSN, f.lsn)
 		}
-		if r.Op == "trace" && len(r.Trace) > 0 {
-			// Stamp the standby's own apply span into the timeline before it
-			// lands, so a promoted standby serves traces that show when the
-			// replication stream delivered them. The record content diverges
-			// from the primary's by exactly this span; LSNs are untouched.
-			if annotated, err := tracelog.AppendSpan(r.Trace, "replica_apply", applyStart, time.Now().UTC()); err == nil {
-				r.Trace = annotated
-			}
+		if r.Op == opAnnotate && arrive != nil {
+			r.Value = arrive(r.Key, r.Value)
 		}
-		f.applyRec(r)
-		if err := f.appendLocked(r); err != nil {
+		if err := f.journalWrite(r); err != nil {
 			return res, err
 		}
+		f.applyRec(r)
+		f.compactIfDue()
 		res.Applied++
 	}
 	return res, nil
@@ -186,7 +190,7 @@ func (f *File) Promote() (epoch int64, requeued []int64, err error) {
 	// A journal write failure degrades durability, not the promotion: the
 	// in-memory epoch is authoritative for this process, matching the
 	// other transition paths.
-	err = f.append(rec{Op: "epoch", Epoch: f.epoch, At: time.Now().UTC()})
+	err = f.append(rec{Op: opEpoch, Epoch: f.epoch, At: time.Now().UTC()})
 	return f.epoch, f.mem.requeueRunning(), err
 }
 
@@ -195,11 +199,4 @@ func (f *File) ReplicationState() (epoch, lsn int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.epoch, f.lsn
-}
-
-// Replica reports whether the store is still in replica (read-only) mode.
-func (f *File) Replica() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.replica
 }

@@ -35,7 +35,7 @@ func syncReplica(t *testing.T, p, r *File) FeedResult {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.ApplyFeed(page)
+		res, err := r.ApplyFeed(page, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestReplicationTailShipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = r.ApplyFeed(page)
+	res, err = r.ApplyFeed(page, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestReplicaIsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ApplyFeed(page); !errors.Is(err, ErrNotReplica) { // ...but primaries must never apply one
+	if _, err := p.ApplyFeed(page, nil); !errors.Is(err, ErrNotReplica) { // ...but primaries must never apply one
 		t.Fatalf("ApplyFeed on primary = %v, want ErrNotReplica", err)
 	}
 }
@@ -165,7 +165,7 @@ func TestPromoteRequeuesAndWrites(t *testing.T) {
 	if len(requeued) != 1 || requeued[0] != j1.ID {
 		t.Fatalf("requeued = %v, want [%d]", requeued, j1.ID)
 	}
-	if r.Replica() {
+	if r.replica {
 		t.Fatal("store still replica after Promote")
 	}
 	// Promote again: idempotent, same epoch.
@@ -206,14 +206,14 @@ func TestFeedFencesStaleEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.ApplyFeed(page); err != nil {
+	if _, err := fresh.ApplyFeed(page, nil); err != nil {
 		t.Fatal(err)
 	}
 	stalePage, err := old.Feed(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.ApplyFeed(stalePage); !errors.Is(err, ErrFenced) {
+	if _, err := fresh.ApplyFeed(stalePage, nil); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale-epoch page applied = %v, want ErrFenced", err)
 	}
 }
@@ -240,10 +240,10 @@ func TestFeedSnapshotCarriesResults(t *testing.T) {
 // an explicit error, not a silent hole.
 func TestFeedGapDetected(t *testing.T) {
 	r := reopen(t, nil, t.TempDir(), FileConfig{Replica: true})
-	page, _ := json.Marshal(feedPage{Epoch: 0, LSN: 5, Records: []rec{
-		{Op: "submit", LSN: 5, ID: 1, At: at(1), Spec: spec(1)},
+	page, _ := json.Marshal(feedPage{Epoch: 0, LSN: 5, Records: []wireRec{
+		{rec: rec{Op: opSubmit, LSN: 5, ID: 1, At: at(1), Spec: spec(1)}},
 	}})
-	if _, err := r.ApplyFeed(page); err == nil {
+	if _, err := r.ApplyFeed(page, nil); err == nil {
 		t.Fatal("gapped page applied cleanly")
 	}
 }

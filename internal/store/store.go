@@ -7,11 +7,14 @@
 // restarted on the same data directory without losing job history or
 // queued work.
 //
-// The store deliberately knows nothing about job specs or results beyond
-// their JSON encodings (json.RawMessage): internal/service owns the typed
-// shapes, the store owns identity, lifecycle and retention. That keeps the
-// dependency one-way and makes the journal format independent of the spec
-// format.
+// The store deliberately knows nothing about what it carries beyond JSON
+// encodings (json.RawMessage): internal/service owns the typed shapes, the
+// store owns identity, lifecycle and retention. A job's spec and result are
+// two such blobs; anything else a layer above wants kept with a job is an
+// annotation — an opaque value under a key the writer chooses (Annotate).
+// The store names no key (legacy.go, which reads data directories from
+// before annotations were generic, excepted), so the dependency is one-way
+// and the journal format is independent of every format it carries.
 package store
 
 import (
@@ -58,16 +61,27 @@ type Job struct {
 	FinishedAt  time.Time       `json:"finished_at,omitzero"`
 	Error       string          `json:"error,omitempty"`
 	Result      json.RawMessage `json:"result,omitempty"`
-	// Trace is the job's span timeline as opaque JSON (internal/tracelog
-	// owns the format). The service writes an initial timeline at submit
-	// and the full one at finish, so traces survive crash recovery and
-	// ride the replication feed to standbys.
-	Trace json.RawMessage `json:"trace,omitempty"`
-	// Attempts is the job's portfolio attempt ledger as opaque JSON
-	// (internal/service owns the format: per-strategy attempt records plus
-	// the winner). Like Trace it is journaled on its own record, so attempt
-	// history survives crash recovery and rides the replication feed.
-	Attempts json.RawMessage `json:"attempts,omitempty"`
+	// Annotations, in first-write order (read one with Annotation). The
+	// slice is copy-on-write: Annotate installs a fresh one and never
+	// touches one it has handed out, so a Job copy shares it for free and
+	// must treat it as read-only.
+	Annotations []Annotation `json:"annotations,omitempty"`
+}
+
+// Annotation is one keyed sidecar of a job (see Store.Annotate).
+type Annotation struct {
+	Key   string          `json:"key"`
+	Value json.RawMessage `json:"value,omitempty"`
+}
+
+// Annotation returns the value kept under key, nil when there is none.
+func (j Job) Annotation(key string) json.RawMessage {
+	for _, a := range j.Annotations {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return nil
 }
 
 // Sentinel errors of the lifecycle transitions.
@@ -91,14 +105,11 @@ type Store interface {
 	// of any terminal jobs evicted to respect the retention bound, so
 	// callers can drop their own per-job caches.
 	Finish(id int64, state State, at time.Time, errMsg string, result json.RawMessage) (evicted []int64, err error)
-	// SetTrace attaches (or replaces) a job's trace timeline. The blob is
-	// opaque to the store; durable backends journal it like any other
-	// transition so it replicates and survives restarts.
-	SetTrace(id int64, trace json.RawMessage) error
-	// SetAttempts attaches (or replaces) a job's portfolio attempt ledger.
-	// Last writer wins, valid in any state, journaled and replicated like
-	// SetTrace.
-	SetAttempts(id int64, attempts json.RawMessage) error
+	// Annotate attaches (or replaces) the value kept under key on a job;
+	// the store interprets neither. Last write wins, valid in any state (a
+	// final value can land just after Finish); durable backends journal it
+	// like any transition, so it survives restarts and replicates.
+	Annotate(id int64, key string, value json.RawMessage) error
 	// Get returns a snapshot of one job.
 	Get(id int64) (Job, bool)
 	// List returns snapshots ordered by ID, optionally filtered to the
@@ -113,15 +124,3 @@ type Store interface {
 // DefaultHistory is the terminal-job retention bound applied when a
 // backend is configured with History <= 0.
 const DefaultHistory = 4096
-
-func matches(st State, states []State) bool {
-	if len(states) == 0 {
-		return true
-	}
-	for _, want := range states {
-		if st == want {
-			return true
-		}
-	}
-	return false
-}

@@ -3,6 +3,11 @@ package store
 import (
 	"encoding/json"
 	"errors"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -152,40 +157,6 @@ func TestEvictionOldestFirst(t *testing.T) {
 	})
 }
 
-// TestAttemptsLedger pins the SetAttempts contract on both backends: the
-// blob round-trips opaquely, last writer wins, it stays writable after the
-// job goes terminal (the final ledger lands just after Finish), and unknown
-// IDs are rejected.
-func TestAttemptsLedger(t *testing.T) {
-	backends(t, 0, func(t *testing.T, s Store) {
-		if err := s.SetAttempts(99, json.RawMessage(`{}`)); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("SetAttempts(unknown) = %v, want ErrNotFound", err)
-		}
-		j, err := s.Submit(spec(1), at(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := json.RawMessage(`{"winner":"","attempts":[{"strategy":"rr","state":"running"}]}`)
-		if err := s.SetAttempts(j.ID, first); err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := s.Get(j.ID); string(got.Attempts) != string(first) {
-			t.Fatalf("attempts = %s, want %s", got.Attempts, first)
-		}
-		_ = s.Start(j.ID, at(1))
-		if _, err := s.Finish(j.ID, StateDone, at(2), "", nil); err != nil {
-			t.Fatal(err)
-		}
-		final := json.RawMessage(`{"winner":"rr","attempts":[{"strategy":"rr","state":"done","winner":true}]}`)
-		if err := s.SetAttempts(j.ID, final); err != nil {
-			t.Fatalf("SetAttempts after Finish = %v, want nil", err)
-		}
-		if got, _ := s.Get(j.ID); string(got.Attempts) != string(final) {
-			t.Fatalf("attempts after overwrite = %s, want %s", got.Attempts, final)
-		}
-	})
-}
-
 func TestParseState(t *testing.T) {
 	for _, name := range []string{"queued", "running", "done", "failed", "cancelled"} {
 		st, err := ParseState(name)
@@ -195,5 +166,28 @@ func TestParseState(t *testing.T) {
 	}
 	if _, err := ParseState("exploded"); err == nil {
 		t.Fatal("ParseState accepted an unknown state")
+	}
+}
+
+// TestImportSet pins what the package doc promises: the store depends on
+// the standard library, telemetry and ringbuf — nothing that knows what a
+// spec, a result or an annotation means.
+func TestImportSet(t *testing.T) {
+	allowed := map[string]bool{"hypersolve/internal/telemetry": true, "hypersolve/internal/ringbuf": true}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, file := range pkg.Files {
+			for _, imp := range file.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				if first, _, _ := strings.Cut(path, "/"); strings.Contains(first, ".") || (first == "hypersolve" && !allowed[path]) {
+					t.Errorf("%s imports %s", name, path)
+				}
+			}
+		}
 	}
 }
