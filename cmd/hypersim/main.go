@@ -15,181 +15,144 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
+	"strings"
 
 	hypersolve "hypersolve"
+	"hypersolve/internal/apps"
 	"hypersolve/internal/metrics"
 	"hypersolve/internal/sat"
+	"hypersolve/internal/service"
 )
 
 func main() {
-	var (
-		topoSpec   = flag.String("topo", "torus:14x14", "topology spec: torus:AxB[xC], grid:AxB, hypercube:N, full:N, ring:N, star:N")
-		mapperSpec = flag.String("mapper", "rr", "mapper spec: rr, rr-stagger, lbn, random, weighted[:alpha], ideal")
-		taskName   = flag.String("task", "sat", "workload: sat, sum, fib, queens, knapsack")
-		n          = flag.Int("n", 20, "task parameter (sum/fib argument, queens board size, knapsack items, sat variables)")
-		cnf        = flag.String("cnf", "", "DIMACS file for -task sat (overrides the generated instance)")
-		heuristic  = flag.String("heuristic", "first", "sat branching heuristic: first, freq, jw, dlis")
-		procs      = flag.Int("procs", 1, "logical processes per core (layer 2)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		maxSteps   = flag.Int64("max-steps", 0, "abort after this many steps (0 = default)")
-		series     = flag.Bool("series", false, "print the interconnect activity trace")
-		heatmap    = flag.Bool("heatmap", false, "print the node activity heatmap")
-		linkQueues = flag.Bool("link-queues", false, "use per-link queues instead of per-node queues")
-		runs       = flag.Int("runs", 1, "replicate the run this many times with seeds seed..seed+runs-1 and report a summary")
-		par        = flag.Int("parallel", 0, "concurrent simulations when -runs > 1 (0 = GOMAXPROCS, 1 = serial)")
-	)
-	flag.Parse()
-	if err := run(*topoSpec, *mapperSpec, *taskName, *n, *cnf, *heuristic, *procs, *seed, *maxSteps, *series, *heatmap, *linkQueues, *runs, *par); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "hypersim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(topoSpec, mapperSpec, taskName string, n int, cnf, heuristic string, procs int, seed, maxSteps int64, series, heatmap, linkQueues bool, runs, par int) error {
-	topo, err := hypersolve.ParseTopology(topoSpec)
-	if err != nil {
-		return err
-	}
-	mapper, err := hypersolve.ParseMapper(mapperSpec)
-	if err != nil {
-		return err
-	}
+// An oracle renders a distributed result beside the workload's sequential
+// answer; a kind without one prints the bare value.
+type oracle func(spec service.JobSpec, c service.Compiled, v hypersolve.Value) string
 
-	var task hypersolve.Task
-	var arg hypersolve.Value
-	var check func(v hypersolve.Value) string
-	switch taskName {
-	case "sum":
-		task, arg = hypersolve.SumTask(), n
-		check = func(v hypersolve.Value) string {
-			return fmt.Sprintf("sum(%d) = %v (want %d)", n, v, n*(n+1)/2)
-		}
-	case "fib":
-		task, arg = hypersolve.FibTask(), n
-		check = func(v hypersolve.Value) string { return fmt.Sprintf("fib(%d) = %v", n, v) }
-	case "queens":
-		task, arg = hypersolve.QueensTask(3), hypersolve.QueensState{N: n}
-		check = func(v hypersolve.Value) string {
-			return fmt.Sprintf("queens(%d) = %v solutions (sequential: %d)", n, v, hypersolve.QueensSeq(n))
-		}
-	case "knapsack":
-		rng := rand.New(rand.NewSource(seed))
-		items := make([]hypersolve.KnapsackItem, n)
-		capacity := 0
-		for i := range items {
-			items[i] = hypersolve.KnapsackItem{Weight: 1 + rng.Intn(20), Value: 1 + rng.Intn(40)}
-			capacity += items[i].Weight
-		}
-		capacity /= 2
-		task, arg = hypersolve.KnapsackTask(3), hypersolve.NewKnapsack(items, capacity)
-		dp := hypersolve.KnapsackDP(items, capacity)
-		check = func(v hypersolve.Value) string {
-			return fmt.Sprintf("knapsack(%d items, cap %d) = %v (DP oracle: %d)", n, capacity, v, dp)
-		}
-	case "sat":
-		var formula hypersolve.Formula
-		if cnf != "" {
-			f, err := os.Open(cnf)
-			if err != nil {
-				return err
-			}
-			formula, err = sat.ParseDIMACS(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
+var oracles = map[string]oracle{
+	"sum": func(spec service.JobSpec, _ service.Compiled, v hypersolve.Value) string {
+		return fmt.Sprintf("sum(%d) = %v (want %d)", spec.N, v, spec.N*(spec.N+1)/2)
+	},
+	"queens": func(spec service.JobSpec, _ service.Compiled, v hypersolve.Value) string {
+		return fmt.Sprintf("queens(%d) = %v solutions (sequential: %d)", spec.N, v, hypersolve.QueensSeq(spec.N))
+	},
+	"knapsack": func(spec service.JobSpec, c service.Compiled, v hypersolve.Value) string {
+		root := c.Arg.(apps.KnapsackProblem)
+		return fmt.Sprintf("knapsack(%d items, cap %d) = %v (DP oracle: %d)",
+			spec.N, root.Capacity, v, hypersolve.KnapsackDP(root.Items, root.Capacity))
+	},
+	"sat":    satOracle,
+	"dimacs": satOracle,
+}
+
+func satOracle(spec service.JobSpec, c service.Compiled, v hypersolve.Value) string {
+	out := v.(hypersolve.SATOutcome)
+	verdict := out.Status.String()
+	if out.Status == hypersolve.StatusSAT {
+		if hypersolve.VerifySAT(*c.Formula, out.Assignment) {
+			verdict += " (assignment verified)"
 		} else {
-			formula = sat.Random3SAT(rand.New(rand.NewSource(seed)), n, int(float64(n)*4.36))
+			verdict += " (ASSIGNMENT INVALID)"
 		}
-		h, err := sat.ParseHeuristic(heuristic)
+	}
+	h, _ := sat.ParseHeuristic(spec.Heuristic) // Compile accepted it
+	seq := hypersolve.SolveSAT(*c.Formula, sat.Options{Heuristic: h})
+	return fmt.Sprintf("distributed: %s | sequential baseline: %s", verdict, seq.Status)
+}
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("hypersim", flag.ExitOnError)
+	var spec service.JobSpec
+	fs.StringVar(&spec.Topology, "topo", "torus:14x14", "topology spec: torus:AxB[xC], grid:AxB, hypercube:N, full:N, ring:N, star:N")
+	fs.StringVar(&spec.Mapper, "mapper", "rr", "mapper spec: rr, rr-stagger, lbn, random, weighted[:alpha], ideal")
+	fs.StringVar(&spec.Kind, "task", "sat", "workload: sat, sum, fib, queens, knapsack")
+	fs.IntVar(&spec.N, "n", 20, "task parameter (sum/fib argument, queens board size, knapsack items, sat variables)")
+	cnf := fs.String("cnf", "", "DIMACS file for -task sat (overrides the generated instance)")
+	fs.StringVar(&spec.Heuristic, "heuristic", "first", "sat branching heuristic: first, freq, jw, dlis")
+	fs.IntVar(&spec.ProcsPerNode, "procs", 1, "logical processes per core (layer 2)")
+	fs.Int64Var(&spec.Seed, "seed", 1, "random seed")
+	fs.Int64Var(&spec.MaxSteps, "max-steps", 0, "abort after this many steps (0 = default)")
+	fs.BoolVar(&spec.RecordSeries, "series", false, "print the interconnect activity trace")
+	heatmap := fs.Bool("heatmap", false, "print the node activity heatmap")
+	linkQueues := fs.Bool("link-queues", false, "use per-link queues instead of per-node queues")
+	runs := fs.Int("runs", 1, "replicate the run this many times with seeds seed..seed+runs-1 and report a summary")
+	par := fs.Int("parallel", 0, "concurrent simulations when -runs > 1 (0 = GOMAXPROCS, 1 = serial)")
+	fs.Parse(args)
+
+	if *cnf != "" {
+		text, err := os.ReadFile(*cnf)
 		if err != nil {
 			return err
 		}
-		task, arg = hypersolve.SATTask(h), hypersolve.NewSATProblem(formula)
-		check = func(v hypersolve.Value) string {
-			out := v.(hypersolve.SATOutcome)
-			verdict := out.Status.String()
-			if out.Status == hypersolve.StatusSAT {
-				if hypersolve.VerifySAT(formula, out.Assignment) {
-					verdict += " (assignment verified)"
-				} else {
-					verdict += " (ASSIGNMENT INVALID)"
-				}
-			}
-			seq := hypersolve.SolveSAT(formula, sat.Options{Heuristic: h})
-			return fmt.Sprintf("distributed: %s | sequential baseline: %s", verdict, seq.Status)
+		if spec.CNF = string(text); spec.CNF == "" {
+			return fmt.Errorf("%s: empty DIMACS file", *cnf)
 		}
-	default:
-		return fmt.Errorf("unknown task %q (want sat|sum|fib|queens|knapsack)", taskName)
 	}
-
-	cfg := hypersolve.Config{
-		Topology:     topo,
-		Mapper:       mapper,
-		Task:         task,
-		ProcsPerNode: procs,
-		Seed:         seed,
-		MaxSteps:     maxSteps,
-		RecordSeries: series,
-		Parallelism:  par,
+	if *linkQueues {
+		spec.Link.QueueModel = "link"
 	}
-	if linkQueues {
-		cfg.Link.QueueModel = hypersolve.LinkQueues
+	c, err := spec.Compile()
+	if err != nil {
+		return err
 	}
-	if runs > 1 {
-		return runReplicates(cfg, mapperSpec, taskName, arg, check, runs, series, heatmap)
+	check := func(v hypersolve.Value) string {
+		if o := oracles[strings.ToLower(spec.Kind)]; o != nil {
+			return o(spec, c, v)
+		}
+		return fmt.Sprintf("%s(%d) = %v", spec.Kind, spec.N, v)
+	}
+	cfg := c.Config
+	cfg.Parallelism = *par
+	if *runs > 1 {
+		return runReplicates(w, cfg, spec, c.Arg, check, *runs, *heatmap)
 	}
 	machine, err := hypersolve.NewMachine(cfg)
 	if err != nil {
 		return err
 	}
-	res, err := machine.Run(arg)
+	res, err := machine.Run(c.Arg)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("machine: %s (%d cores), mapper %s, task %s\n", topo.Name(), topo.Size(), mapperSpec, taskName)
+	fmt.Fprintf(w, "machine: %s (%d cores), mapper %s, task %s\n", cfg.Topology.Name(), cfg.Topology.Size(), spec.Mapper, spec.Kind)
 	if !res.OK {
-		fmt.Println("run did NOT complete (MaxSteps exceeded)")
+		fmt.Fprintln(w, "run did NOT complete (MaxSteps exceeded)")
 	} else {
-		fmt.Println(check(res.Value))
+		fmt.Fprintln(w, check(res.Value))
 	}
-	fmt.Printf("computation time: %d steps (performance %.6f)\n", res.ComputationTime, res.Performance)
-	fmt.Printf("messages: sent %d, delivered %d\n", res.Stats.TotalSent, res.Stats.TotalDelivered)
+	fmt.Fprintf(w, "computation time: %d steps (performance %.6f)\n", res.ComputationTime, res.Performance)
+	fmt.Fprintf(w, "messages: sent %d, delivered %d\n", res.Stats.TotalSent, res.Stats.TotalDelivered)
 	var frames int64
 	for _, f := range res.FramesPerProcess {
 		frames += f
 	}
-	fmt.Printf("task frames evaluated: %d\n", frames)
-	if series {
-		fmt.Println("\ninterconnect activity (queued messages vs time):")
-		fmt.Print(metrics.AsciiPlot(res.QueuedSeries, 64, 12))
+	fmt.Fprintf(w, "task frames evaluated: %d\n", frames)
+	if spec.RecordSeries {
+		fmt.Fprintln(w, "\ninterconnect activity (queued messages vs time):")
+		fmt.Fprint(w, metrics.AsciiPlot(res.QueuedSeries, 64, 12))
 	}
-	if heatmap {
+	if *heatmap {
 		hm := machine.NodeHeatmap(res)
-		fmt.Printf("\nnode activity heatmap (imbalance CV %.2f):\n", hm.ImbalanceCV())
-		fmt.Print(hm.Render())
+		fmt.Fprintf(w, "\nnode activity heatmap (imbalance CV %.2f):\n", hm.ImbalanceCV())
+		fmt.Fprint(w, hm.Render())
 	}
 	return nil
 }
 
 // runReplicates executes the same workload runs times with seeds
 // cfg.Seed..cfg.Seed+runs-1, fanned out over cfg.Parallelism workers, and
-// reports per-run computation times plus a summary. The mapper spec is
-// re-parsed per machine (Config.FreshMapper) so stateful factories (the
-// idealised "ideal" mapper's machine-wide cursor) get a fresh instance per
-// machine — results are identical at every -parallel level. The -series and
-// -heatmap flags apply to run 0.
-func runReplicates(cfg hypersolve.Config, mapperSpec, taskName string, arg hypersolve.Value, check func(hypersolve.Value) string, runs int, series, heatmap bool) error {
-	cfg.FreshMapper = func() hypersolve.MapperFactory {
-		mf, err := hypersolve.ParseMapper(mapperSpec)
-		if err != nil {
-			panic(err) // unreachable: the caller already validated the spec
-		}
-		return mf
-	}
+// reports per-run computation times plus a summary; results are identical at
+// every -parallel level. The -series and -heatmap flags apply to run 0.
+func runReplicates(w io.Writer, cfg hypersolve.Config, spec service.JobSpec, arg hypersolve.Value, check func(hypersolve.Value) string, runs int, heatmap bool) error {
 	baseSeed := cfg.Seed
 	args := make([]hypersolve.Value, runs)
 	for i := range args {
@@ -199,25 +162,25 @@ func runReplicates(cfg hypersolve.Config, mapperSpec, taskName string, arg hyper
 	if err != nil {
 		return err
 	}
-	fmt.Printf("machine: %s (%d cores), mapper %s, task %s, %d runs\n",
-		cfg.Topology.Name(), cfg.Topology.Size(), mapperSpec, taskName, runs)
+	fmt.Fprintf(w, "machine: %s (%d cores), mapper %s, task %s, %d runs\n",
+		cfg.Topology.Name(), cfg.Topology.Size(), spec.Mapper, spec.Kind, runs)
 	steps := make([]float64, 0, runs)
 	for i, res := range results {
 		if !res.OK {
-			fmt.Printf("run %2d (seed %d): did NOT complete (MaxSteps exceeded)\n", i, baseSeed+int64(i))
+			fmt.Fprintf(w, "run %2d (seed %d): did NOT complete (MaxSteps exceeded)\n", i, baseSeed+int64(i))
 			continue
 		}
-		fmt.Printf("run %2d (seed %d): %d steps | %s\n", i, baseSeed+int64(i), res.ComputationTime, check(res.Value))
+		fmt.Fprintf(w, "run %2d (seed %d): %d steps | %s\n", i, baseSeed+int64(i), res.ComputationTime, check(res.Value))
 		steps = append(steps, float64(res.ComputationTime))
 	}
 	if len(steps) > 0 {
 		sum := metrics.Summarize(steps)
-		fmt.Printf("computation time over %d completed runs: mean %.1f steps (std %.1f, min %.0f, max %.0f)\n",
+		fmt.Fprintf(w, "computation time over %d completed runs: mean %.1f steps (std %.1f, min %.0f, max %.0f)\n",
 			len(steps), sum.Mean, sum.Std, sum.Min, sum.Max)
 	}
-	if series {
-		fmt.Println("\ninterconnect activity of run 0 (queued messages vs time):")
-		fmt.Print(metrics.AsciiPlot(results[0].QueuedSeries, 64, 12))
+	if spec.RecordSeries {
+		fmt.Fprintln(w, "\ninterconnect activity of run 0 (queued messages vs time):")
+		fmt.Fprint(w, metrics.AsciiPlot(results[0].QueuedSeries, 64, 12))
 	}
 	if heatmap {
 		// NodeHeatmap only folds per-process counts onto the topology, so a
@@ -227,8 +190,8 @@ func runReplicates(cfg hypersolve.Config, mapperSpec, taskName string, arg hyper
 			return err
 		}
 		hm := machine.NodeHeatmap(results[0])
-		fmt.Printf("\nnode activity heatmap of run 0 (imbalance CV %.2f):\n", hm.ImbalanceCV())
-		fmt.Print(hm.Render())
+		fmt.Fprintf(w, "\nnode activity heatmap of run 0 (imbalance CV %.2f):\n", hm.ImbalanceCV())
+		fmt.Fprint(w, hm.Render())
 	}
 	return nil
 }

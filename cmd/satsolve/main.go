@@ -14,80 +14,80 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	hypersolve "hypersolve"
 	"hypersolve/internal/sat"
+	"hypersolve/internal/service"
 )
 
 func main() {
-	var (
-		meshSpec   = flag.String("mesh", "", "solve on a simulated machine, e.g. torus:14x14 (default: sequential)")
-		mapperSpec = flag.String("mapper", "lbn", "mapper for -mesh runs")
-		heuristic  = flag.String("heuristic", "first", "branching heuristic: first, freq, jw, dlis")
-		stats      = flag.Bool("stats", false, "print search statistics")
-		model      = flag.Bool("assignment", false, "print the satisfying assignment")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: satsolve [flags] instance.cnf")
-		os.Exit(1)
-	}
-	status, err := run(flag.Arg(0), *meshSpec, *mapperSpec, *heuristic, *stats, *model)
+	status, err := run(os.Args[1:], os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "satsolve:", err)
-		os.Exit(1)
 	}
-	switch status {
+	os.Exit(exitCode(status))
+}
+
+// exitCode follows the SAT-competition convention; run reports every error
+// with an Unknown status.
+func exitCode(s sat.Status) int {
+	switch s {
 	case sat.SAT:
-		os.Exit(10)
+		return 10
 	case sat.UNSAT:
-		os.Exit(20)
+		return 20
 	default:
-		os.Exit(1)
+		return 1
 	}
 }
 
-func run(path, meshSpec, mapperSpec, heuristic string, stats, model bool) (sat.Status, error) {
-	file, err := os.Open(path)
+func run(args []string, w io.Writer) (sat.Status, error) {
+	fs := flag.NewFlagSet("satsolve", flag.ExitOnError)
+	var (
+		meshSpec   = fs.String("mesh", "", "solve on a simulated machine, e.g. torus:14x14 (default: sequential)")
+		mapperSpec = fs.String("mapper", "lbn", "mapper for -mesh runs")
+		heuristic  = fs.String("heuristic", "first", "branching heuristic: first, freq, jw, dlis")
+		stats      = fs.Bool("stats", false, "print search statistics")
+		model      = fs.Bool("assignment", false, "print the satisfying assignment")
+	)
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		return sat.Unknown, fmt.Errorf("usage: satsolve [flags] instance.cnf")
+	}
+	text, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return sat.Unknown, err
 	}
-	formula, err := sat.ParseDIMACS(file)
-	file.Close()
-	if err != nil {
-		return sat.Unknown, err
-	}
-	h, err := sat.ParseHeuristic(heuristic)
+	formula, err := sat.ParseDIMACS(bytes.NewReader(text))
 	if err != nil {
 		return sat.Unknown, err
 	}
 
 	var status sat.Status
 	var assignment sat.Assignment
-	if meshSpec == "" {
+	if *meshSpec == "" {
+		h, err := sat.ParseHeuristic(*heuristic)
+		if err != nil {
+			return sat.Unknown, err
+		}
 		res := sat.Solve(formula, sat.Options{Heuristic: h})
 		status, assignment = res.Status, res.Assignment
-		if stats {
-			fmt.Printf("c calls=%d decisions=%d unit_props=%d pure_assigns=%d\n",
+		if *stats {
+			fmt.Fprintf(w, "c calls=%d decisions=%d unit_props=%d pure_assigns=%d\n",
 				res.Calls, res.Decisions, res.UnitProps, res.PureAssigns)
 		}
 	} else {
-		topo, err := hypersolve.ParseTopology(meshSpec)
+		c, err := service.JobSpec{Kind: "sat", CNF: string(text), Heuristic: *heuristic,
+			Topology: *meshSpec, Mapper: *mapperSpec}.Compile()
 		if err != nil {
 			return sat.Unknown, err
 		}
-		mapper, err := hypersolve.ParseMapper(mapperSpec)
-		if err != nil {
-			return sat.Unknown, err
-		}
-		res, err := hypersolve.Run(hypersolve.Config{
-			Topology: topo,
-			Mapper:   mapper,
-			Task:     hypersolve.SATTask(h),
-		}, hypersolve.NewSATProblem(formula))
+		res, err := hypersolve.Run(c.Config, c.Arg)
 		if err != nil {
 			return sat.Unknown, err
 		}
@@ -96,26 +96,26 @@ func run(path, meshSpec, mapperSpec, heuristic string, stats, model bool) (sat.S
 		}
 		out := res.Value.(sat.Outcome)
 		status, assignment = out.Status, out.Assignment
-		if stats {
-			fmt.Printf("c steps=%d messages=%d cores=%d\n",
-				res.ComputationTime, res.Stats.TotalSent, topo.Size())
+		if *stats {
+			fmt.Fprintf(w, "c steps=%d messages=%d cores=%d\n",
+				res.ComputationTime, res.Stats.TotalSent, c.Config.Topology.Size())
 		}
 	}
 
 	if status == sat.SAT && !sat.Verify(formula, assignment) {
 		return sat.Unknown, fmt.Errorf("internal error: SAT claimed but assignment invalid")
 	}
-	fmt.Println("s", satCompetitionName(status))
-	if model && status == sat.SAT {
-		fmt.Print("v ")
+	fmt.Fprintln(w, "s", satCompetitionName(status))
+	if *model && status == sat.SAT {
+		fmt.Fprint(w, "v ")
 		for v := 1; v <= formula.NumVars; v++ {
 			lit := v
 			if assignment.Value(v) != 1 {
 				lit = -v
 			}
-			fmt.Print(lit, " ")
+			fmt.Fprint(w, lit, " ")
 		}
-		fmt.Println("0")
+		fmt.Fprintln(w, "0")
 	}
 	return status, nil
 }

@@ -91,7 +91,7 @@ func Run(cfg Config, arg Value) (Result, error) { return core.RunOnce(cfg, arg) 
 // RunSuite simulates one machine per argument (run i uses seed cfg.Seed+i),
 // fanning independent runs over cfg.Parallelism worker goroutines. Results
 // are collected by argument index: the output is bit-identical at every
-// parallelism level. See core.RunSuite for the mapper-statelessness caveat.
+// parallelism level.
 func RunSuite(cfg Config, args []Value) ([]Result, error) { return core.RunSuite(cfg, args) }
 
 // ---------------------------------------------------------------------------

@@ -28,16 +28,10 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"math/rand/v2"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -124,73 +118,6 @@ type routerMetrics struct {
 	spillovers     *telemetry.Counter
 	proxiedStreams *telemetry.Counter
 	scrapeErrors   *telemetry.Counter
-}
-
-// endpoint is one daemon (a primary or a standby) plus the router's view of
-// its health.
-type endpoint struct {
-	base   string
-	client *service.Client
-	// up mirrors the healthy flag into the router's telemetry registry,
-	// labeled by shard and URL (bound in addShardLocked).
-	up *telemetry.Gauge
-
-	mu      sync.Mutex
-	healthy bool
-	lastErr string // failure that degraded it, "" when healthy
-	// probeFails counts consecutive failed probes; downSince is stamped
-	// when it first reaches the FailAfter threshold. Together they gate
-	// promotion — routing health is the healthy flag alone.
-	probeFails int
-	downSince  time.Time
-}
-
-func (e *endpoint) setHealthy() {
-	e.mu.Lock()
-	e.healthy, e.lastErr = true, ""
-	e.probeFails, e.downSince = 0, time.Time{}
-	e.mu.Unlock()
-	e.up.Set(1)
-}
-
-func (e *endpoint) setDegraded(err error) {
-	e.mu.Lock()
-	e.healthy, e.lastErr = false, err.Error()
-	e.mu.Unlock()
-	e.up.Set(0)
-}
-
-// probeFailed records one failed background probe, degrading the endpoint
-// immediately and stamping the down clock once failAfter consecutive
-// probes have failed.
-func (e *endpoint) probeFailed(err error, failAfter int) {
-	e.mu.Lock()
-	e.healthy, e.lastErr = false, err.Error()
-	if e.probeFails++; e.probeFails >= failAfter && e.downSince.IsZero() {
-		e.downSince = time.Now()
-	}
-	e.mu.Unlock()
-	e.up.Set(0)
-}
-
-func (e *endpoint) state() (healthy bool, lastErr string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.healthy, e.lastErr
-}
-
-func (e *endpoint) isHealthy() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.healthy
-}
-
-// downFor reports whether the endpoint has been down (failAfter consecutive
-// failed probes) for at least grace.
-func (e *endpoint) downFor(failAfter int, grace time.Duration) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.probeFails >= failAfter && !e.downSince.IsZero() && time.Since(e.downSince) >= grace
 }
 
 // shard is one partition of the job space: a primary endpoint, an optional
@@ -345,72 +272,6 @@ func (r *Router) upGauge(shardID int, base string) *telemetry.Gauge {
 		telemetry.Label{Key: "url", Value: base})
 }
 
-// newEndpoint normalises a base URL into an endpoint, checking it against
-// every URL already in the fleet (two shards on one store would double-run
-// jobs). Callers hold r.mu.
-func (r *Router) newEndpoint(base string, who string) (*endpoint, error) {
-	base = strings.TrimSuffix(strings.TrimSpace(base), "/")
-	if base == "" {
-		return nil, fmt.Errorf("cluster: %s has an empty URL", who)
-	}
-	for _, sh := range r.shards {
-		for _, e := range []*endpoint{sh.primary, sh.standby} {
-			if e != nil && e.base == base {
-				return nil, fmt.Errorf("cluster: duplicate backend %s (two shards on one store would double-run jobs)", base)
-			}
-		}
-	}
-	return &endpoint{
-		base:    base,
-		client:  &service.Client{Base: base, HTTP: r.cfg.HTTP, Retry: r.cfg.Retry},
-		healthy: true,
-	}, nil
-}
-
-// addShardLocked registers a new shard under the next free ID. Callers
-// hold r.mu (or own the router exclusively, as New does) and rebuild the
-// ring afterwards.
-func (r *Router) addShardLocked(primary, standby string) (int, error) {
-	p, err := r.newEndpoint(primary, fmt.Sprintf("shard %d primary", r.nextID+1))
-	if err != nil {
-		return 0, err
-	}
-	sh := &shard{id: r.nextID + 1, primary: p}
-	if strings.TrimSpace(standby) != "" {
-		// Register the primary before validating the standby so the
-		// duplicate check sees it.
-		r.shards[sh.id] = sh
-		s, err := r.newEndpoint(standby, fmt.Sprintf("shard %d standby", sh.id))
-		if err != nil {
-			delete(r.shards, sh.id)
-			return 0, err
-		}
-		sh.standby = s
-	}
-	r.shards[sh.id] = sh
-	r.nextID = sh.id
-	sh.primary.up = r.upGauge(sh.id, sh.primary.base)
-	sh.primary.up.Set(1)
-	if sh.standby != nil {
-		sh.standby.up = r.upGauge(sh.id, sh.standby.base)
-		sh.standby.up.Set(1)
-	}
-	return sh.id, nil
-}
-
-// rebuildRingLocked recomputes the placement ring over the non-draining
-// shards. Callers hold r.mu.
-func (r *Router) rebuildRingLocked() {
-	ids := make([]int, 0, len(r.shards))
-	for id, sh := range r.shards {
-		if !sh.isDraining() {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	r.ring = newRing(ids, r.cfg.RingReplicas)
-}
-
 // Close stops the background re-probe loop.
 func (r *Router) Close() {
 	r.stopped.Do(func() { close(r.stop) })
@@ -443,766 +304,4 @@ func (r *Router) shardList() []*shard {
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].id < out[k].id })
 	return out
-}
-
-func (r *Router) probeLoop() {
-	defer close(r.done)
-	tick := time.NewTicker(r.cfg.ProbeEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-tick.C:
-			r.probeJittered()
-			r.reconcile()
-		}
-	}
-}
-
-// probeJittered probes every endpoint in the fleet, each delayed by a small
-// random jitter so the fleet never sees a synchronized probe wave, each
-// bounded by ProbeTimeout on a background context — a cancelled or slow
-// caller elsewhere cannot starve health detection.
-func (r *Router) probeJittered() {
-	maxJitter := r.cfg.ProbeEvery / 5
-	if maxJitter > 200*time.Millisecond {
-		maxJitter = 200 * time.Millisecond
-	}
-	var wg sync.WaitGroup
-	for _, sh := range r.shardList() {
-		sh.mu.Lock()
-		eps := []*endpoint{sh.primary}
-		if sh.standby != nil {
-			eps = append(eps, sh.standby)
-		}
-		sh.mu.Unlock()
-		for _, ep := range eps {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if maxJitter > 0 {
-					select {
-					case <-r.stop:
-						return
-					case <-time.After(time.Duration(rand.Int64N(int64(maxJitter)))):
-					}
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
-				defer cancel()
-				if _, err := ep.client.Health(ctx); err != nil {
-					ep.probeFailed(err, r.cfg.FailAfter)
-					return
-				}
-				ep.setHealthy()
-			}()
-		}
-	}
-	wg.Wait()
-}
-
-// reconcile drives the failover state machine after each probe round:
-//
-//   - A shard whose primary has been down for FailAfter consecutive probes
-//     plus the PromoteAfter grace period, with a healthy standby, has the
-//     standby promoted: its replica store goes read-write (bumping the
-//     fencing epoch) and re-runs whatever the dead primary left queued.
-//   - A promoted shard whose old primary is reachable again demotes it:
-//     the stale node discards its divergent tail, re-syncs from the new
-//     primary, and becomes the shard's standby — roles swap, no
-//     split-brain.
-func (r *Router) reconcile() {
-	for _, sh := range r.shardList() {
-		sh.mu.Lock()
-		if sh.standby == nil {
-			sh.mu.Unlock()
-			continue
-		}
-		switch {
-		case !sh.activeStandby:
-			primary, standby := sh.primary, sh.standby
-			sh.mu.Unlock()
-			if !primary.downFor(r.cfg.FailAfter, r.cfg.PromoteAfter) || !standby.isHealthy() {
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
-			res, err := standby.client.Promote(ctx)
-			cancel()
-			if err != nil {
-				r.log().Warn("shard promotion failed", tracelog.A("shard", sh.id),
-					tracelog.A("standby", standby.base), tracelog.A("error", err.Error()))
-				continue
-			}
-			sh.mu.Lock()
-			sh.activeStandby, sh.promoted = true, true
-			sh.mu.Unlock()
-			r.metrics.promotions.Inc()
-			r.log().Info("shard failed over", tracelog.A("shard", sh.id),
-				tracelog.A("standby", standby.base), tracelog.A("epoch", res.Epoch),
-				tracelog.A("requeued", len(res.Requeued)))
-		default:
-			// Promoted: heal the old primary once it answers probes again.
-			oldPrimary, newPrimary := sh.primary, sh.standby
-			sh.mu.Unlock()
-			if !oldPrimary.isHealthy() {
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
-			_, err := oldPrimary.client.Demote(ctx, newPrimary.base)
-			cancel()
-			if err != nil {
-				r.log().Warn("stale primary demotion failed", tracelog.A("shard", sh.id),
-					tracelog.A("primary", oldPrimary.base), tracelog.A("error", err.Error()))
-				continue
-			}
-			sh.mu.Lock()
-			sh.primary, sh.standby = newPrimary, oldPrimary
-			sh.activeStandby = false
-			sh.mu.Unlock()
-			r.metrics.demotions.Inc()
-			r.log().Info("shard healed", tracelog.A("shard", sh.id),
-				tracelog.A("demoted", oldPrimary.base), tracelog.A("primary", newPrimary.base))
-		}
-	}
-}
-
-// probe checks every endpoint's /healthz concurrently (each attempt bounded
-// by ProbeTimeout), updating the degraded flags, and returns both the active
-// and alternate endpoints' reports per shard (zero Health where unreachable
-// or unreplicated), keyed by position in shardList. The alternate's report
-// carries the standby's replication lag. When the parent context is
-// cancelled mid-probe the remaining verdicts are discarded rather than
-// recorded: an impatient /v1/cluster caller must not degrade healthy
-// backends.
-func (r *Router) probe(parent context.Context) (active, standby []service.Health) {
-	shards := r.shardList()
-	active = make([]service.Health, len(shards))
-	standby = make([]service.Health, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		probeOne := func(ep *endpoint, record *service.Health) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(parent, r.cfg.ProbeTimeout)
-			defer cancel()
-			h, err := ep.client.Health(ctx)
-			if err != nil {
-				if parent.Err() == nil {
-					ep.setDegraded(err)
-				}
-				return
-			}
-			ep.setHealthy()
-			*record = h
-		}
-		act, alt := sh.active(), sh.alternate()
-		wg.Add(1)
-		go probeOne(act, &active[i])
-		if alt != nil {
-			wg.Add(1)
-			go probeOne(alt, &standby[i])
-		}
-	}
-	wg.Wait()
-	return active, standby
-}
-
-// Submit places the spec on its ring-assigned shard and returns the
-// accepted job with its sharded ID. When the assigned shard is degraded or
-// fails at the transport level, placement walks the ring to the next
-// distinct shard — the ID records where the job actually landed, so
-// spillover placement stays fully addressable. Draining shards are skipped
-// entirely. Each backend attempt is bounded by SubmitTimeout, so one hung
-// backend cannot stall admission past the walk. A backend that answers
-// with an HTTP verdict (400 bad spec, 429 after the client's retries, 503)
-// ends the walk: the backend spoke for the cluster.
-func (r *Router) Submit(ctx context.Context, spec service.JobSpec) (service.Job, error) {
-	data, err := json.Marshal(spec)
-	if err != nil {
-		return service.Job{}, err
-	}
-	r.mu.RLock()
-	ring := r.ring
-	r.mu.RUnlock()
-	seq := ring.sequence(data)
-	// The ring's first live choice, for spillover accounting: landing
-	// anywhere else means placement walked past the assigned shard.
-	firstChoice := 0
-	for _, sid := range seq {
-		if sh := r.shardByID(sid); sh != nil && !sh.isDraining() {
-			firstChoice = sid
-			break
-		}
-	}
-	// First pass: healthy shards in ring order. Second pass: shards that
-	// were already degraded at entry — they may have just come back, and
-	// trying beats failing. Shards that failed during the first pass are
-	// not retried: they cannot have recovered in microseconds, and
-	// re-paying their transport timeout would double outage latency.
-	tried := make(map[int]bool, len(seq))
-	var lastTransportErr error
-	for _, wantHealthy := range []bool{true, false} {
-		for _, sid := range seq {
-			sh := r.shardByID(sid)
-			if sh == nil || sh.isDraining() || tried[sid] {
-				continue
-			}
-			ep := sh.active()
-			if ep.isHealthy() != wantHealthy {
-				continue
-			}
-			tried[sid] = true
-			attemptCtx, cancel := context.WithTimeout(ctx, r.cfg.SubmitTimeout)
-			job, err := ep.client.Submit(attemptCtx, spec)
-			cancel()
-			if err == nil {
-				ep.setHealthy()
-				if sh.id != firstChoice {
-					r.metrics.spillovers.Inc()
-				}
-				job.ID.Shard = sh.id
-				return job, nil
-			}
-			if _, spoke := service.ErrorStatus(err); spoke {
-				return service.Job{}, err
-			}
-			if ctx.Err() != nil {
-				return service.Job{}, err
-			}
-			ep.setDegraded(err)
-			lastTransportErr = err
-		}
-	}
-	if lastTransportErr != nil {
-		return service.Job{}, fmt.Errorf("%w: %v", ErrNoBackends, lastTransportErr)
-	}
-	return service.Job{}, ErrNoBackends
-}
-
-// route resolves a sharded ID to its shard.
-func (r *Router) route(id service.JobID) (*shard, error) {
-	if !id.Sharded() {
-		return nil, fmt.Errorf("%w: %q", ErrUnsharded, id)
-	}
-	sh := r.shardByID(id.Shard)
-	if sh == nil {
-		return nil, fmt.Errorf("%w: %q names shard %d", ErrUnknownShard, id, id.Shard)
-	}
-	return sh, nil
-}
-
-// getFrom performs a point read against one endpoint, maintaining its
-// health flags.
-func getFrom(ctx context.Context, ep *endpoint, seq int64) (service.Job, error) {
-	job, err := ep.client.Get(ctx, service.JobID{Seq: seq})
-	if err != nil {
-		if _, spoke := service.ErrorStatus(err); !spoke && ctx.Err() == nil {
-			ep.setDegraded(err)
-		}
-		return service.Job{}, err
-	}
-	ep.setHealthy()
-	return job, nil
-}
-
-// Get fetches one job from the shard encoded in its ID. A transport-level
-// failure reaching the shard's active endpoint fails over to its standby
-// (whose replica store serves the same records), so a freshly dead primary
-// answers reads immediately — promotion can take its grace period without
-// blinding the fleet.
-func (r *Router) Get(ctx context.Context, id service.JobID) (service.Job, error) {
-	sh, err := r.route(id)
-	if err != nil {
-		return service.Job{}, err
-	}
-	job, err := getFrom(ctx, sh.active(), id.Seq)
-	if err != nil {
-		if _, spoke := service.ErrorStatus(err); !spoke && ctx.Err() == nil {
-			if alt := sh.alternate(); alt != nil {
-				if job, altErr := getFrom(ctx, alt, id.Seq); altErr == nil {
-					r.metrics.readFailovers.Inc()
-					job.ID.Shard = sh.id
-					return job, nil
-				}
-			}
-		}
-		return service.Job{}, err
-	}
-	job.ID.Shard = sh.id
-	return job, nil
-}
-
-// Trace fetches one job's span timeline from the shard encoded in its ID,
-// with the same standby read-failover as Get: the timeline rides the
-// replication feed, so a standby serves it (plus its own replica_apply
-// spans) while the primary is dead.
-func (r *Router) Trace(ctx context.Context, id service.JobID) (service.JobTrace, error) {
-	sh, err := r.route(id)
-	if err != nil {
-		return service.JobTrace{}, err
-	}
-	traceFrom := func(ep *endpoint) (service.JobTrace, error) {
-		jt, err := ep.client.Trace(ctx, service.JobID{Seq: id.Seq})
-		if err != nil {
-			if _, spoke := service.ErrorStatus(err); !spoke && ctx.Err() == nil {
-				ep.setDegraded(err)
-			}
-			return service.JobTrace{}, err
-		}
-		ep.setHealthy()
-		return jt, nil
-	}
-	jt, err := traceFrom(sh.active())
-	if err != nil {
-		if _, spoke := service.ErrorStatus(err); !spoke && ctx.Err() == nil {
-			if alt := sh.alternate(); alt != nil {
-				if jt, altErr := traceFrom(alt); altErr == nil {
-					r.metrics.readFailovers.Inc()
-					jt.JobID.Shard = sh.id
-					return jt, nil
-				}
-			}
-		}
-		return service.JobTrace{}, err
-	}
-	jt.JobID.Shard = sh.id
-	return jt, nil
-}
-
-// Cancel stops a job on the shard encoded in its ID. Cancels do not fail
-// over: a standby is read-only, and a cancel applied to a replica view
-// would be lost at promotion anyway.
-func (r *Router) Cancel(ctx context.Context, id service.JobID) (service.Job, error) {
-	sh, err := r.route(id)
-	if err != nil {
-		return service.Job{}, err
-	}
-	ep := sh.active()
-	job, err := ep.client.Cancel(ctx, service.JobID{Seq: id.Seq})
-	if err != nil {
-		if _, spoke := service.ErrorStatus(err); !spoke && ctx.Err() == nil {
-			ep.setDegraded(err)
-		}
-		return service.Job{}, err
-	}
-	ep.setHealthy()
-	job.ID.Shard = sh.id
-	return job, nil
-}
-
-// openEvents opens the owning shard's raw SSE stream for a job (see
-// service.Client.OpenEvents), returning the stream plus the endpoint
-// serving it so the proxy can degrade it on a mid-stream death. A
-// transport-level failure to open fails over to the shard's standby, which
-// can replay terminal jobs' streams (live streams need the primary).
-func (r *Router) openEvents(ctx context.Context, id service.JobID) (io.ReadCloser, *endpoint, error) {
-	sh, err := r.route(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	open := func(ep *endpoint) (io.ReadCloser, error) {
-		body, err := ep.client.OpenEvents(ctx, service.JobID{Seq: id.Seq})
-		if err != nil {
-			if _, spoke := service.ErrorStatus(err); !spoke && ctx.Err() == nil {
-				ep.setDegraded(err)
-			}
-			return nil, err
-		}
-		ep.setHealthy()
-		return body, nil
-	}
-	ep := sh.active()
-	body, err := open(ep)
-	if err != nil {
-		if _, spoke := service.ErrorStatus(err); !spoke && ctx.Err() == nil {
-			if alt := sh.alternate(); alt != nil {
-				if body, altErr := open(alt); altErr == nil {
-					r.metrics.readFailovers.Inc()
-					return body, alt, nil
-				}
-			}
-		}
-		return nil, nil, err
-	}
-	return body, ep, nil
-}
-
-// Watch streams a job's progress events from its owning shard, with the
-// same contract as service.Client.Watch — the library-level counterpart of
-// the HTTP proxy.
-func (r *Router) Watch(ctx context.Context, id service.JobID, fn func(service.Progress)) error {
-	body, _, err := r.openEvents(ctx, id)
-	if err != nil {
-		return err
-	}
-	defer body.Close()
-	return service.DecodeEvents(ctx, body, fn)
-}
-
-// List fans the listing out to every shard concurrently and merges the
-// results ordered by ID (shard, then sequence). A shard whose active
-// endpoint fails at the transport level is retried against its standby;
-// only a shard with no reachable endpoint is skipped — complete reports
-// false and the listing is the union of the reachable shards. Only when
-// every shard fails does List return an error.
-func (r *Router) List(ctx context.Context, states ...service.State) (jobs []service.Job, complete bool, err error) {
-	shards := r.shardList()
-	type result struct {
-		jobs []service.Job
-		err  error
-	}
-	results := make([]result, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			listFrom := func(ep *endpoint) ([]service.Job, error) {
-				got, err := ep.client.List(ctx, states...)
-				if err != nil {
-					if _, spoke := service.ErrorStatus(err); !spoke && ctx.Err() == nil {
-						ep.setDegraded(err)
-					}
-					return nil, err
-				}
-				ep.setHealthy()
-				return got, nil
-			}
-			got, err := listFrom(sh.active())
-			if err != nil {
-				if _, spoke := service.ErrorStatus(err); !spoke && ctx.Err() == nil {
-					if alt := sh.alternate(); alt != nil {
-						if got, err = listFrom(alt); err == nil {
-							r.metrics.readFailovers.Inc()
-						}
-					}
-				}
-			}
-			if err != nil {
-				results[i] = result{err: err}
-				return
-			}
-			for k := range got {
-				got[k].ID.Shard = sh.id
-			}
-			results[i] = result{jobs: got}
-		}()
-	}
-	wg.Wait()
-
-	// Non-nil even when empty: a single daemon's GET /v1/jobs returns [],
-	// and the router must match that wire contract, not emit null.
-	jobs = make([]service.Job, 0)
-	complete = true
-	var firstErr error
-	reachable := 0
-	for _, res := range results {
-		if res.err != nil {
-			complete = false
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			continue
-		}
-		reachable++
-		jobs = append(jobs, res.jobs...)
-	}
-	if reachable == 0 {
-		return nil, false, fmt.Errorf("%w: %v", ErrNoBackends, firstErr)
-	}
-	// Backends return their jobs ID-ordered; the merge re-sorts the
-	// concatenation so the router's ordering contract matches a single
-	// daemon's: ascending by (shard, seq).
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID.Less(jobs[k].ID) })
-	return jobs, complete, nil
-}
-
-// AddShard registers a new shard (primary plus optional standby) and
-// rebuilds the placement ring: only ~1/N of future placements move to the
-// new shard; existing sharded IDs keep routing unchanged.
-func (r *Router) AddShard(primary, standby string) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id, err := r.addShardLocked(primary, standby)
-	if err != nil {
-		return 0, err
-	}
-	r.rebuildRingLocked()
-	r.log().Info("shard added", tracelog.A("shard", id), tracelog.A("primary", primary))
-	return id, nil
-}
-
-// DrainShard excludes a shard from new placements (drain=true) or restores
-// it (drain=false); reads and cancels keep routing either way. Draining is
-// the prerequisite for removal.
-func (r *Router) DrainShard(id int, drain bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sh := r.shards[id]
-	if sh == nil {
-		return fmt.Errorf("%w: shard %d", ErrUnknownShard, id)
-	}
-	sh.mu.Lock()
-	sh.draining = drain
-	sh.mu.Unlock()
-	r.rebuildRingLocked()
-	r.log().Info("shard drain toggled", tracelog.A("shard", id), tracelog.A("draining", drain))
-	return nil
-}
-
-// RemoveShard unregisters a drained shard. Its sharded IDs stop resolving
-// through this router, so removal demands an explicit prior drain — the
-// operator's acknowledgement that the shard's history has been retired or
-// migrated.
-func (r *Router) RemoveShard(id int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sh := r.shards[id]
-	if sh == nil {
-		return fmt.Errorf("%w: shard %d", ErrUnknownShard, id)
-	}
-	if !sh.isDraining() {
-		return fmt.Errorf("%w: shard %d", ErrNotDraining, id)
-	}
-	delete(r.shards, id)
-	// Retire the shard's reachability series with it; a removed backend
-	// frozen at its last value would read as a live scrape target.
-	sh.mu.Lock()
-	for _, ep := range []*endpoint{sh.primary, sh.standby} {
-		if ep != nil {
-			r.cfg.Telemetry.Remove("hypersolve_cluster_backend_up",
-				telemetry.Label{Key: "shard", Value: strconv.Itoa(sh.id)},
-				telemetry.Label{Key: "url", Value: ep.base})
-		}
-	}
-	sh.mu.Unlock()
-	r.rebuildRingLocked()
-	r.log().Info("shard removed", tracelog.A("shard", id))
-	return nil
-}
-
-// MemberSpec is one shard in a membership config (the -route-config file
-// reloaded on SIGHUP).
-type MemberSpec struct {
-	Primary string `json:"primary"`
-	Standby string `json:"standby,omitempty"`
-}
-
-// ApplyMembership reconciles the fleet against a full desired member list
-// (the SIGHUP config-reload path): primaries present in specs but not in
-// the fleet are added (with their standbys); shards whose primary URL is
-// absent from specs are drained — not removed, so their jobs stay
-// readable until an operator explicitly retires them. Shards are matched
-// by primary URL (either role's URL matches a promoted shard). It returns
-// the added and drained shard IDs.
-func (r *Router) ApplyMembership(specs []MemberSpec) (added, drained []int, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	want := make(map[string]bool, len(specs))
-	for _, m := range specs {
-		want[strings.TrimSuffix(strings.TrimSpace(m.Primary), "/")] = true
-	}
-	// Drain shards no longer in the desired set.
-	for id, sh := range r.shards {
-		sh.mu.Lock()
-		present := want[sh.primary.base] || (sh.standby != nil && want[sh.standby.base])
-		if !present && !sh.draining {
-			sh.draining = true
-			drained = append(drained, id)
-		}
-		sh.mu.Unlock()
-	}
-	// Add new shards.
-	known := func(base string) bool {
-		base = strings.TrimSuffix(strings.TrimSpace(base), "/")
-		for _, sh := range r.shards {
-			if sh.primary.base == base || (sh.standby != nil && sh.standby.base == base) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, m := range specs {
-		if known(m.Primary) {
-			continue
-		}
-		id, aerr := r.addShardLocked(m.Primary, m.Standby)
-		if aerr != nil {
-			err = aerr
-			break
-		}
-		added = append(added, id)
-	}
-	r.rebuildRingLocked()
-	sort.Ints(added)
-	sort.Ints(drained)
-	if len(added) > 0 || len(drained) > 0 {
-		r.log().Info("membership reloaded",
-			tracelog.A("added", fmt.Sprint(added)), tracelog.A("drained", fmt.Sprint(drained)))
-	}
-	return added, drained, err
-}
-
-// BackendHealth is one shard's row in the cluster report.
-type BackendHealth struct {
-	// Shard is the shard number (job IDs s<Shard>-…).
-	Shard int `json:"shard"`
-	// Base is the shard's active endpoint URL — the daemon serving its
-	// reads and writes right now.
-	Base string `json:"base"`
-	// Healthy reports the active endpoint's reachability as of this probe.
-	Healthy bool `json:"healthy"`
-	// Error is the failure that degraded the active endpoint.
-	Error string `json:"error,omitempty"`
-	// Standby is the shard's other endpoint (the replica, or the healed
-	// old primary after a failover); StandbyHealthy its reachability.
-	Standby        string `json:"standby,omitempty"`
-	StandbyHealthy bool   `json:"standby_healthy,omitempty"`
-	// Promoted reports that this shard has failed over at least once.
-	Promoted bool `json:"promoted,omitempty"`
-	// Draining marks the shard excluded from new placements.
-	Draining bool `json:"draining,omitempty"`
-	// QueueDepth, Workers and Jobs mirror the active endpoint's own
-	// /healthz report; zero/empty when it is unreachable.
-	QueueDepth int                   `json:"queue_depth,omitempty"`
-	Workers    int                   `json:"workers,omitempty"`
-	Jobs       map[service.State]int `json:"jobs,omitempty"`
-	// Queued and StepsPerSec are the active endpoint's headline gauges:
-	// live admission-queue occupancy and aggregate simulator stepping rate.
-	Queued      int     `json:"queued,omitempty"`
-	StepsPerSec float64 `json:"steps_per_sec,omitempty"`
-	// ReplicationLag is how many records the shard's standby trails its
-	// primary by, from the standby's own health report; absent when the
-	// shard is unreplicated or the standby is unreachable.
-	ReplicationLag int64 `json:"replication_lag,omitempty"`
-}
-
-// Health is the /v1/cluster payload: the fleet verdict plus one row per
-// shard.
-type Health struct {
-	// Status is "ok" when every shard's active endpoint is reachable,
-	// "degraded" when some are, and "down" when none is.
-	Status string `json:"status"`
-	// Shards is the configured shard count; Healthy of them answered.
-	Shards  int                   `json:"shards"`
-	Healthy int                   `json:"healthy"`
-	Jobs    map[service.State]int `json:"jobs,omitempty"`
-	// Queued and StepsPerSec sum the healthy shards' headline gauges;
-	// MaxReplicationLag is the worst standby lag across the fleet.
-	Queued            int             `json:"queued,omitempty"`
-	StepsPerSec       float64         `json:"steps_per_sec,omitempty"`
-	MaxReplicationLag int64           `json:"max_replication_lag,omitempty"`
-	Backends          []BackendHealth `json:"backends"`
-	// Version is the router binary's build identity (internal/version).
-	Version string `json:"version,omitempty"`
-}
-
-// Health probes every endpoint live (bounded by ProbeTimeout each) and
-// reports per-shard reachability, roles, queue depth and aggregated job
-// counts. The probe updates the routing health state, so reading
-// /v1/cluster also heals backends that have come back.
-func (r *Router) Health(ctx context.Context) Health {
-	reports, standbyReports := r.probe(ctx)
-	shards := r.shardList()
-
-	out := Health{Shards: len(shards), Jobs: make(map[service.State]int), Version: version.String()}
-	for i, sh := range shards {
-		sh.mu.Lock()
-		promoted, draining := sh.promoted, sh.draining
-		sh.mu.Unlock()
-		active, alt := sh.active(), sh.alternate()
-		healthy, lastErr := active.state()
-		row := BackendHealth{
-			Shard:    sh.id,
-			Base:     active.base,
-			Healthy:  healthy,
-			Error:    lastErr,
-			Promoted: promoted,
-			Draining: draining,
-		}
-		if alt != nil {
-			row.Standby = alt.base
-			row.StandbyHealthy, _ = alt.state()
-			if row.StandbyHealthy {
-				row.ReplicationLag = standbyReports[i].ReplicationLag
-				if row.ReplicationLag > out.MaxReplicationLag {
-					out.MaxReplicationLag = row.ReplicationLag
-				}
-			}
-		}
-		if healthy {
-			out.Healthy++
-			row.QueueDepth = reports[i].QueueDepth
-			row.Workers = reports[i].Workers
-			row.Jobs = reports[i].Jobs
-			row.Queued = reports[i].Queued
-			row.StepsPerSec = reports[i].StepsPerSec
-			out.Queued += row.Queued
-			out.StepsPerSec += row.StepsPerSec
-			for st, n := range reports[i].Jobs {
-				out.Jobs[st] += n
-			}
-		}
-		out.Backends = append(out.Backends, row)
-	}
-	switch out.Healthy {
-	case len(shards):
-		out.Status = "ok"
-	case 0:
-		out.Status = "down"
-	default:
-		out.Status = "degraded"
-	}
-	return out
-}
-
-// Metrics assembles the fleet-wide scrape: the router's own registry plus
-// every healthy endpoint's /metrics, fetched concurrently (each bounded by
-// ProbeTimeout), with each backend series relabeled by shard, role and
-// backend URL before the merge — the listing path's fan-out/merge applied
-// to the metrics plane. Unreachable endpoints are skipped (and counted in
-// hypersolve_cluster_scrape_errors_total when a fetch fails outright), so a
-// dead shard degrades the aggregate instead of failing it.
-func (r *Router) Metrics(ctx context.Context) []telemetry.Family {
-	shards := r.shardList()
-	// Two slots per shard: active then alternate, so merge input order is
-	// deterministic regardless of goroutine completion order.
-	scraped := make([][]telemetry.Family, 2*len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		scrapeOne := func(slot int, shardID int, ep *endpoint, role string) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, r.cfg.ProbeTimeout)
-			defer cancel()
-			raw, err := ep.client.RawMetrics(cctx)
-			if err != nil {
-				r.metrics.scrapeErrors.Inc()
-				return
-			}
-			fams := telemetry.ParseText(raw)
-			telemetry.AddLabels(fams,
-				telemetry.Label{Key: "shard", Value: strconv.Itoa(shardID)},
-				telemetry.Label{Key: "role", Value: role},
-				telemetry.Label{Key: "backend", Value: ep.base})
-			scraped[slot] = fams
-		}
-		for k, ep := range []*endpoint{sh.active(), sh.alternate()} {
-			if ep == nil || !ep.isHealthy() {
-				continue
-			}
-			role := "active"
-			if k == 1 {
-				role = "standby"
-			}
-			wg.Add(1)
-			go scrapeOne(2*i+k, sh.id, ep, role)
-		}
-	}
-	wg.Wait()
-	groups := [][]telemetry.Family{r.cfg.Telemetry.Families()}
-	for _, fams := range scraped {
-		if fams != nil {
-			groups = append(groups, fams)
-		}
-	}
-	return telemetry.MergeFamilies(groups...)
 }

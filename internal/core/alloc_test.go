@@ -1,0 +1,37 @@
+package core
+
+import (
+	"testing"
+
+	"hypersolve/internal/apps"
+	"hypersolve/internal/mapping"
+	"hypersolve/internal/mesh"
+)
+
+// TestAllocsPerFrameBudget is the layer 1-4 gate beside
+// sat.TestSATSolveAllocBudget: fib has a negligible layer 5, so allocations
+// per frame of one fib(15) solve on an 8x8 torus under round-robin are the
+// programming model's own. Measured when the budget was set: 49 540
+// allocations over 1973 frames, 25.11 per frame (the commit before made
+// 50 525, 25.61: one never-read slice per call group more); repeated runs
+// differ by a handful of allocations, which is the slack.
+func TestAllocsPerFrameBudget(t *testing.T) {
+	const budget = 25.2 // allocations per frame
+	cfg := Config{Topology: mesh.MustTorus(8, 8), Mapper: mapping.NewRoundRobin(), Task: apps.FibTask(), Seed: 1}
+	var frames int64
+	allocs := testing.AllocsPerRun(3, func() {
+		res, err := RunOnce(cfg, 15)
+		if err != nil || !res.OK {
+			t.Fatalf("fib(15): ok=%v err=%v", res.OK, err)
+		}
+		frames = 0
+		for _, f := range res.FramesPerProcess {
+			frames += f
+		}
+	})
+	t.Logf("%.0f allocations over %d frames: %.2f per frame", allocs, frames, allocs/float64(frames))
+	if perFrame := allocs / float64(frames); perFrame > budget {
+		t.Errorf("fib(15) made %.2f allocations per frame (%.0f over %d frames), budget %.2f",
+			perFrame, allocs, frames, budget)
+	}
+}

@@ -25,17 +25,9 @@ import (
 type Config struct {
 	// Topology is the layer-1 interconnect (required).
 	Topology mesh.Topology
-	// Mapper is the layer-3 mapping algorithm factory (required unless
-	// FreshMapper is set).
+	// Mapper is the layer-3 mapping algorithm factory (required). It is a
+	// plain value: any number of machines, concurrent or not, may share one.
 	Mapper mapping.Factory
-	// FreshMapper, when non-nil, overrides Mapper: it is invoked once per
-	// machine to build that machine's mapping factory. Factories that share
-	// state across every machine they build (GlobalRoundRobinMapper's
-	// machine-wide cursor) need this under RunSuite with Parallelism > 1,
-	// both for determinism and to avoid cross-machine contention; stateless
-	// factories (round-robin, least-busy, weighted) work identically either
-	// way.
-	FreshMapper func() mapping.Factory
 	// Task is the layer-5 recursive function (required).
 	Task recursion.Task
 
@@ -119,9 +111,6 @@ type Machine struct {
 func New(cfg Config) (*Machine, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("core: Config.Topology is nil")
-	}
-	if cfg.FreshMapper != nil {
-		cfg.Mapper = cfg.FreshMapper()
 	}
 	if cfg.Mapper == nil {
 		return nil, fmt.Errorf("core: Config.Mapper is nil")
@@ -276,12 +265,7 @@ func RunOnce(cfg Config, arg recursion.Value) (Result, error) {
 // RunSuite simulates one machine per argument, deriving run i's seed as
 // cfg.Seed + i and fanning the runs out over cfg.Parallelism workers.
 // Results are collected by argument index, so the output is bit-identical
-// at every parallelism level — provided each machine's mapper state is its
-// own. The bundled factories all build per-node state only, except
-// GlobalRoundRobinMapper, whose factory shares one cursor across every
-// machine it builds: set cfg.FreshMapper (e.g. to GlobalRoundRobinMapper
-// itself) so each run constructs a fresh factory, as internal/experiments
-// and cmd/hypersim do.
+// at every parallelism level.
 func RunSuite(cfg Config, args []recursion.Value) ([]Result, error) {
 	out := make([]Result, len(args))
 	err := parallel.ForEach(len(args), cfg.Parallelism, func(i int) error {

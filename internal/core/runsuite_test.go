@@ -49,21 +49,48 @@ func TestRunSuiteMatchesSerialRuns(t *testing.T) {
 	}
 }
 
-// TestRunSuiteFreshMapperIdealDeterminism pins the fix for the idealised
-// globally coordinated mapper under concurrency: its factory shares one
-// cursor across every machine it builds, so concurrent machines must each
-// construct a fresh factory via Config.FreshMapper. Run under -race this
-// also proves the suite is free of cross-machine data races.
-func TestRunSuiteFreshMapperIdealDeterminism(t *testing.T) {
+// TestSharedMapperValueRepeats is the central contract for mappers: a
+// Config is a value, so running it twice gives the same result. The
+// idealised mapper is the one that needs machine-wide knowledge; when that
+// knowledge lived in its factory, the second run of one Config on fib(9)
+// took 26 steps where the first took 25.
+func TestSharedMapperValueRepeats(t *testing.T) {
+	topo, err := mesh.NewFullyConnected(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Topology: topo, Mapper: mapping.NewGlobalRoundRobin(), Task: apps.FibTask(), Seed: 1}
+	for n := 9; n <= 13; n++ {
+		first, err := RunOnce(cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := RunOnce(cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("fib(%d): second run of the same Config took %d steps, first %d",
+				n, second.ComputationTime, first.ComputationTime)
+		}
+	}
+}
+
+// TestRunSuiteSharedIdealMapperDeterminism runs the idealised mapper, one
+// factory value shared by every machine of the suite, at several
+// parallelism levels: the results must not depend on which machines run
+// concurrently. Run under -race this also proves the suite is free of
+// cross-machine data races.
+func TestRunSuiteSharedIdealMapperDeterminism(t *testing.T) {
 	topo, err := mesh.NewFullyConnected(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Topology:    topo,
-		FreshMapper: mapping.NewGlobalRoundRobin,
-		Task:        apps.SumTask(),
-		Seed:        1,
+		Topology: topo,
+		Mapper:   mapping.NewGlobalRoundRobin(),
+		Task:     apps.SumTask(),
+		Seed:     1,
 	}
 	args := suiteArgs(8)
 	cfg.Parallelism = 1

@@ -69,12 +69,9 @@ type Series struct {
 	Label string
 	// Build returns the topology for a given core count.
 	Build func(cores int) (mesh.Topology, error)
-	// Mapper constructs the mapping algorithm factory. It is invoked once
-	// per simulation run (not once per series) so that factories carrying
-	// cross-machine state — the idealised globally coordinated mapper — give
-	// every run a fresh instance. That makes sweep results independent of
-	// execution order, which the parallel engine relies on.
-	Mapper func() mapping.Factory
+	// Mapper is the mapping algorithm factory shared by every run of the
+	// series.
+	Mapper mapping.Factory
 	// Sizes are the core counts to sweep.
 	Sizes []int
 }
@@ -97,15 +94,15 @@ type Figure4Config struct {
 // (LBN) mapping, plus the fully connected baseline.
 func DefaultFigure4Series(sizes2D, sizes3D, sizesFull []int) []Series {
 	return []Series{
-		{Label: "2D Torus + RR", Build: mesh.SquareTorus, Mapper: mapping.NewRoundRobin, Sizes: sizes2D},
-		{Label: "3D Torus + RR", Build: mesh.CubeTorus, Mapper: mapping.NewRoundRobin, Sizes: sizes3D},
-		{Label: "2D Torus + LBN", Build: mesh.SquareTorus, Mapper: mapping.NewLeastBusy, Sizes: sizes2D},
-		{Label: "3D Torus + LBN", Build: mesh.CubeTorus, Mapper: mapping.NewLeastBusy, Sizes: sizes3D},
+		{Label: "2D Torus + RR", Build: mesh.SquareTorus, Mapper: mapping.NewRoundRobin(), Sizes: sizes2D},
+		{Label: "3D Torus + RR", Build: mesh.CubeTorus, Mapper: mapping.NewRoundRobin(), Sizes: sizes3D},
+		{Label: "2D Torus + LBN", Build: mesh.SquareTorus, Mapper: mapping.NewLeastBusy(), Sizes: sizes2D},
+		{Label: "3D Torus + LBN", Build: mesh.CubeTorus, Mapper: mapping.NewLeastBusy(), Sizes: sizes3D},
 		// The fully-connected baseline pairs the complete graph with the
 		// idealised globally coordinated mapper: the paper treats this
 		// machine as the ideal reference, not as a mapping-algorithm
 		// evaluation point.
-		{Label: "Fully connected", Build: mesh.NewFullyConnected, Mapper: mapping.NewGlobalRoundRobin, Sizes: sizesFull},
+		{Label: "Fully connected", Build: mesh.NewFullyConnected, Mapper: mapping.NewGlobalRoundRobin(), Sizes: sizesFull},
 	}
 }
 
@@ -173,13 +170,9 @@ func Figure4(cfg Figure4Config) ([]Point, error) {
 	err := parallel.ForEach(len(runs), cfg.Parallelism, func(k int) error {
 		spec, i := specs[k/nprob], k%nprob
 		f := cfg.Workload.Problems[i]
-		var mf mapping.Factory
-		if spec.s.Mapper != nil {
-			mf = spec.s.Mapper()
-		}
 		res, err := core.RunOnce(core.Config{
 			Topology: spec.topo,
-			Mapper:   mf,
+			Mapper:   spec.s.Mapper,
 			Task:     sat.Task(cfg.Workload.Heuristic),
 			Seed:     cfg.Seed + int64(i),
 			MaxSteps: cfg.MaxSteps,

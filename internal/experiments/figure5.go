@@ -61,10 +61,10 @@ func Figure5(cfg Figure5Config) ([]Figure5Result, error) {
 	}
 	mappers := []struct {
 		name string
-		mf   func() mapping.Factory
+		mf   mapping.Factory
 	}{
-		{"Round Robin", mapping.NewRoundRobin},
-		{"Least Busy Neighbour", mapping.NewLeastBusy},
+		{"Round Robin", mapping.NewRoundRobin()},
+		{"Least Busy Neighbour", mapping.NewLeastBusy()},
 	}
 	// One job per (mapper, problem) run, fanned out over the worker pool
 	// and collected by index.
@@ -83,7 +83,7 @@ func Figure5(cfg Figure5Config) ([]Figure5Result, error) {
 		}
 		machine, err := core.New(core.Config{
 			Topology:     topo,
-			Mapper:       m.mf(),
+			Mapper:       m.mf,
 			Task:         sat.Task(cfg.Workload.Heuristic),
 			Seed:         cfg.Seed + int64(i),
 			MaxSteps:     cfg.MaxSteps,

@@ -54,22 +54,23 @@ func TestFigure5ParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestFreshMapperPerRun guards the fix that makes order-independence
-// possible: the idealised globally coordinated mapper carries a cursor
-// shared across every node of a machine, and reusing one factory across
-// runs would leak that cursor between problems (making results depend on
-// sweep order). Each run must get a fresh factory.
-func TestFreshMapperPerRun(t *testing.T) {
+// TestSharedMapperAcrossSweeps guards order-independence for the idealised
+// globally coordinated mapper: its cursor spans every node of a machine,
+// and the series shares one factory value across all its runs, so nothing
+// of that cursor may outlive a machine (or results would depend on sweep
+// order).
+func TestSharedMapperAcrossSweeps(t *testing.T) {
 	w, err := SmallWorkload(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Just the fully-connected / ideal-mapper series, built once so both
+	// sweeps run on the same factory value.
+	series := DefaultFigure4Series(nil, nil, []int{16})[4:]
 	run := func() []Point {
 		pts, err := Figure4(Figure4Config{
-			Workload: w,
-			Series: DefaultFigure4Series(
-				nil, nil, []int{16},
-			)[4:], // just the fully-connected / ideal-mapper series
+			Workload:    w,
+			Series:      series,
 			Seed:        1,
 			Parallelism: 1,
 		})

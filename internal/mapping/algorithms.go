@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"hypersolve/internal/sched"
 )
@@ -70,29 +69,19 @@ func (r *roundRobin) Choose(v View) int {
 // assumptions", Section V-A), where the interesting quantity is the
 // machine's ideal behaviour, not a realisable mapping algorithm. On
 // non-complete topologies it still only picks among the node's own
-// neighbours (cursor modulo degree).
-//
-// The cursor is shared by every machine built from one factory, so
-// machines meant to run concurrently must each get their own factory
-// (core.Config.FreshMapper; experiments.Series.Mapper). The counter is
-// atomic, which keeps even a shared-factory misuse memory-safe — merely
-// nondeterministic.
+// neighbours (cursor modulo degree). The cursor is the machine's own count
+// of mapped work (View.Mapped), so the mapper itself holds no state.
 func NewGlobalRoundRobin() Factory {
-	shared := new(atomic.Int64)
 	return func(self sched.PID, nbrs []sched.PID, seed int64) Algorithm {
-		return &globalRR{cursor: shared}
+		return globalRR{}
 	}
 }
 
-type globalRR struct {
-	cursor *atomic.Int64
-}
+type globalRR struct{}
 
-func (g *globalRR) Name() string { return "ideal" }
+func (globalRR) Name() string { return "ideal" }
 
-func (g *globalRR) Choose(v View) int {
-	return int((g.cursor.Add(1) - 1) % int64(len(v.Neighbours)))
-}
+func (globalRR) Choose(v View) int { return int(v.Mapped % int64(len(v.Neighbours))) }
 
 // NewLeastBusy returns the paper's adaptive mapper: choose the neighbour
 // with the smallest last-heard received-message count. The paper does not

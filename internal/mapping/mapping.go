@@ -12,7 +12,9 @@
 // every outgoing message piggybacks the sender's total received-message
 // count, and each node maintains a record of the last count heard from each
 // neighbour. Adaptive mappers consult these records; static mappers ignore
-// them.
+// them. A mapper sees nothing else of the machine, with one exception made
+// for idealised baselines (View.Mapped), so algorithms hold per-node state
+// only and a Factory can be shared by any number of machines.
 //
 // The layer also implements the paper's cross-layer optimization hook
 // (Section III-B3): senders may attach a numeric hint (e.g. estimated
@@ -97,6 +99,10 @@ type View struct {
 	Hint float64
 	// Step is the current simulation step.
 	Step int64
+	// Mapped counts the work messages the whole machine has mapped before
+	// this one, in SendWork order. It is global knowledge no physical node
+	// has: only idealised baselines (NewGlobalRoundRobin) may read it.
+	Mapped int64
 }
 
 // Algorithm is a per-node mapping policy instance. Choose returns the index
@@ -132,6 +138,7 @@ type Config struct {
 type Network struct {
 	cluster  *sched.Cluster
 	runtimes []*runtime
+	mapped   int64 // work messages mapped so far (View.Mapped)
 }
 
 // New builds the network.
@@ -325,7 +332,9 @@ func (c *Context) SendWork(payload any, hint float64) (Ticket, error) {
 		Outstanding: rt.outstanding,
 		Hint:        hint,
 		Step:        c.sctx.Step(),
+		Mapped:      rt.net.mapped,
 	}
+	rt.net.mapped++
 	idx := rt.algo.Choose(view)
 	if idx < 0 || idx >= len(rt.nbrs) {
 		return NoTicket, fmt.Errorf("mapping: algorithm %s chose out-of-range index %d", rt.algo.Name(), idx)

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"sync"
 	"testing"
 
 	"hypersolve/internal/mesh"
@@ -424,6 +425,58 @@ func TestActivityPiggybackUpdatesLoads(t *testing.T) {
 	net.Run()
 	if len(after.Loads) != 1 || after.Loads[0] != 1 {
 		t.Errorf("loads after reply = %v, want [1]", after.Loads)
+	}
+}
+
+// choiceLog wraps a factory so that every Choose of one machine is recorded
+// in SendWork order.
+type choiceLog struct {
+	Algorithm
+	choices *[]int
+}
+
+func (c choiceLog) Choose(v View) int {
+	idx := c.Algorithm.Choose(v)
+	*c.choices = append(*c.choices, idx)
+	return idx
+}
+
+func logChoices(inner Factory, into *[]int) Factory {
+	return func(self sched.PID, nbrs []sched.PID, seed int64) Algorithm {
+		return choiceLog{inner(self, nbrs, seed), into}
+	}
+}
+
+// TestIdealCursorBelongsToTheMachine pins the idealised mapper's contract:
+// on one machine its choices are exactly 0,1,2,… modulo the degree in
+// SendWork order, whichever node is choosing, and two machines built from
+// one factory and running at the same time each see their own sequence.
+func TestIdealCursorBelongsToTheMachine(t *testing.T) {
+	ideal := NewGlobalRoundRobin()
+	const degree = 4 // 2D torus
+	var logs [2][]int
+	var wg sync.WaitGroup
+	for i := range logs {
+		net := newSumNetwork(t, mesh.MustTorus(6, 6), logChoices(ideal, &logs[i]))
+		if err := net.Trigger(0, 20+i); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			net.Run()
+		}()
+	}
+	wg.Wait()
+	for i, log := range logs {
+		if want := 20 + i + 1; len(log) != want { // calls sum(n) … sum(0)
+			t.Fatalf("machine %d mapped %d work messages, want %d", i, len(log), want)
+		}
+		for k, idx := range log {
+			if idx != k%degree {
+				t.Fatalf("machine %d: choices %v, want 0,1,2,… mod %d", i, log, degree)
+			}
+		}
 	}
 }
 

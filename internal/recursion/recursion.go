@@ -170,7 +170,6 @@ const (
 type callGroup struct {
 	kind      groupKind
 	values    []Value
-	done      []bool
 	issued    int // slots assigned so far (choice groups)
 	remaining int
 	valid     func(Value) bool
@@ -362,7 +361,6 @@ func (rt *Runtime) drive(ctx *mapping.Context, f *frameState) {
 			g := &callGroup{
 				kind:      choiceGroup,
 				values:    make([]Value, len(op.calls)),
-				done:      make([]bool, len(op.calls)),
 				remaining: len(op.calls),
 				valid:     op.valid,
 			}
@@ -385,7 +383,6 @@ func (rt *Runtime) issueCall(ctx *mapping.Context, f *frameState, arg Value, hin
 	}
 	g := f.open
 	g.values = append(g.values, nil)
-	g.done = append(g.done, false)
 	g.remaining++
 	rt.sendWork(ctx, f, g, len(g.values)-1, arg, hint)
 }
@@ -446,7 +443,6 @@ func (rt *Runtime) handleReply(ctx *mapping.Context, ticket mapping.Ticket, payl
 	f, g := rec.frame, rec.group
 	f.outstanding--
 	g.remaining--
-	g.done[rec.slot] = true
 	g.values[rec.slot] = payload
 
 	if f.dead {

@@ -87,13 +87,9 @@ func (s *Service) rebuildAdapt() {
 // a single attempt under its mapper; a portfolio job races its entries —
 // "auto" expanding to the default set — launched in the stats table's
 // learned order for the job's class.
-func (s *Service) resolveStrategies(spec JobSpec, built *buildOut) []string {
-	if len(built.portfolio) == 0 {
-		return []string{built.mapper}
+func (s *Service) resolveStrategies(spec JobSpec, built *Compiled) []string {
+	if !built.portfolio {
+		return built.strategies
 	}
-	list := built.portfolio
-	if list[0] == "auto" {
-		list = defaultPortfolio()
-	}
-	return s.adapt.Rank(problemClass(spec), list)
+	return s.adapt.Rank(problemClass(spec), built.strategies)
 }

@@ -1,0 +1,101 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	"hypersolve/internal/sat"
+)
+
+var decimal = regexp.MustCompile(`[0-9]+`)
+
+// smallEnoughToCompile keeps one fuzz exec in the milliseconds and its
+// memory in the kilobytes: a spec's sizes are not bounded at admission, so
+// the harness only compiles machines of at most 10^3 nodes and instances of
+// at most 64 variables or items.
+func smallEnoughToCompile(spec JobSpec) bool {
+	sizes := decimal.FindAllString(spec.Topology, -1)
+	if len(sizes) > 3 || spec.N > 64 {
+		return false
+	}
+	for _, s := range sizes {
+		if n, err := strconv.Atoi(s); err != nil || n > 10 {
+			return false
+		}
+	}
+	if spec.CNF != "" {
+		f, err := sat.ParseDIMACS(strings.NewReader(spec.CNF))
+		return err != nil || f.NumVars <= 64
+	}
+	return true
+}
+
+// FuzzReadJobSpec feeds arbitrary bytes to the admission decoder the daemon
+// and the router share. It never panics; a rejected body is answered with
+// 400 or 413; an accepted one re-marshals (what the router forwards to a
+// shard) to a body that is accepted as the same spec, and compiling it
+// returns a machine or an error, never a panic.
+func FuzzReadJobSpec(f *testing.F) {
+	f.Add([]byte(`{"kind":"sat","cnf":"p cnf 3 2\n1 -3 0\n2 3 0\n"}`)) // the rest of the seeds are in testdata/fuzz
+	read := func(body []byte) (JobSpec, bool, int) {
+		w := httptest.NewRecorder()
+		spec, ok := ReadJobSpec(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		return spec, ok, w.Code
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, ok, status := read(body)
+		if !ok {
+			if status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("rejected with status %d, want 400 or 413", status)
+			}
+			return
+		}
+		forwarded, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		// Compared as bytes: an empty portfolio forwards as an absent one.
+		again, ok, _ := read(forwarded)
+		if reforwarded, _ := json.Marshal(again); !ok || !bytes.Equal(reforwarded, forwarded) {
+			t.Fatalf("forwarded spec %s is re-read (ok=%v) as %s", forwarded, ok, reforwarded)
+		}
+		if smallEnoughToCompile(spec) {
+			if c, err := spec.Compile(); err == nil && (c.Config.Topology == nil || c.Config.Mapper == nil || c.Config.Task == nil) {
+				t.Fatalf("compiled %s to an incomplete config %+v", forwarded, c.Config)
+			}
+		}
+	})
+}
+
+// FuzzParseJobID checks both wire forms of a job ID: parsing never panics,
+// and whatever parses renders to a canonical string and a JSON value that
+// parse back to the same ID.
+func FuzzParseJobID(f *testing.F) {
+	f.Add("s2-17") // the rest of the seeds are in testdata/fuzz
+	f.Fuzz(func(t *testing.T, s string) {
+		id, err := ParseJobID(s)
+		if err != nil {
+			return
+		}
+		if id.Seq < 0 || id.Shard < 0 {
+			t.Fatalf("ParseJobID(%q) = %+v: negative component", s, id)
+		}
+		if again, err := ParseJobID(id.String()); err != nil || again != id {
+			t.Fatalf("ParseJobID(%q) = %+v, but its String %q parses to %+v, %v", s, id, id.String(), again, err)
+		}
+		data, err := json.Marshal(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded JobID
+		if err := json.Unmarshal(data, &decoded); err != nil || decoded != id {
+			t.Fatalf("%+v marshals to %s, which decodes to %+v, %v", id, data, decoded, err)
+		}
+	})
+}

@@ -45,17 +45,17 @@ func TestPortfolioSpecValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.spec.build(); err == nil {
-				t.Fatalf("build(%+v) accepted, want error", tc.spec)
+			if _, err := tc.spec.Compile(); err == nil {
+				t.Fatalf("Compile(%+v) accepted, want error", tc.spec)
 			}
 		})
 	}
 	ok := JobSpec{Kind: "sum", N: 4, Portfolio: []string{"rr", "lbn", "weighted:2"}}
-	if _, err := ok.build(); err != nil {
+	if _, err := ok.Compile(); err != nil {
 		t.Fatalf("valid portfolio rejected: %v", err)
 	}
 	auto := JobSpec{Kind: "sum", N: 4, Portfolio: []string{"auto"}}
-	if _, err := auto.build(); err != nil {
+	if _, err := auto.Compile(); err != nil {
 		t.Fatalf(`portfolio ["auto"] rejected: %v`, err)
 	}
 }
@@ -106,11 +106,11 @@ func TestPortfolioBitIdenticalToSoloWinner(t *testing.T) {
 		solo := spec
 		solo.Portfolio = nil
 		solo.Mapper = done.Winner
-		cfg, arg, err := solo.Build()
+		built, err := solo.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := core.RunOnce(cfg, arg)
+		serial, err := core.RunOnce(built.Config, built.Arg)
 		if err != nil {
 			t.Fatal(err)
 		}

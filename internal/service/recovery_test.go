@@ -47,11 +47,11 @@ func TestRecoveryRerunsInterruptedJob(t *testing.T) {
 		RecordSeries: true,
 	}
 	serial := func() core.Result {
-		cfg, arg, err := spec.Build()
+		built, err := spec.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.RunOnce(cfg, arg)
+		res, err := core.RunOnce(built.Config, built.Arg)
 		if err != nil {
 			t.Fatal(err)
 		}

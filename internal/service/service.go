@@ -376,9 +376,9 @@ func (s *Service) recover() {
 	for _, sj := range s.store.List(store.StateQueued) {
 		var spec JobSpec
 		err := json.Unmarshal(sj.Spec, &spec)
-		var built buildOut
+		var built Compiled
 		if err == nil {
-			built, err = spec.build()
+			built, err = spec.Compile()
 		}
 		if err != nil {
 			_, _ = s.store.Finish(sj.ID, StateFailed, time.Now().UTC(),
@@ -403,7 +403,7 @@ func (s *Service) recover() {
 // work item for a solo job, one per strategy for a portfolio race (the
 // launch order fixed here by the adaptive ranking). Callers hold s.mu (or,
 // in New, have not yet shared the service).
-func (s *Service) admitLocked(id int64, spec JobSpec, built *buildOut, tr *tracelog.Trace) *jobRun {
+func (s *Service) admitLocked(id int64, spec JobSpec, built *Compiled, tr *tracelog.Trace) *jobRun {
 	strategies := s.resolveStrategies(spec, built)
 	jr := &jobRun{
 		spec:       spec,
@@ -411,7 +411,7 @@ func (s *Service) admitLocked(id int64, spec JobSpec, built *buildOut, tr *trace
 		broker:     NewProgressBroker(),
 		trace:      tr,
 		strategies: strategies,
-		portfolio:  len(built.portfolio) > 0,
+		portfolio:  built.portfolio,
 		winner:     -1,
 		attempts:   make([]Attempt, len(strategies)),
 		cancels:    make([]context.CancelFunc, len(strategies)),
@@ -446,7 +446,7 @@ type workItem struct {
 // update atomically off-lock on their publish cadence.
 type jobRun struct {
 	spec       JobSpec
-	built      *buildOut
+	built      *Compiled
 	strategies []string
 	portfolio  bool // persist the attempt ledger (len(strategies) may be 1)
 
@@ -532,7 +532,7 @@ func (s *Service) SubmitTraced(spec JobSpec, tc tracelog.TraceContext) (Job, err
 	// Compile the spec up front so malformed jobs fail at admission, not
 	// in a worker; the compilation is cached on the service so the worker
 	// never re-parses the formula.
-	built, err := spec.build()
+	built, err := spec.Compile()
 	if err != nil {
 		return Job{}, err
 	}
@@ -1025,15 +1025,15 @@ func (s *Service) persistAttemptsLocked(id int64, jr *jobRun) {
 // strategy, decoding the raw result into the job's JSON payload. The
 // observer (nil when the job has no broker) streams throttled progress
 // snapshots from the layer-1 step loop.
-func execute(ctx context.Context, spec JobSpec, built *buildOut, strategy string, obs simulator.Observer) (*JobResult, *core.Result, error) {
-	cfg := built.cfg
-	cfg.FreshMapper = freshMapper(strategy)
+func execute(ctx context.Context, spec JobSpec, built *Compiled, strategy string, obs simulator.Observer) (*JobResult, *core.Result, error) {
+	cfg := built.Config
+	cfg.Mapper = built.mappers[strategy]
 	cfg.Observer = obs
 	machine, err := core.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	raw, err := machine.RunContext(ctx, built.arg)
+	raw, err := machine.RunContext(ctx, built.Arg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1053,7 +1053,7 @@ func execute(ctx context.Context, spec JobSpec, built *buildOut, strategy string
 		if out, isSAT := raw.Value.(sat.Outcome); isSAT {
 			sr := &SATResult{Status: out.Status.String()}
 			if out.Status == sat.SAT {
-				for v := 1; v <= built.formula.NumVars; v++ {
+				for v := 1; v <= built.Formula.NumVars; v++ {
 					// Unassigned variables default to false, matching
 					// sat.Verify's reading of partial assignments.
 					lit := -v
@@ -1062,7 +1062,7 @@ func execute(ctx context.Context, spec JobSpec, built *buildOut, strategy string
 					}
 					sr.Assignment = append(sr.Assignment, lit)
 				}
-				sr.Verified = sat.Verify(*built.formula, out.Assignment)
+				sr.Verified = sat.Verify(*built.Formula, out.Assignment)
 			}
 			res.SAT = sr
 		} else {

@@ -156,11 +156,11 @@ func TestRaceJournalsLedger(t *testing.T) {
 // spec without it produces.
 func TestRecoveryIgnoresRemovedEngineField(t *testing.T) {
 	spec := quickSpec()
-	cfg, arg, err := spec.Build()
+	built, err := spec.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := core.RunOnce(cfg, arg)
+	serial, err := core.RunOnce(built.Config, built.Arg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ package service
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -108,39 +109,33 @@ type LinkSpec struct {
 // unset).
 func (s JobSpec) Deadline() time.Duration { return time.Duration(s.TimeoutMs) * time.Millisecond }
 
-// buildOut is everything a validated spec compiles to: the machine config,
-// the root argument, and the post-run hooks that turn a raw core.Result
-// into the job's JSON payload.
-type buildOut struct {
-	cfg core.Config
-	arg recursion.Value
-	// formula is set for SAT jobs and drives result verification.
-	formula *sat.Formula
-	// mapper is the resolved solo mapping strategy (the spec's Mapper or
-	// its default); portfolio holds the validated Portfolio entries, nil
-	// for a solo job. The service resolves "auto" and the launch order at
-	// admission — the compiled config is strategy-agnostic until execute
-	// installs one attempt's factory.
-	mapper    string
-	portfolio []string
+// Compiled is everything a validated spec compiles to: the machine config,
+// the root argument and what the post-run hooks need to turn a raw
+// core.Result into the job's JSON payload.
+type Compiled struct {
+	// Config runs the job under the spec's Mapper (or its default); for a
+	// portfolio, under its first entry ("auto": rr).
+	Config core.Config
+	// Arg is the root task's argument.
+	Arg recursion.Value
+	// Formula is set for SAT jobs and drives result verification.
+	Formula *sat.Formula
+	// strategies lists the mapping strategies the job can run under, in
+	// spec order: the one mapper of a solo job, or the portfolio's entries
+	// ("auto" expanded); the service fixes the launch order at admission.
+	// mappers holds each one's factory, for execute to install per attempt.
+	strategies []string
+	portfolio  bool
+	mappers    map[string]mapping.Factory
 }
 
-// Build compiles the spec into a runnable machine configuration. It is the
-// single validation point: Submit calls it at admission time so malformed
-// specs are rejected synchronously, and workers call it again (cheaply) when
-// the job is dequeued. The mapper spec is re-parsed per build, so stateful
-// factories (the idealised "ideal" mapper's machine-wide cursor) never leak
-// state between jobs.
-func (s JobSpec) Build() (core.Config, recursion.Value, error) {
-	out, err := s.build()
-	if err != nil {
-		return core.Config{}, nil, err
-	}
-	return out.cfg, out.arg, nil
-}
-
-func (s JobSpec) build() (buildOut, error) {
-	var out buildOut
+// Compile turns the spec into a runnable machine configuration. It is the
+// single validation point and the single place a workload name becomes a
+// task: the service calls it once at admission, so malformed specs are
+// rejected synchronously and workers run what was compiled; cmd/hypersim
+// and cmd/satsolve build their machines through it too.
+func (s JobSpec) Compile() (Compiled, error) {
+	var out Compiled
 
 	topoSpec := s.Topology
 	if topoSpec == "" {
@@ -150,42 +145,33 @@ func (s JobSpec) build() (buildOut, error) {
 	if err != nil {
 		return out, fmt.Errorf("service: topology: %w", err)
 	}
-	mapperSpec := s.Mapper
-	if len(s.Portfolio) > 0 {
+	what := "mapper"
+	out.strategies = []string{s.Mapper}
+	if s.Mapper == "" {
+		out.strategies[0] = "rr"
+	}
+	if out.portfolio = len(s.Portfolio) > 0; out.portfolio {
 		if s.Mapper != "" {
 			return out, fmt.Errorf("service: portfolio and mapper are mutually exclusive")
 		}
-		seen := make(map[string]bool, len(s.Portfolio))
-		for _, strat := range s.Portfolio {
-			if strat == "auto" {
-				if len(s.Portfolio) != 1 {
-					return out, fmt.Errorf(`service: portfolio "auto" must be the only entry`)
-				}
-				continue
+		what = "portfolio"
+		out.strategies = append([]string(nil), s.Portfolio...)
+		if slices.Contains(out.strategies, "auto") {
+			if len(out.strategies) != 1 {
+				return out, fmt.Errorf(`service: portfolio "auto" must be the only entry`)
 			}
-			if seen[strat] {
-				return out, fmt.Errorf("service: duplicate portfolio strategy %q", strat)
-			}
-			seen[strat] = true
-			if _, err := mapping.Registry(strat); err != nil {
-				return out, fmt.Errorf("service: portfolio: %w", err)
-			}
+			out.strategies = defaultPortfolio()
 		}
-		out.portfolio = append([]string(nil), s.Portfolio...)
-		// Build's config needs a concrete factory; the service overrides it
-		// per attempt, so the first concrete entry is only the solo-Build
-		// fallback ("auto" jobs fall back to rr).
-		mapperSpec = out.portfolio[0]
-		if mapperSpec == "auto" {
-			mapperSpec = "rr"
+	}
+	out.mappers = make(map[string]mapping.Factory, len(out.strategies))
+	for _, strat := range out.strategies {
+		if out.mappers[strat] != nil {
+			return out, fmt.Errorf("service: duplicate portfolio strategy %q", strat)
 		}
-	} else if mapperSpec == "" {
-		mapperSpec = "rr"
+		if out.mappers[strat], err = mapping.Registry(strat); err != nil {
+			return out, fmt.Errorf("service: %s: %w", what, err)
+		}
 	}
-	if _, err := mapping.Registry(mapperSpec); err != nil {
-		return out, fmt.Errorf("service: mapper: %w", err)
-	}
-	out.mapper = mapperSpec
 
 	var task recursion.Task
 	var arg recursion.Value
@@ -208,7 +194,7 @@ func (s JobSpec) build() (buildOut, error) {
 		if err != nil {
 			return out, fmt.Errorf("service: %w", err)
 		}
-		out.formula = &formula
+		out.Formula = &formula
 		task, arg = sat.Task(h), sat.NewProblem(formula)
 	case "queens":
 		n := s.N
@@ -240,20 +226,19 @@ func (s JobSpec) build() (buildOut, error) {
 		return out, fmt.Errorf("service: unknown kind %q (want sat|dimacs|queens|knapsack|sum|fib|unbalanced)", s.Kind)
 	}
 
-	cfg := core.Config{
+	out.Config = core.Config{
 		Topology:     topo,
-		FreshMapper:  freshMapper(mapperSpec),
+		Mapper:       out.mappers[out.strategies[0]],
 		Task:         task,
 		ProcsPerNode: s.ProcsPerNode,
 		Seed:         s.Seed,
 		MaxSteps:     s.MaxSteps,
 		RecordSeries: s.RecordSeries,
 	}
-	if cfg.Link, err = s.Link.simConfig(); err != nil {
+	if out.Config.Link, err = s.Link.simConfig(); err != nil {
 		return out, err
 	}
-	out.cfg = cfg
-	out.arg = arg
+	out.Arg = arg
 	return out, nil
 }
 
@@ -274,19 +259,6 @@ func (l LinkSpec) simConfig() (simulator.Config, error) {
 	sim.Reliable = l.Reliable
 	sim.RetransmitAfter = l.RetransmitAfter
 	return sim, nil
-}
-
-// freshMapper builds a per-machine factory from an already-validated mapper
-// spec, so stateful factories (the "ideal" mapper's machine-wide cursor) are
-// constructed fresh for every job.
-func freshMapper(spec string) func() mapping.Factory {
-	return func() mapping.Factory {
-		mf, err := mapping.Registry(spec)
-		if err != nil {
-			panic(err) // unreachable: Build validated the spec
-		}
-		return mf
-	}
 }
 
 func heuristicOrDefault(h string) string {

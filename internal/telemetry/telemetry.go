@@ -474,3 +474,7 @@ func escapeHelp(v string) string {
 	}
 	return b.String()
 }
+
+// helpUnescaper inverts escapeHelp, so HELP text parsed from one exposition
+// and written into the next is escaped once, not once per hop.
+var helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")

@@ -89,11 +89,13 @@ func ParseText(data []byte) []Family {
 			case "HELP":
 				f := fam(fields[2])
 				if len(fields) == 4 && f.Help == "" {
-					f.Help = fields[3]
+					f.Help = helpUnescaper.Replace(fields[3])
 				}
 			case "TYPE":
-				if len(fields) >= 4 {
-					fam(fields[2]).Type = fields[3]
+				// First announcement wins, as for HELP: samples already
+				// filed under a histogram must not be orphaned by a retype.
+				if f := fam(fields[2]); len(fields) == 4 && f.Type == "" {
+					f.Type = fields[3]
 				}
 			}
 			continue
@@ -130,7 +132,9 @@ func ParseText(data []byte) []Family {
 // block is kept verbatim; a quote-aware scan finds its closing brace so
 // escaped quotes and braces inside label values survive.
 func parseSample(line string) (name, labels, value string, ok bool) {
-	if i := strings.IndexByte(line, '{'); i >= 0 {
+	// A brace after the first space belongs to the value, not to a label
+	// block.
+	if i := strings.IndexByte(line, '{'); i >= 0 && !strings.Contains(line[:i], " ") {
 		name = line[:i]
 		rest := line[i+1:]
 		end := closingBrace(rest)
