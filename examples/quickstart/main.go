@@ -45,8 +45,8 @@ func main() {
 	fmt.Printf("messages exchanged: %d\n", res.Stats.TotalSent)
 
 	// Each of the 101 calls ran on a core chosen by the mapping layer; the
-	// caller's core suspended its frame (a coroutine) until the reply
-	// arrived.
+	// caller's core parked its frame (on a pooled coroutine) until the
+	// reply arrived.
 	busy := 0
 	for _, frames := range res.FramesPerProcess {
 		if frames > 0 {

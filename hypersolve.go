@@ -12,7 +12,7 @@
 //	layer 2  scheduling        logical processes on physical cores
 //	layer 3  mapping           destination-free sends, ticketed replies,
 //	                           round-robin / least-busy-neighbour placement
-//	layer 4  recursion         fork-join tasks as coroutines (the paper's yield)
+//	layer 4  recursion         fork-join tasks on pooled coroutines (the paper's yield)
 //	layer 5  application       DPLL SAT, N-Queens, knapsack, or your own
 //
 // Quick start:

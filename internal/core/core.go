@@ -169,9 +169,10 @@ func (m *Machine) Run(arg recursion.Value) (Result, error) {
 // poll only ever aborts the loop, never reorders it — so determinism of
 // completed runs is preserved at any cancellation pressure.
 //
-// A task that panics fails the run, not the process: frames are coroutines
-// resumed on this goroutine, so the panic surfaces here, every outstanding
-// frame is unwound and the panic value is returned as an error.
+// A task that panics fails the run, not the process: frames run on worker
+// coroutines resumed on this goroutine, so the panic surfaces here, every
+// outstanding frame is unwound, the worker pool is drained and the panic
+// value is returned as an error.
 func (m *Machine) RunContext(ctx context.Context, arg recursion.Value) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -214,8 +215,8 @@ func (m *Machine) RunContext(ctx context.Context, arg recursion.Value) (res Resu
 	return res, nil
 }
 
-// abort unwinds the outstanding frames of an abandoned run so their
-// coroutines exit rather than leak.
+// abort unwinds the outstanding frames of an abandoned run and ends the
+// recursion layer's pooled workers, so no coroutine outlives the run.
 func (m *Machine) abort() {
 	for pid := 0; pid < m.net.Virtual().Size(); pid++ {
 		m.net.App(sched.PID(pid)).(*recursion.Runtime).Abort()

@@ -387,3 +387,90 @@ func TestTaskPanicFailsRun(t *testing.T) {
 		t.Errorf("goroutines leaked: before=%d after=%d", before, after)
 	}
 }
+
+// Frames run on pooled worker coroutines that a machine has no Close to
+// release, so however a run ends, the goroutine count is back at its
+// baseline the moment the call returns.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	// The root forks fib(10) and an endless chain. By the time the chain is
+	// cut short the fib tree has come and gone, so the pool holds idle
+	// workers as well as parked ones. At panicAt the chain panics instead.
+	grow := func(panicAt int) recursion.Task {
+		return func(f *recursion.Frame, arg recursion.Value) recursion.Value {
+			n := arg.(int)
+			switch {
+			case n < 0:
+				f.Call(10)
+				f.Call(100)
+				return len(f.Sync())
+			case n == panicAt:
+				panic("boom")
+			case n >= 100:
+				return f.CallSync(n + 1)
+			case n < 2:
+				return n
+			}
+			f.Call(n - 1)
+			f.Call(n - 2)
+			vs := f.Sync()
+			return vs[0].(int) + vs[1].(int)
+		}
+	}
+	// pick resolves on a leaf while the losing branch is a parked chain.
+	pick := func(f *recursion.Frame, arg recursion.Value) recursion.Value {
+		n := arg.(int)
+		switch {
+		case n < 0:
+			v, _ := f.Choose(func(v recursion.Value) bool { return v.(int) == 0 }, 0, 40)
+			return v
+		case n == 0:
+			return 0
+		}
+		return f.CallSync(n - 1)
+	}
+	base := Config{Topology: mesh.MustTorus(4, 4), Mapper: mapping.NewRoundRobin(), Seed: 1}
+	cases := []struct {
+		name    string
+		cfg     func(Config) Config
+		arg     int
+		wantErr string
+		check   func(*testing.T, Result)
+	}{
+		{"quiescent", func(c Config) Config { c.Task = apps.FibTask(); return c }, 12, "", func(t *testing.T, r Result) {
+			if !r.OK || r.Value.(int) != 144 {
+				t.Errorf("fib(12) = %v (ok=%v)", r.Value, r.OK)
+			}
+		}},
+		{"max-steps", func(c Config) Config { c.Task, c.MaxSteps = grow(1<<30), 60; return c }, -1, "", func(t *testing.T, r Result) {
+			if r.OK || r.Stats.Quiescent {
+				t.Error("an endless task finished")
+			}
+		}},
+		{"task-panic", func(c Config) Config { c.Task = grow(160); return c }, -1, "core: task panicked: boom", nil},
+		{"cancel-speculative", func(c Config) Config { c.Task, c.CancelSpeculative = pick, true; return c }, -1, "", func(t *testing.T, r Result) {
+			if !r.OK || r.FramesCancelled == 0 {
+				t.Errorf("ok=%v with %d frames killed, want a result and a killed chain", r.OK, r.FramesCancelled)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			res, err := RunOnce(tc.cfg(base), tc.arg)
+			after := runtime.NumGoroutine()
+			if after > before {
+				t.Errorf("goroutines leaked: before=%d after=%d", before, after)
+			}
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, res)
+		})
+	}
+}

@@ -18,33 +18,39 @@ func suiteArgs(n int) []recursion.Value {
 	return args
 }
 
+// Machines of one suite share the Config value and nothing else — not the
+// mapper's state and not the recursion layer's worker pool — so the fan-out
+// level cannot show in a result. fib keeps hundreds of pooled workers busy
+// per machine; sum keeps one chain parked.
 func TestRunSuiteMatchesSerialRuns(t *testing.T) {
-	cfg := Config{
-		Topology: mesh.MustTorus(4, 4),
-		Mapper:   mapping.NewLeastBusy(),
-		Task:     apps.SumTask(),
-		Seed:     3,
-	}
-	args := suiteArgs(6)
-	var want []Result
-	for i, a := range args {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)
-		res, err := RunOnce(c, a)
-		if err != nil {
-			t.Fatal(err)
+	for _, task := range []recursion.Task{apps.SumTask(), apps.FibTask()} {
+		cfg := Config{
+			Topology: mesh.MustTorus(4, 4),
+			Mapper:   mapping.NewLeastBusy(),
+			Task:     task,
+			Seed:     3,
 		}
-		want = append(want, res)
-	}
-	for _, p := range []int{1, 4} {
-		c := cfg
-		c.Parallelism = p
-		got, err := RunSuite(c, args)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
+		args := suiteArgs(6)
+		var want []Result
+		for i, a := range args {
+			c := cfg
+			c.Seed = cfg.Seed + int64(i)
+			res, err := RunOnce(c, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, res)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("parallelism %d: suite results differ from per-run RunOnce", p)
+		for _, p := range []int{1, 4} {
+			c := cfg
+			c.Parallelism = p
+			got, err := RunSuite(c, args)
+			if err != nil {
+				t.Fatalf("parallelism %d: %v", p, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("parallelism %d: suite results differ from per-run RunOnce", p)
+			}
 		}
 	}
 }

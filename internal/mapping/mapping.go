@@ -139,6 +139,8 @@ type Network struct {
 	cluster  *sched.Cluster
 	runtimes []*runtime
 	mapped   int64 // work messages mapped so far (View.Mapped)
+	// free holds envelopes their receivers have unpacked, for the next send.
+	free []*envelope
 }
 
 // New builds the network.
@@ -194,7 +196,7 @@ func (n *Network) ReceivedPerProcess() []int64 {
 
 // Trigger queues an external trigger message for a PID.
 func (n *Network) Trigger(dst sched.PID, payload any) error {
-	return n.cluster.Inject(dst, envelope{Kind: Trigger, Payload: payload})
+	return n.cluster.Inject(dst, n.envelope(envelope{Kind: Trigger, Payload: payload}))
 }
 
 // Run executes the simulation to quiescence.
@@ -204,13 +206,33 @@ func (n *Network) Run() simulator.Stats { return n.cluster.Run() }
 // simulator.RunContext for the slice-granular polling contract.
 func (n *Network) RunContext(ctx context.Context) simulator.Stats { return n.cluster.RunContext(ctx) }
 
-// envelope is the layer-3 wire format.
+// envelope is the layer-3 wire format. Envelopes travel as pointers so that
+// no message is boxed on its way down: the receiver copies the envelope out,
+// poisons it and hands it back for the next send. That is safe under
+// retransmission, because layer 1 drops a duplicate frame before any handler
+// sees its payload.
 type envelope struct {
 	Kind     Kind
 	Ticket   Ticket
 	Activity int64 // sender's total received count (piggybacked)
 	Hint     float64
 	Payload  any
+}
+
+// recycled is the kind of an envelope on the free list; a receiver shown one
+// panics on it as on any unknown kind.
+const recycled Kind = -1
+
+// envelope returns a pooled envelope holding e.
+func (n *Network) envelope(e envelope) *envelope {
+	var env *envelope
+	if k := len(n.free); k > 0 {
+		env, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		env = new(envelope)
+	}
+	*env = e
+	return env
 }
 
 // runtime is the per-process layer-3 engine: it owns the ticket table,
@@ -232,6 +254,8 @@ type runtime struct {
 	ticketSrc map[Ticket]sched.PID // incoming work ticket -> requester
 	sentTo    map[Ticket]sched.PID // outgoing work ticket -> destination
 	initDone  bool
+	// ctx is the one Context handed to the app on every activation.
+	ctx Context
 
 	// Captured at construction, consumed in Init once the neighbour list
 	// is known.
@@ -263,14 +287,18 @@ func (rt *runtime) Init(ctx *sched.Context) {
 	rt.outstanding = make([]float64, len(rt.nbrs))
 	rt.algo = rt.mapperFactory(rt.self, rt.nbrs, rt.mapperSeed^int64(rt.self)*0x9E3779B9)
 	rt.initDone = true
-	rt.app.Init(&Context{rt: rt, sctx: ctx})
+	rt.ctx = Context{rt: rt, sctx: ctx}
+	rt.app.Init(&rt.ctx)
 }
 
 func (rt *runtime) Receive(ctx *sched.Context, src sched.PID, payload any) {
-	env, ok := payload.(envelope)
+	penv, ok := payload.(*envelope)
 	if !ok {
 		panic(fmt.Sprintf("mapping: pid %d received non-envelope payload %T", rt.self, payload))
 	}
+	env := *penv
+	*penv = envelope{Kind: recycled}
+	rt.net.free = append(rt.net.free, penv)
 	rt.received++
 	if src != sched.NonePID {
 		if idx, ok := rt.nbrIndex[src]; ok {
@@ -278,7 +306,8 @@ func (rt *runtime) Receive(ctx *sched.Context, src sched.PID, payload any) {
 			rt.outstanding[idx] = 0 // fresh information supersedes optimism
 		}
 	}
-	mctx := &Context{rt: rt, sctx: ctx}
+	rt.ctx.sctx = ctx
+	mctx := &rt.ctx
 	switch env.Kind {
 	case Trigger:
 		rt.app.Recv(mctx, NoTicket, Trigger, env.Payload)
@@ -347,7 +376,7 @@ func (c *Context) SendWork(payload any, hint float64) (Ticket, error) {
 		weight = 1
 	}
 	rt.outstanding[idx] += weight
-	env := envelope{Kind: Work, Ticket: ticket, Activity: rt.received, Hint: hint, Payload: payload}
+	env := rt.net.envelope(envelope{Kind: Work, Ticket: ticket, Activity: rt.received, Hint: hint, Payload: payload})
 	if err := c.sctx.Send(dst, env); err != nil {
 		return NoTicket, err
 	}
@@ -366,7 +395,7 @@ func (c *Context) Cancel(ticket Ticket) error {
 		return fmt.Errorf("mapping: pid %d cancelling unknown ticket %d", rt.self, ticket)
 	}
 	delete(rt.sentTo, ticket)
-	env := envelope{Kind: Cancel, Ticket: ticket, Activity: rt.received}
+	env := rt.net.envelope(envelope{Kind: Cancel, Ticket: ticket, Activity: rt.received})
 	return c.sctx.Send(dst, env)
 }
 
@@ -378,7 +407,7 @@ func (c *Context) Reply(ticket Ticket, payload any) error {
 		return fmt.Errorf("mapping: pid %d replying to unknown ticket %d", rt.self, ticket)
 	}
 	delete(rt.ticketSrc, ticket)
-	env := envelope{Kind: Reply, Ticket: ticket, Activity: rt.received, Payload: payload}
+	env := rt.net.envelope(envelope{Kind: Reply, Ticket: ticket, Activity: rt.received, Payload: payload})
 	return c.sctx.Send(src, env)
 }
 

@@ -538,3 +538,32 @@ func TestReceivedPerProcess(t *testing.T) {
 		t.Errorf("total received = %d, want 19", total)
 	}
 }
+
+// The layer-3 counterpart of sched.TestRecycledEnvelopeIsPoisoned: a process
+// shown an envelope it has already unpacked panics on its kind.
+func TestRecycledEnvelopeIsPoisoned(t *testing.T) {
+	var got []any
+	net, err := New(Config{
+		Physical: mesh.MustRing(3),
+		Mapper:   NewRoundRobin(),
+		Factory: func(sched.PID) App {
+			return appFunc(func(ctx *Context, ticket Ticket, kind Kind, payload any) { got = append(got, payload) })
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := net.envelope(envelope{Kind: Trigger, Payload: "once"})
+	rt := net.runtimes[0]
+	rt.Receive(rt.ctx.sctx, sched.NonePID, env)
+	if len(got) != 1 || got[0] != "once" || net.envelope(envelope{Kind: Trigger}) != env {
+		t.Fatalf("delivered %v; the envelope was not unpacked and recycled", got)
+	}
+	rt.Receive(rt.ctx.sctx, sched.NonePID, env)
+	defer func() {
+		if recover() == nil {
+			t.Error("a process accepted an envelope it had already recycled")
+		}
+	}()
+	rt.Receive(rt.ctx.sctx, sched.NonePID, env)
+}

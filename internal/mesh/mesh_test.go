@@ -298,6 +298,36 @@ func TestParseSpecs(t *testing.T) {
 		if topo.Name() != c.name {
 			t.Errorf("Parse(%q).Name() = %q, want %q", c.spec, topo.Name(), c.name)
 		}
+		built := int64(0)
+		for n := 0; n < topo.Size(); n++ {
+			built += int64(topo.Degree(NodeID(n)))
+		}
+		nodes, links, err := Extent(c.spec)
+		if err != nil || nodes != int64(c.size) || links < built || links > 2*built {
+			t.Errorf("Extent(%q) = %d nodes, %d links, %v; built %d nodes, %d links", c.spec, nodes, links, err, c.size, built)
+		}
+	}
+}
+
+// Extent must size what Parse could never build, in no time and no memory.
+func TestExtentOfHugeSpecs(t *testing.T) {
+	for spec, want := range map[string]int64{
+		"torus:100000x100000":                    1e10,
+		"star:1000000000":                        1e9,
+		"full:16384":                             16384,
+		"hypercube:40":                           1 << 40,
+		"torus:4294967296x4294967296x4294967296": 1 << 62, // saturated
+		"ring:-5":                                0,
+	} {
+		if nodes, _, err := Extent(spec); err != nil || nodes != want {
+			t.Errorf("Extent(%q) = %d nodes, %v; want %d", spec, nodes, err, want)
+		}
+	}
+	if _, links, _ := Extent("full:16384"); links != 16384*16383 {
+		t.Errorf("full:16384 has %d links, want %d", links, 16384*16383)
+	}
+	if _, _, err := Extent("blob:4"); err == nil {
+		t.Error("Extent accepted an unknown kind")
 	}
 }
 

@@ -19,54 +19,97 @@ import (
 //	star:32            hub-and-spoke, 32 cores
 type Spec string
 
-// Parse builds the topology described by the spec string.
-func Parse(spec string) (Topology, error) {
-	kind, arg, ok := strings.Cut(string(Spec(spec)), ":")
+// parseSpec splits a spec into its kind and its numeric arguments: the
+// extents of a torus or grid, otherwise the one dimension or size.
+func parseSpec(spec string) (kind string, args []int, err error) {
+	kind, arg, ok := strings.Cut(spec, ":")
 	if !ok {
-		return nil, fmt.Errorf("mesh: spec %q missing ':' separator", spec)
+		return "", nil, fmt.Errorf("mesh: spec %q missing ':' separator", spec)
 	}
+	what := "size"
+	parts := []string{arg}
 	switch kind {
 	case "torus", "grid":
-		parts := strings.Split(arg, "x")
-		dims := make([]int, 0, len(parts))
-		for _, p := range parts {
-			d, err := strconv.Atoi(p)
-			if err != nil {
-				return nil, fmt.Errorf("mesh: spec %q has bad extent %q", spec, p)
-			}
-			dims = append(dims, d)
-		}
-		if kind == "torus" {
-			return NewTorus(dims...)
-		}
-		return NewGrid(dims...)
+		what, parts = "extent", strings.Split(arg, "x")
 	case "hypercube":
-		d, err := strconv.Atoi(arg)
-		if err != nil {
-			return nil, fmt.Errorf("mesh: spec %q has bad dimension %q", spec, arg)
-		}
-		return NewHypercube(d)
-	case "full":
-		n, err := strconv.Atoi(arg)
-		if err != nil {
-			return nil, fmt.Errorf("mesh: spec %q has bad size %q", spec, arg)
-		}
-		return NewFullyConnected(n)
-	case "ring":
-		n, err := strconv.Atoi(arg)
-		if err != nil {
-			return nil, fmt.Errorf("mesh: spec %q has bad size %q", spec, arg)
-		}
-		return NewRing(n)
-	case "star":
-		n, err := strconv.Atoi(arg)
-		if err != nil {
-			return nil, fmt.Errorf("mesh: spec %q has bad size %q", spec, arg)
-		}
-		return NewStar(n)
+		what = "dimension"
+	case "full", "ring", "star":
 	default:
-		return nil, fmt.Errorf("mesh: unknown topology kind %q (want torus|grid|hypercube|full|ring|star)", kind)
+		return "", nil, fmt.Errorf("mesh: unknown topology kind %q (want torus|grid|hypercube|full|ring|star)", kind)
 	}
+	for _, p := range parts {
+		n, err := strconv.Atoi(p)
+		if err != nil {
+			return "", nil, fmt.Errorf("mesh: spec %q has bad %s %q", spec, what, p)
+		}
+		args = append(args, n)
+	}
+	return kind, args, nil
+}
+
+// Parse builds the topology described by the spec string.
+func Parse(spec string) (Topology, error) {
+	kind, args, err := parseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
+	case "torus":
+		return NewTorus(args...)
+	case "grid":
+		return NewGrid(args...)
+	case "hypercube":
+		return NewHypercube(args[0])
+	case "full":
+		return NewFullyConnected(args[0])
+	case "ring":
+		return NewRing(args[0])
+	default:
+		return NewStar(args[0])
+	}
+}
+
+// Extent reports how many nodes the topology a spec describes would have,
+// and an upper bound on its directed links, without building it: Parse
+// precomputes every neighbour list, so whoever accepts specs from outside
+// sizes them here first. Counts saturate at 1<<62; a spec whose arguments
+// are out of range reports zero and is left for Parse to reject.
+func Extent(spec string) (nodes, links int64, err error) {
+	kind, args, err := parseSpec(spec)
+	if err != nil {
+		return 0, 0, err
+	}
+	n := int64(args[0])
+	switch kind {
+	case "torus", "grid":
+		nodes = 1
+		for _, d := range args {
+			nodes = mulSat(nodes, int64(d))
+		}
+		return nodes, mulSat(nodes, int64(2*len(args))), nil
+	case "hypercube":
+		if n < 0 || n > 62 {
+			return 0, 0, nil
+		}
+		return 1 << n, mulSat(1<<n, n), nil
+	case "full":
+		return max(n, 0), mulSat(n, n-1), nil
+	default: // ring, star
+		return max(n, 0), mulSat(n, 2), nil
+	}
+}
+
+// mulSat multiplies two counts, saturating at 1<<62; a negative factor
+// gives zero.
+func mulSat(a, b int64) int64 {
+	const limit = 1 << 62
+	if a <= 0 || b <= 0 {
+		return 0
+	}
+	if a > limit/b {
+		return limit
+	}
+	return a * b
 }
 
 // MustParse is Parse that panics on error, for tests and examples.

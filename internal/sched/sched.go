@@ -93,6 +93,8 @@ type Cluster struct {
 	virtual *virtualTopology
 	procs   int
 	nodes   []*nodeScheduler
+	// free holds envelopes their receivers have unpacked, for the next send.
+	free []*envelope
 }
 
 // New builds the cluster: a virtual topology of PIDs and one nodeScheduler
@@ -154,7 +156,7 @@ func (c *Cluster) Inject(dst PID, payload any) error {
 	if node < 0 || node >= len(c.nodes) {
 		return fmt.Errorf("sched: inject to out-of-range pid %d", dst)
 	}
-	return c.sim.Inject(mesh.NodeID(node), envelope{SrcPID: NonePID, DstSlot: slot, Payload: payload})
+	return c.sim.Inject(mesh.NodeID(node), c.envelope(envelope{SrcPID: NonePID, DstSlot: slot, Payload: payload}))
 }
 
 // Run executes the simulation to quiescence and returns layer-1 statistics.
@@ -179,11 +181,27 @@ func (c *Cluster) split(p PID) (node, slot int) {
 	return int(p) / c.procs, int(p) % c.procs
 }
 
-// envelope is the layer-2 wire format carried inside layer-1 payloads.
+// envelope is the layer-2 wire format carried inside layer-1 payloads, as a
+// pointer so that the message is not boxed again. The receiving node moves
+// the content into a mailbox, poisons the envelope with a slot no node has
+// and hands it back for the next send; under retransmission layer 1 drops a
+// duplicate frame before any handler sees its payload.
 type envelope struct {
 	SrcPID  PID
 	DstSlot int
 	Payload any
+}
+
+// envelope returns a pooled envelope holding e.
+func (c *Cluster) envelope(e envelope) *envelope {
+	var env *envelope
+	if k := len(c.free); k > 0 {
+		env, c.free = c.free[k-1], c.free[:k-1]
+	} else {
+		env = new(envelope)
+	}
+	*env = e
+	return env
 }
 
 // procState is one process slot on a node.
@@ -241,7 +259,7 @@ func (ns *nodeScheduler) Init(ctx *simulator.Context) {
 // Receive buffers the arriving envelope into the target slot's mailbox.
 // Activation happens in Tick, bounded by the activation budget.
 func (ns *nodeScheduler) Receive(ctx *simulator.Context, src mesh.NodeID, payload simulator.Payload) {
-	env, ok := payload.(envelope)
+	env, ok := payload.(*envelope)
 	if !ok {
 		panic(fmt.Sprintf("sched: node %d received non-envelope payload %T", ns.node, payload))
 	}
@@ -251,6 +269,8 @@ func (ns *nodeScheduler) Receive(ctx *simulator.Context, src mesh.NodeID, payloa
 	ns.procs[env.DstSlot].mailbox.Push(inboxEntry{src: env.SrcPID, payload: env.Payload})
 	ns.fifoQ.Push(int32(env.DstSlot))
 	ns.backlog++
+	*env = envelope{DstSlot: -1}
+	ns.cluster.free = append(ns.cluster.free, env)
 }
 
 // Tick performs the step's process activations: all currently buffered
@@ -348,7 +368,6 @@ func (c *Context) Send(dst PID, payload any) error {
 	if dstNode < 0 || dstNode >= len(c.cluster.nodes) {
 		return fmt.Errorf("sched: send to out-of-range pid %d", dst)
 	}
-	env := envelope{SrcPID: c.self, DstSlot: dstSlot, Payload: payload}
 	if mesh.NodeID(dstNode) == c.sched.node {
 		if dst == c.self {
 			return fmt.Errorf("sched: pid %d sent to itself", dst)
@@ -361,7 +380,7 @@ func (c *Context) Send(dst PID, payload any) error {
 		ns.backlog++
 		return nil
 	}
-	return c.simctx.Send(mesh.NodeID(dstNode), env)
+	return c.simctx.Send(mesh.NodeID(dstNode), c.cluster.envelope(envelope{SrcPID: c.self, DstSlot: dstSlot, Payload: payload}))
 }
 
 // virtualTopology exposes the PID space as a mesh.Topology so upper layers

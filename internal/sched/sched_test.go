@@ -412,3 +412,22 @@ func TestMultiHopChain(t *testing.T) {
 		t.Errorf("hops = %d, want %d", hops, 2*n+1)
 	}
 }
+
+// A receiver poisons an envelope as it recycles it: were layer 1 ever to
+// show a handler the same envelope twice (a retransmitted duplicate it
+// failed to drop), the node would panic rather than deliver stale content.
+func TestRecycledEnvelopeIsPoisoned(t *testing.T) {
+	c := newEchoCluster(t, mesh.MustRing(3), 1, nil)
+	env := c.envelope(envelope{SrcPID: 1, DstSlot: 0, Payload: "once"})
+	c.nodes[0].Receive(nil, 1, env)
+	if got := c.envelope(envelope{}); got != env {
+		t.Fatal("the received envelope was not recycled")
+	}
+	c.nodes[0].Receive(nil, 1, env) // a fresh send reusing it is fine
+	defer func() {
+		if recover() == nil {
+			t.Error("a node accepted an envelope it had already recycled")
+		}
+	}()
+	c.nodes[0].Receive(nil, 1, env)
+}

@@ -191,12 +191,21 @@ func TestHTTPErrors(t *testing.T) {
 
 	// Malformed JSON, unknown fields and DIMACS literals outside 32 bits or
 	// the declared variables are 400s (the last two used to reach the solver:
-	// one as literal 1, the other as an index that killed the daemon).
+	// one as literal 1, the other as an index that killed the daemon). So are
+	// specs over the admission bounds, which used to be built — gigabytes of
+	// clauses, items or neighbour lists — inside the submit handler.
 	for _, body := range []string{
 		"{",
 		`{"kind":"sat","surprise":1}`,
 		`{"kind":"sat","cnf":"p cnf 3 1\n4294967297 2 0\n","topology":"ring:4"}`,
 		`{"kind":"sat","cnf":"p cnf 3 1\n-2147483648 2 0\n","topology":"ring:4"}`,
+		`{"kind":"sat","n":1000000000}`,
+		`{"kind":"knapsack","n":1000000000}`,
+		`{"kind":"queens","n":128}`,
+		`{"kind":"fib","n":5,"topology":"torus:100000x100000"}`,
+		`{"kind":"fib","n":5,"topology":"star:1000000000"}`,
+		`{"kind":"fib","n":5,"topology":"full:16384"}`,
+		`{"kind":"fib","n":5,"topology":"torus:4x4","procs_per_node":1000000000}`,
 	} {
 		resp, err := srv.Client().Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -15,25 +15,27 @@ import (
 
 var decimal = regexp.MustCompile(`[0-9]+`)
 
-// smallEnoughToCompile keeps one fuzz exec in the milliseconds and its
-// memory in the kilobytes: a spec's sizes are not bounded at admission, so
-// the harness only compiles machines of at most 10^3 nodes and instances of
-// at most 64 variables or items.
-func smallEnoughToCompile(spec JobSpec) bool {
+// cheapToCompile keeps one fuzz exec in the milliseconds and its memory in
+// the kilobytes: admission bounds a spec's sizes, but generously, so the
+// harness compiles a spec only when its machine has at most 10^3 nodes or is
+// refused before it is built, and its instance has at most 64 variables or
+// items or is refused before it is generated.
+func cheapToCompile(spec JobSpec) bool {
 	sizes := decimal.FindAllString(spec.Topology, -1)
-	if len(sizes) > 3 || spec.N > 64 {
-		return false
-	}
+	smallMachine := len(sizes) <= 3
 	for _, s := range sizes {
 		if n, err := strconv.Atoi(s); err != nil || n > 10 {
-			return false
+			smallMachine = false
 		}
+	}
+	if !smallMachine && checkMachineSize(spec.Topology, spec.ProcsPerNode) == nil {
+		return false
 	}
 	if spec.CNF != "" {
 		f, err := sat.ParseDIMACS(strings.NewReader(spec.CNF))
 		return err != nil || f.NumVars <= 64
 	}
-	return true
+	return spec.N <= 64 || spec.N > maxGeneratedN
 }
 
 // FuzzReadJobSpec feeds arbitrary bytes to the admission decoder the daemon
@@ -65,7 +67,7 @@ func FuzzReadJobSpec(f *testing.F) {
 		if reforwarded, _ := json.Marshal(again); !ok || !bytes.Equal(reforwarded, forwarded) {
 			t.Fatalf("forwarded spec %s is re-read (ok=%v) as %s", forwarded, ok, reforwarded)
 		}
-		if smallEnoughToCompile(spec) {
+		if cheapToCompile(spec) {
 			if c, err := spec.Compile(); err == nil && (c.Config.Topology == nil || c.Config.Mapper == nil || c.Config.Task == nil) {
 				t.Fatalf("compiled %s to an incomplete config %+v", forwarded, c.Config)
 			}

@@ -129,6 +129,40 @@ type Compiled struct {
 	mappers    map[string]mapping.Factory
 }
 
+// Admission bounds: what a spec may ask Compile to build. Like the
+// simulator's own link limit they are constants, not settings — they keep one
+// request from exhausting the daemon inside the submit handler, where no
+// deadline or MaxSteps applies yet.
+const (
+	// maxProcesses bounds nodes x procs_per_node.
+	maxProcesses = 1 << 20
+	// maxVirtualLinks bounds the neighbour lists layer 2 precomputes: every
+	// process is adjacent to every slot of its node and of the node's
+	// neighbours.
+	maxVirtualLinks = 1 << 23
+	// maxGeneratedN bounds the size of a generated sat or knapsack instance.
+	maxGeneratedN = 10_000
+	// maxQueensN is the largest board whose columns fit QueensState's int8.
+	maxQueensN = 127
+)
+
+// checkMachineSize rejects a topology spec too large to build, before
+// mesh.Parse builds it.
+func checkMachineSize(topoSpec string, procsPerNode int) error {
+	nodes, links, err := mesh.Extent(topoSpec)
+	if err != nil {
+		return fmt.Errorf("service: topology: %w", err)
+	}
+	procs := int64(max(procsPerNode, 1))
+	if procs > maxProcesses || nodes > maxProcesses/procs {
+		return fmt.Errorf("service: topology %s with %d procs per node exceeds %d processes", topoSpec, procs, maxProcesses)
+	}
+	if links+nodes > maxVirtualLinks/(procs*procs) {
+		return fmt.Errorf("service: topology %s with %d procs per node exceeds %d process-level links", topoSpec, procs, maxVirtualLinks)
+	}
+	return nil
+}
+
 // Compile turns the spec into a runnable machine configuration. It is the
 // single validation point and the single place a workload name becomes a
 // task: the service calls it once at admission, so malformed specs are
@@ -140,6 +174,9 @@ func (s JobSpec) Compile() (Compiled, error) {
 	topoSpec := s.Topology
 	if topoSpec == "" {
 		topoSpec = "torus:14x14"
+	}
+	if err := checkMachineSize(topoSpec, s.ProcsPerNode); err != nil {
+		return out, err
 	}
 	topo, err := mesh.Parse(topoSpec)
 	if err != nil {
@@ -188,6 +225,9 @@ func (s JobSpec) Compile() (Compiled, error) {
 			if n <= 0 {
 				n = 20
 			}
+			if n > maxGeneratedN {
+				return out, fmt.Errorf("service: kind %q generates at most n = %d variables", s.Kind, maxGeneratedN)
+			}
 			formula = sat.Random3SAT(rand.New(rand.NewSource(s.Seed)), n, int(float64(n)*4.36))
 		}
 		h, err := sat.ParseHeuristic(heuristicOrDefault(s.Heuristic))
@@ -198,14 +238,14 @@ func (s JobSpec) Compile() (Compiled, error) {
 		task, arg = sat.Task(h), sat.NewProblem(formula)
 	case "queens":
 		n := s.N
-		if n <= 0 {
-			return out, fmt.Errorf("service: kind %q requires n > 0", s.Kind)
+		if n <= 0 || n > maxQueensN {
+			return out, fmt.Errorf("service: kind %q requires 0 < n <= %d", s.Kind, maxQueensN)
 		}
 		task, arg = apps.QueensTask(cutoffOrDefault(s.Cutoff)), apps.QueensState{N: n}
 	case "knapsack":
 		n := s.N
-		if n <= 0 {
-			return out, fmt.Errorf("service: kind %q requires n > 0", s.Kind)
+		if n <= 0 || n > maxGeneratedN {
+			return out, fmt.Errorf("service: kind %q requires 0 < n <= %d", s.Kind, maxGeneratedN)
 		}
 		rng := rand.New(rand.NewSource(s.Seed))
 		items := make([]apps.Item, n)
