@@ -215,12 +215,13 @@ func submit(ctx context.Context, client *service.Client, args []string) error {
 		}
 	}
 	if *specPath != "" {
-		data, err := os.ReadFile(*specPath)
+		f, err := os.Open(*specPath)
 		if err != nil {
 			return err
 		}
-		spec = service.JobSpec{}
-		if err := json.Unmarshal(data, &spec); err != nil {
+		spec, err = service.DecodeJobSpec(f)
+		f.Close()
+		if err != nil {
 			return fmt.Errorf("parsing %s: %w", *specPath, err)
 		}
 	}
@@ -322,7 +323,6 @@ func wait(ctx context.Context, client *service.Client, args []string) error {
 	fs := flag.NewFlagSet("wait", flag.ExitOnError)
 	poll := fs.Duration("poll", 100*time.Millisecond,
 		"initial poll interval; each poll backs off exponentially to a 2s cap")
-	fs.DurationVar(poll, "interval", 100*time.Millisecond, "deprecated alias for -poll")
 	timeout := fs.Duration("timeout", 0, "give up after this long (0 = wait forever)")
 	progress := fs.Bool("progress", false,
 		"render a live progress line from the server's SSE event stream (falls back to polling if the stream drops)")

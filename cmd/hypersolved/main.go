@@ -95,6 +95,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -151,6 +152,13 @@ func main() {
 	if *showVersion {
 		fmt.Println("hypersolved", version.String())
 		return
+	}
+	// A job's garbage (machine build, solve, result encoding) dwarfs what
+	// the daemon keeps between jobs, so at the default GOGC=100 the
+	// collector runs every few jobs and its cycles show up in tail latency.
+	// Doubling the headroom halves them. An explicit GOGC still wins.
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(200)
 	}
 	lvl, err := tracelog.ParseLevel(*logLevel)
 	if err != nil {

@@ -1,6 +1,12 @@
 package hypersolve_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	hypersolve "hypersolve"
@@ -206,5 +212,38 @@ func TestPublicAPISimplifyModes(t *testing.T) {
 		if got != want {
 			t.Errorf("instance %d: onepass %v != fixpoint %v", i, got, want)
 		}
+	}
+}
+
+// TestFacadeExports pins the facade's exported names, so that growing it is
+// a deliberate diff.
+func TestFacadeExports(t *testing.T) {
+	// A name is added here only together with a caller in the benchmark, a
+	// command, an example or a root test.
+	want := strings.Fields(`
+		Assignment Clause Config FibTask FileJobStoreConfig Formula Frame
+		GenerateSATSuite GlobalRoundRobinMapper Heuristic HeuristicDLIS
+		HeuristicFirst HeuristicFreq HeuristicJW JobDone JobStore KnapsackDP
+		KnapsackItem KnapsackTask LeastBusyMapper LinkConfig LinkQueues Lit
+		Machine MapperFactory MustTorus NewFullyConnected NewKnapsack
+		NewMachine NewMemoryJobStore NewSATProblem NewTorus NodeQueues
+		OpenFileJobStore PID ParseMapper ParseTopology QueensSeq QueensState
+		QueensTask RandomMapper Result RoundRobinMapper Run RunSuite
+		SATOptions SATOutcome SATTask SimulatorStats SolveSAT
+		StaggeredRoundRobinMapper StatusSAT StatusUNSAT SumTask Task Topology
+		UF20Params Value VerifySAT WeightedMapper`)
+	f, err := parser.ParseFile(token.NewFileSet(), "hypersolve.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for name, obj := range f.Scope.Objects {
+		if ast.IsExported(name) && obj.Kind != ast.Bad {
+			got = append(got, name)
+		}
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("exported names of hypersolve.go:\n got %v\nwant %v", got, want)
 	}
 }

@@ -92,8 +92,8 @@ func TestQueensCutoffEquivalence(t *testing.T) {
 
 func TestKnapsackOracles(t *testing.T) {
 	items := []Item{{Weight: 3, Value: 4}, {Weight: 2, Value: 3}, {Weight: 4, Value: 5}, {Weight: 5, Value: 8}}
-	if got, want := KnapsackSeq(items, 9), KnapsackDP(items, 9); got != want {
-		t.Errorf("KnapsackSeq = %d, DP = %d", got, want)
+	if got, want := knapsackSeq(NewKnapsack(items, 9)), KnapsackDP(items, 9); got != want {
+		t.Errorf("knapsackSeq = %d, DP = %d", got, want)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestPropertyKnapsackSeqMatchesDP(t *testing.T) {
 			items[i] = Item{Weight: 1 + rng.Intn(9), Value: 1 + rng.Intn(20)}
 		}
 		capacity := 5 + rng.Intn(25)
-		return KnapsackSeq(items, capacity) == KnapsackDP(items, capacity)
+		return knapsackSeq(NewKnapsack(items, capacity)) == KnapsackDP(items, capacity)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -182,18 +182,18 @@ func TestQueensEdgeCases(t *testing.T) {
 func TestKnapsackEdgeCases(t *testing.T) {
 	// Zero capacity: nothing fits.
 	items := []Item{{Weight: 2, Value: 10}, {Weight: 3, Value: 5}}
-	if got := KnapsackSeq(items, 0); got != 0 {
+	if got := knapsackSeq(NewKnapsack(items, 0)); got != 0 {
 		t.Errorf("zero-capacity value = %d, want 0", got)
 	}
 	if got := KnapsackDP(items, 0); got != 0 {
 		t.Errorf("DP zero-capacity value = %d, want 0", got)
 	}
 	// Capacity fits everything.
-	if got, want := KnapsackSeq(items, 5), 15; got != want {
+	if got, want := knapsackSeq(NewKnapsack(items, 5)), 15; got != want {
 		t.Errorf("all-fit value = %d, want %d", got, want)
 	}
 	// No items.
-	if got := KnapsackSeq(nil, 10); got != 0 {
+	if got := knapsackSeq(NewKnapsack(nil, 10)); got != 0 {
 		t.Errorf("no-items value = %d, want 0", got)
 	}
 }

@@ -127,11 +127,6 @@ func knapsackSeq(p KnapsackProblem) int {
 	return best
 }
 
-// KnapsackSeq solves the problem sequentially via branch and bound.
-func KnapsackSeq(items []Item, capacity int) int {
-	return knapsackSeq(NewKnapsack(items, capacity))
-}
-
 // KnapsackDP solves the problem by dynamic programming — an independent
 // oracle for tests (O(n*capacity)).
 func KnapsackDP(items []Item, capacity int) int {

@@ -29,13 +29,11 @@ package cluster
 
 import (
 	"errors"
-	"net/http"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"hypersolve/internal/service"
 	"hypersolve/internal/telemetry"
 	"hypersolve/internal/tracelog"
 	"hypersolve/internal/version"
@@ -91,15 +89,6 @@ type Config struct {
 	// hung backend cannot stall admission past the ring walk (<= 0
 	// selects 15s).
 	SubmitTimeout time.Duration
-	// RingReplicas is the virtual-node count per shard on the placement
-	// ring (<= 0 selects DefaultRingReplicas).
-	RingReplicas int
-	// HTTP is the transport shared by all backend clients; nil means
-	// http.DefaultClient.
-	HTTP *http.Client
-	// Retry is the submission backoff policy applied per backend attempt
-	// (see service.Retry); the zero value selects the client defaults.
-	Retry service.Retry
 	// Logger receives failover and membership transitions as structured
 	// records; nil discards them.
 	Logger *tracelog.Logger

@@ -28,7 +28,7 @@ func (r *Router) newEndpoint(base string, who string) (*endpoint, error) {
 	}
 	return &endpoint{
 		base:    base,
-		client:  &service.Client{Base: base, HTTP: r.cfg.HTTP, Retry: r.cfg.Retry},
+		client:  &service.Client{Base: base},
 		healthy: true,
 	}, nil
 }
@@ -74,7 +74,7 @@ func (r *Router) rebuildRingLocked() {
 		}
 	}
 	sort.Ints(ids)
-	r.ring = newRing(ids, r.cfg.RingReplicas)
+	r.ring = newRing(ids)
 }
 
 // AddShard registers a new shard (primary plus optional standby) and

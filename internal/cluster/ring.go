@@ -6,12 +6,12 @@ import (
 	"sort"
 )
 
-// DefaultRingReplicas is the virtual-node count per shard on the hash ring.
+// ringReplicas is the virtual-node count per shard on the hash ring.
 // 64 vnodes keep the load spread within a few percent of uniform for small
 // fleets while keeping ring rebuilds (a sort of shards×64 points) trivial.
-const DefaultRingReplicas = 64
+const ringReplicas = 64
 
-// ring is a consistent-hash ring over shard IDs: each shard owns `replicas`
+// ring is a consistent-hash ring over shard IDs: each shard owns ringReplicas
 // virtual points, a key routes to the shard owning the first point at or
 // after the key's hash, and spillover walks the ring to the next distinct
 // shard. Adding or removing one shard moves only the key ranges adjacent to
@@ -28,16 +28,12 @@ type ringPoint struct {
 	shard int
 }
 
-// newRing builds a ring over the given shard IDs with `replicas` virtual
-// points each (<= 0 selects DefaultRingReplicas). An empty shard list
+// newRing builds a ring over the given shard IDs. An empty shard list
 // yields an empty ring (sequence returns nil).
-func newRing(shardIDs []int, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = DefaultRingReplicas
-	}
+func newRing(shardIDs []int) *ring {
 	r := &ring{shards: len(shardIDs)}
 	for _, id := range shardIDs {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			r.points = append(r.points, ringPoint{hash: ringHash(fmt.Sprintf("shard-%d/vnode-%d", id, v)), shard: id})
 		}
 	}

@@ -8,7 +8,7 @@ import (
 // TestRingCoversAllShards: every key's sequence enumerates each shard
 // exactly once, home shard first.
 func TestRingCoversAllShards(t *testing.T) {
-	r := newRing([]int{1, 2, 3, 4, 5}, 0)
+	r := newRing([]int{1, 2, 3, 4, 5})
 	for i := 0; i < 100; i++ {
 		seq := r.sequence([]byte(fmt.Sprintf("key-%d", i)))
 		if len(seq) != 5 {
@@ -22,7 +22,7 @@ func TestRingCoversAllShards(t *testing.T) {
 			seen[s] = true
 		}
 	}
-	if newRing(nil, 0).sequence([]byte("x")) != nil {
+	if newRing(nil).sequence([]byte("x")) != nil {
 		t.Fatal("empty ring produced a sequence")
 	}
 }
@@ -35,7 +35,7 @@ func TestRingDistribution(t *testing.T) {
 	for i := range ids {
 		ids[i] = i + 1
 	}
-	r := newRing(ids, 0)
+	r := newRing(ids)
 	counts := map[int]int{}
 	for i := 0; i < keys; i++ {
 		counts[r.sequence([]byte(fmt.Sprintf("key-%d", i)))[0]]++
@@ -56,8 +56,8 @@ func TestRingDistribution(t *testing.T) {
 // the ~N/(N+1) a modulo partitioner reshuffles.
 func TestRingStabilityOnGrowth(t *testing.T) {
 	const keys = 10000
-	before := newRing([]int{1, 2, 3, 4, 5}, 0)
-	after := newRing([]int{1, 2, 3, 4, 5, 6}, 0)
+	before := newRing([]int{1, 2, 3, 4, 5})
+	after := newRing([]int{1, 2, 3, 4, 5, 6})
 	moved, toNew := 0, 0
 	for i := 0; i < keys; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
@@ -84,8 +84,8 @@ func TestRingStabilityOnGrowth(t *testing.T) {
 // keys.
 func TestRingRemovalOnlyMovesOrphans(t *testing.T) {
 	const keys = 10000
-	before := newRing([]int{1, 2, 3, 4}, 0)
-	after := newRing([]int{1, 2, 4}, 0)
+	before := newRing([]int{1, 2, 3, 4})
+	after := newRing([]int{1, 2, 4})
 	for i := 0; i < keys; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
 		b, a := before.sequence(key)[0], after.sequence(key)[0]
@@ -101,8 +101,8 @@ func TestRingRemovalOnlyMovesOrphans(t *testing.T) {
 // TestRingSpilloverFollowsRing: a key's spillover order equals the ring
 // walk, so two routers with the same membership agree on fallback order.
 func TestRingSpilloverFollowsRing(t *testing.T) {
-	a := newRing([]int{1, 2, 3}, 0)
-	b := newRing([]int{1, 2, 3}, 0)
+	a := newRing([]int{1, 2, 3})
+	b := newRing([]int{1, 2, 3})
 	for i := 0; i < 50; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i))
 		sa, sb := a.sequence(key), b.sequence(key)

@@ -203,18 +203,6 @@ func (r *Router) openEvents(ctx context.Context, id service.JobID) (io.ReadClose
 	return body, ep, nil
 }
 
-// Watch streams a job's progress events from its owning shard, with the
-// same contract as service.Client.Watch — the library-level counterpart of
-// the HTTP proxy.
-func (r *Router) Watch(ctx context.Context, id service.JobID, fn func(service.Progress)) error {
-	body, _, err := r.openEvents(ctx, id)
-	if err != nil {
-		return err
-	}
-	defer body.Close()
-	return service.DecodeEvents(ctx, body, fn)
-}
-
 // List fans the listing out to every shard concurrently and merges the
 // results ordered by ID (shard, then sequence). A shard whose active
 // endpoint fails at the transport level is retried against its standby;

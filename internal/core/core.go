@@ -31,14 +31,9 @@ type Config struct {
 	// Task is the layer-5 recursive function (required).
 	Task recursion.Task
 
-	// ProcsPerNode and ActivationsPerStep configure layer 2 (default 1).
-	ProcsPerNode       int
-	ActivationsPerStep int
-	// Policy is the node-level scheduling discipline (default round-robin).
-	Policy sched.Policy
-
-	// Root is the process that receives the trigger (default PID 0).
-	Root sched.PID
+	// ProcsPerNode configures layer 2: logical processes per core
+	// (default 1), scheduled round-robin with no per-step activation cap.
+	ProcsPerNode int
 
 	// CancelSpeculative enables the recursion layer's speculative
 	// cancellation extension: when a Choose resolves, the losing branches
@@ -128,24 +123,15 @@ func New(cfg Config) (*Machine, error) {
 	}
 	simCfg.RecordSeries = cfg.RecordSeries
 	net, err := mapping.New(mapping.Config{
-		Physical:           cfg.Topology,
-		ProcsPerNode:       cfg.ProcsPerNode,
-		ActivationsPerStep: cfg.ActivationsPerStep,
-		Policy:             cfg.Policy,
-		Mapper:             cfg.Mapper,
-		Factory:            recursion.AppFactoryOpts(cfg.Task, recursion.Options{CancelSpeculative: cfg.CancelSpeculative}),
-		Seed:               cfg.Seed,
-		Sim:                simCfg,
+		Physical:     cfg.Topology,
+		ProcsPerNode: cfg.ProcsPerNode,
+		Mapper:       cfg.Mapper,
+		Factory:      recursion.AppFactoryOpts(cfg.Task, recursion.Options{CancelSpeculative: cfg.CancelSpeculative}),
+		Seed:         cfg.Seed,
+		Sim:          simCfg,
 	})
 	if err != nil {
 		return nil, err
-	}
-	procs := cfg.ProcsPerNode
-	if procs < 1 {
-		procs = 1
-	}
-	if int(cfg.Root) < 0 || int(cfg.Root) >= cfg.Topology.Size()*procs {
-		return nil, fmt.Errorf("core: root PID %d out of range", cfg.Root)
 	}
 	return &Machine{cfg: cfg, net: net}, nil
 }
@@ -153,8 +139,9 @@ func New(cfg Config) (*Machine, error) {
 // Network exposes the underlying layer-3 network for advanced inspection.
 func (m *Machine) Network() *mapping.Network { return m.net }
 
-// Run triggers the task with the given argument at the root process, runs
-// the simulation to quiescence (or MaxSteps) and collects the result.
+// Run triggers the task with the given argument at the root process
+// (PID 0), runs the simulation to quiescence (or MaxSteps) and collects the
+// result.
 // A Machine instance runs once; build a new one for another run.
 func (m *Machine) Run(arg recursion.Value) (Result, error) {
 	return m.RunContext(context.Background(), arg)
@@ -180,7 +167,7 @@ func (m *Machine) RunContext(ctx context.Context, arg recursion.Value) (res Resu
 			res, err = Result{}, fmt.Errorf("core: task panicked: %v", r)
 		}
 	}()
-	if err := m.net.Trigger(m.cfg.Root, arg); err != nil {
+	if err := m.net.Trigger(0, arg); err != nil {
 		return Result{}, err
 	}
 	stats := m.net.RunContext(ctx)
@@ -203,7 +190,7 @@ func (m *Machine) RunContext(ctx context.Context, arg recursion.Value) (res Resu
 		res.FramesCancelled += rt.FramesCancelled()
 	}
 
-	rootRT := m.net.App(m.cfg.Root).(*recursion.Runtime)
+	rootRT := m.net.App(0).(*recursion.Runtime)
 	res.Value, res.OK = rootRT.RootResult()
 
 	if !stats.Quiescent {

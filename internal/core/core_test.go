@@ -15,7 +15,6 @@ import (
 	"hypersolve/internal/mesh"
 	"hypersolve/internal/recursion"
 	"hypersolve/internal/sat"
-	"hypersolve/internal/sched"
 	"hypersolve/internal/simulator"
 )
 
@@ -84,8 +83,6 @@ func TestMachineConfigValidation(t *testing.T) {
 		func(c *Config) { c.Topology = nil },
 		func(c *Config) { c.Mapper = nil },
 		func(c *Config) { c.Task = nil },
-		func(c *Config) { c.Root = 99 },
-		func(c *Config) { c.Root = -1 },
 	} {
 		cfg := base
 		mutate(&cfg)
@@ -121,15 +118,14 @@ func TestMachineRootPlacement(t *testing.T) {
 		Topology: mesh.MustTorus(4, 4),
 		Mapper:   mapping.NewRoundRobin(),
 		Task:     apps.SumTask(),
-		Root:     sched.PID(7),
 	}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.OK || res.Value.(int) != 15 {
-		t.Fatalf("sum(5) at root 7 = %v (ok=%v)", res.Value, res.OK)
+		t.Fatalf("sum(5) = %v (ok=%v)", res.Value, res.OK)
 	}
-	if res.FramesPerProcess[7] == 0 {
+	if res.FramesPerProcess[0] == 0 {
 		t.Error("root process evaluated no frames")
 	}
 }

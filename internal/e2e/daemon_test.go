@@ -1,7 +1,8 @@
-// Package e2e drives real hypersolved processes purely over HTTP: every case
-// builds the daemon from this checkout into a temporary directory, owns the
-// lifetime of the processes it starts, and checks what a client can see.
-// Cases run under the ordinary test command and are skipped by -short.
+// Package e2e drives real hypersolved processes over HTTP and through
+// hyperctl: every case builds the binaries from this checkout into a
+// temporary directory, owns the lifetime of the processes it starts, and
+// checks what a client can see. Cases run under the ordinary test command
+// and are skipped by -short.
 package e2e
 
 import (
@@ -18,23 +19,45 @@ import (
 	"hypersolve/internal/service"
 )
 
-// daemonBinary builds cmd/hypersolved once per test binary.
-var daemonBinary = sync.OnceValues(func() (string, error) {
+// stampedVersion is the build version the binaries are stamped with, so
+// cases can see it come back through -version and /healthz.
+const stampedVersion = "e2e"
+
+// builtDir is the directory binDir built into, "" until a case needed it.
+var builtDir string
+
+// binDir builds cmd/hypersolved and cmd/hyperctl once per test binary and
+// returns the directory holding them.
+var binDir = sync.OnceValues(func() (string, error) {
 	dir, err := os.MkdirTemp("", "hypersolve-e2e-")
 	if err != nil {
 		return "", err
 	}
-	bin := filepath.Join(dir, "hypersolved")
-	if out, err := exec.Command("go", "build", "-o", bin, "hypersolve/cmd/hypersolved").CombinedOutput(); err != nil {
-		return "", fmt.Errorf("building hypersolved: %v\n%s", err, out)
+	builtDir = dir
+	for _, name := range []string{"hypersolved", "hyperctl"} {
+		cmd := exec.Command("go", "build", "-ldflags", "-X hypersolve/internal/version.Version="+stampedVersion,
+			"-o", filepath.Join(dir, name), "hypersolve/cmd/"+name)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			return "", fmt.Errorf("building %s: %v\n%s", name, err, out)
+		}
 	}
-	return bin, nil
+	return dir, nil
 })
+
+// binary returns the path of one built command.
+func binary(t *testing.T, name string) string {
+	t.Helper()
+	dir, err := binDir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(dir, name)
+}
 
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if bin, err := daemonBinary(); err == nil {
-		os.RemoveAll(filepath.Dir(bin))
+	if builtDir != "" {
+		os.RemoveAll(builtDir)
 	}
 	os.Exit(code)
 }
@@ -50,10 +73,7 @@ type daemon struct {
 // test ends unless the case already stopped it.
 func startDaemon(t *testing.T, flags ...string) *daemon {
 	t.Helper()
-	bin, err := daemonBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bin := binary(t, "hypersolved")
 	// Reserve a port by binding it, then hand it to the daemon.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

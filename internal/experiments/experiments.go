@@ -29,23 +29,12 @@ type Workload struct {
 // uf50-218. The paper used SATLIB uf20-91; with single-pass simplification
 // those trees (~100 frames) saturate well below the paper's 10^3-core
 // sweep, so the default moves one step up the same SATLIB family to keep
-// machines busy across the whole core range. UF20Workload regenerates the
-// paper's literal set; EXPERIMENTS.md reports both.
+// machines busy across the whole core range; sat.UF20Params regenerates
+// the paper's literal set.
 func DefaultWorkload(seed int64) (Workload, error) {
 	suite, err := sat.GenerateSuite(sat.SuiteParams{
 		Count: 20, NumVars: 50, NumClauses: 218, Seed: seed, RequireSAT: true,
 	})
-	if err != nil {
-		return Workload{}, err
-	}
-	return Workload{Problems: suite, Heuristic: sat.FirstUnassigned}, nil
-}
-
-// UF20Workload regenerates the paper's literal benchmark set: 20
-// satisfiable uf20-91-style instances (see DESIGN.md for the SATLIB
-// substitution rationale).
-func UF20Workload(seed int64) (Workload, error) {
-	suite, err := sat.GenerateSuite(sat.UF20Params(seed))
 	if err != nil {
 		return Workload{}, err
 	}
@@ -81,7 +70,6 @@ type Figure4Config struct {
 	Workload Workload
 	Series   []Series
 	Seed     int64
-	MaxSteps int64
 	// Parallelism bounds how many simulations run concurrently (each
 	// simulator instance is independent and single-threaded). Values <= 0
 	// default to runtime.GOMAXPROCS(0); 1 recovers the serial engine.
@@ -175,13 +163,12 @@ func Figure4(cfg Figure4Config) ([]Point, error) {
 			Mapper:   spec.s.Mapper,
 			Task:     sat.Task(cfg.Workload.Heuristic),
 			Seed:     cfg.Seed + int64(i),
-			MaxSteps: cfg.MaxSteps,
 		}, sat.NewProblem(f))
 		if err != nil {
 			return fmt.Errorf("experiments: %s/%d problem %d: %w", spec.s.Label, spec.topo.Size(), i, err)
 		}
 		if !res.OK {
-			return fmt.Errorf("experiments: %s/%d problem %d did not complete (MaxSteps too small?)", spec.s.Label, spec.topo.Size(), i)
+			return fmt.Errorf("experiments: %s/%d problem %d did not complete within the step limit", spec.s.Label, spec.topo.Size(), i)
 		}
 		if out, ok := res.Value.(sat.Outcome); ok && out.Status == sat.SAT {
 			if !sat.Verify(f, out.Assignment) {

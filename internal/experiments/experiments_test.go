@@ -146,28 +146,6 @@ func TestFigure5Validation(t *testing.T) {
 	if _, err := Figure5(Figure5Config{}); err == nil {
 		t.Error("expected error for empty workload")
 	}
-	w, err := SmallWorkload(5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Figure5(Figure5Config{Workload: w, HeatmapProblem: 5}); err == nil {
-		t.Error("expected error for out-of-range heatmap problem")
-	}
-}
-
-func TestUF20WorkloadShape(t *testing.T) {
-	w, err := UF20Workload(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w.Problems) != 20 {
-		t.Fatalf("problems = %d, want 20", len(w.Problems))
-	}
-	for i, f := range w.Problems {
-		if f.NumVars != 20 || len(f.Clauses) != 91 {
-			t.Errorf("instance %d: %d vars %d clauses", i, f.NumVars, len(f.Clauses))
-		}
-	}
 }
 
 func TestDefaultWorkloadShape(t *testing.T) {

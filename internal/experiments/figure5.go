@@ -20,11 +20,7 @@ type Figure5Config struct {
 	Workload Workload
 	// Side is the torus edge length (default 14, the paper's 196 cores).
 	Side int
-	// HeatmapProblem selects which workload instance feeds the heatmap
-	// (the paper plots one problem).
-	HeatmapProblem int
-	Seed           int64
-	MaxSteps       int64
+	Seed int64
 	// Parallelism bounds how many simulations run concurrently; <= 0
 	// defaults to runtime.GOMAXPROCS(0). Results are bit-identical at every
 	// parallelism level.
@@ -37,8 +33,8 @@ type Figure5Result struct {
 	// Traces is one queued-messages time series per workload problem
 	// (superimposed in the paper's top row).
 	Traces []metrics.Series
-	// Heatmap is the per-node total delivered messages for the selected
-	// problem (the paper's bottom row).
+	// Heatmap is the per-node total delivered messages for problem 0 (the
+	// paper's bottom row plots one problem).
 	Heatmap *metrics.Heatmap
 	// Steps summarises computation time over the workload.
 	Steps metrics.Summary
@@ -55,9 +51,6 @@ func Figure5(cfg Figure5Config) ([]Figure5Result, error) {
 	side := cfg.Side
 	if side <= 0 {
 		side = 14
-	}
-	if cfg.HeatmapProblem < 0 || cfg.HeatmapProblem >= len(cfg.Workload.Problems) {
-		return nil, fmt.Errorf("experiments: heatmap problem %d out of range", cfg.HeatmapProblem)
 	}
 	mappers := []struct {
 		name string
@@ -86,7 +79,6 @@ func Figure5(cfg Figure5Config) ([]Figure5Result, error) {
 			Mapper:       m.mf,
 			Task:         sat.Task(cfg.Workload.Heuristic),
 			Seed:         cfg.Seed + int64(i),
-			MaxSteps:     cfg.MaxSteps,
 			RecordSeries: true,
 		})
 		if err != nil {
@@ -101,7 +93,7 @@ func Figure5(cfg Figure5Config) ([]Figure5Result, error) {
 		}
 		runs[k].trace = res.QueuedSeries
 		runs[k].steps = float64(res.ComputationTime)
-		if i == cfg.HeatmapProblem {
+		if i == 0 {
 			runs[k].heatmap = machine.NodeHeatmap(res)
 		}
 		return nil

@@ -3,7 +3,6 @@ package mapping
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"hypersolve/internal/sched"
@@ -208,11 +207,4 @@ func Registry(spec string) (Factory, error) {
 	default:
 		return nil, fmt.Errorf("mapping: unknown mapper %q (want rr|rr-stagger|lbn|random|weighted[:alpha]|ideal)", spec)
 	}
-}
-
-// MapperNames returns the registry's spec names, sorted, for CLI help text.
-func MapperNames() []string {
-	names := []string{"rr", "rr-stagger", "lbn", "random", "weighted", "ideal"}
-	sort.Strings(names)
-	return names
 }

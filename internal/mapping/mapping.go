@@ -120,10 +120,8 @@ type Factory func(self sched.PID, nbrs []sched.PID, seed int64) Algorithm
 type Config struct {
 	// Physical is the hardware interconnect.
 	Physical mesh.Topology
-	// ProcsPerNode, ActivationsPerStep and Policy configure layer 2.
-	ProcsPerNode       int
-	ActivationsPerStep int
-	Policy             sched.Policy
+	// ProcsPerNode configures layer 2.
+	ProcsPerNode int
 	// Mapper builds the mapping algorithm for each node.
 	Mapper Factory
 	// Factory builds the layer-3 application for each process.
@@ -153,11 +151,9 @@ func New(cfg Config) (*Network, error) {
 	}
 	n := &Network{}
 	cluster, err := sched.New(sched.Config{
-		Physical:           cfg.Physical,
-		ProcsPerNode:       cfg.ProcsPerNode,
-		ActivationsPerStep: cfg.ActivationsPerStep,
-		Policy:             cfg.Policy,
-		Sim:                cfg.Sim,
+		Physical:     cfg.Physical,
+		ProcsPerNode: cfg.ProcsPerNode,
+		Sim:          cfg.Sim,
 		Factory: func(p sched.PID) sched.Process {
 			rt := newRuntime(n, p, cfg)
 			for int(p) >= len(n.runtimes) {
@@ -332,15 +328,6 @@ type Context struct {
 	sctx *sched.Context
 }
 
-// Self returns the process's PID.
-func (c *Context) Self() sched.PID { return c.rt.self }
-
-// Step returns the current simulation step.
-func (c *Context) Step() int64 { return c.sctx.Step() }
-
-// Degree returns the number of candidate destinations this node maps onto.
-func (c *Context) Degree() int { return len(c.rt.nbrs) }
-
 // SendWork maps a new piece of work onto a neighbour chosen by the mapping
 // algorithm and returns the ticket that will identify its reply. hint is the
 // cross-layer hint (e.g. estimated sub-problem size) attached to the work
@@ -410,7 +397,3 @@ func (c *Context) Reply(ticket Ticket, payload any) error {
 	env := rt.net.envelope(envelope{Kind: Reply, Ticket: ticket, Activity: rt.received, Payload: payload})
 	return c.sctx.Send(src, env)
 }
-
-// Received returns this process's total received-message count (the
-// quantity piggybacked for activity estimation).
-func (c *Context) Received() int64 { return c.rt.received }

@@ -497,9 +497,6 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("Registry(%q): expected error", spec)
 		}
 	}
-	if len(MapperNames()) != 6 {
-		t.Errorf("MapperNames = %v", MapperNames())
-	}
 }
 
 func TestKindString(t *testing.T) {

@@ -70,21 +70,3 @@ func (h *hypercube) Dims() []int {
 func (h *hypercube) Distance(a, b NodeID) int {
 	return bits.OnesCount32(uint32(a) ^ uint32(b))
 }
-
-// GrayCode returns the i-th value of the reflected binary Gray code. Gray
-// sequences visit hypercube nodes along edges, which embeds a ring (and
-// hence any 1D pipeline) into the hypercube — one of the embedding
-// properties the paper highlights in Section II-A.
-func GrayCode(i int) int { return i ^ (i >> 1) }
-
-// GrayRing returns the closed Hamiltonian cycle through an n-dimensional
-// hypercube induced by the reflected Gray code. The returned slice has
-// 2^dim entries; consecutive entries (cyclically) are hypercube neighbours.
-func GrayRing(dim int) []NodeID {
-	size := 1 << dim
-	ring := make([]NodeID, size)
-	for i := 0; i < size; i++ {
-		ring[i] = NodeID(GrayCode(i))
-	}
-	return ring
-}

@@ -69,15 +69,6 @@ func Diameter(t Topology) int {
 	return max
 }
 
-// TotalLinks returns the number of undirected links in the topology.
-func TotalLinks(t Topology) int {
-	sum := 0
-	for n := 0; n < t.Size(); n++ {
-		sum += t.Degree(NodeID(n))
-	}
-	return sum / 2
-}
-
 // Validate checks the structural invariants every topology must satisfy:
 // dense IDs, symmetric adjacency, no self loops, no duplicate neighbours and
 // consistent degree reporting. It returns a descriptive error on the first

@@ -7,18 +7,6 @@ import (
 	"strings"
 )
 
-// Spec describes a topology as a parseable string so that command-line
-// tools and experiment configs can name machines uniformly:
-//
-//	torus:14x14        2D torus, 196 cores
-//	torus:6x6x6        3D torus, 216 cores
-//	grid:8x8           2D grid without wraparound
-//	hypercube:7        128-core hypercube
-//	full:256           fully connected, 256 cores
-//	ring:64            64-core ring
-//	star:32            hub-and-spoke, 32 cores
-type Spec string
-
 // parseSpec splits a spec into its kind and its numeric arguments: the
 // extents of a torus or grid, otherwise the one dimension or size.
 func parseSpec(spec string) (kind string, args []int, err error) {
@@ -47,7 +35,16 @@ func parseSpec(spec string) (kind string, args []int, err error) {
 	return kind, args, nil
 }
 
-// Parse builds the topology described by the spec string.
+// Parse builds the topology described by a spec string, so that
+// command-line tools and experiment configs can name machines uniformly:
+//
+//	torus:14x14        2D torus, 196 cores
+//	torus:6x6x6        3D torus, 216 cores
+//	grid:8x8           2D grid without wraparound
+//	hypercube:7        128-core hypercube
+//	full:256           fully connected, 256 cores
+//	ring:64            64-core ring
+//	star:32            hub-and-spoke, 32 cores
 func Parse(spec string) (Topology, error) {
 	kind, args, err := parseSpec(spec)
 	if err != nil {
@@ -161,29 +158,6 @@ func pow(base, exp int) int {
 	out := 1
 	for i := 0; i < exp; i++ {
 		out *= base
-	}
-	return out
-}
-
-// SquareSizes returns perfect-square core counts in [lo, hi], the natural
-// sweep points for 2D torus scalability experiments.
-func SquareSizes(lo, hi int) []int {
-	var out []int
-	for k := 1; k*k <= hi; k++ {
-		if c := k * k; c >= lo {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// CubeSizes returns perfect-cube core counts in [lo, hi].
-func CubeSizes(lo, hi int) []int {
-	var out []int
-	for k := 1; k*k*k <= hi; k++ {
-		if c := k * k * k; c >= lo {
-			out = append(out, c)
-		}
 	}
 	return out
 }

@@ -12,8 +12,7 @@ import (
 // local run prints is what an API client receives.
 func Example() {
 	activity := metrics.Series{0, 3, 9, 14, 9, 4, 1, 0}
-	fmt.Println("peak:", activity.Max(), "at step", activity.ArgMax())
-	fmt.Println("total:", activity.Sum())
+	fmt.Println("peak:", activity.Max())
 
 	sum := metrics.Summarize([]float64{1.0, 2.0, 4.0})
 	fmt.Printf("mean: %.2f median: %.1f\n", sum.Mean, sum.Median)
@@ -23,8 +22,7 @@ func Example() {
 	load.Add(1, 1, 2)
 	fmt.Printf("imbalance CV: %.2f\n", load.ImbalanceCV())
 	// Output:
-	// peak: 14 at step 3
-	// total: 40
+	// peak: 14
 	// mean: 2.33 median: 2.0
 	// imbalance CV: 1.41
 }

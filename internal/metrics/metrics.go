@@ -4,7 +4,7 @@
 // node). These are result-payload types, not a monitoring system — Series
 // and Heatmap are embedded in solve results and travel the HTTP API as the
 // job-result JSON wire format, with summary statistics and text renderings
-// (sparklines, ASCII plots, heatmap shading) layered on top for terminal
+// (ASCII plots, heatmap shading) layered on top for terminal
 // and report output. Operational telemetry — counters, gauges and
 // histograms scraped from /metrics — lives in internal/telemetry.
 package metrics
@@ -29,37 +29,6 @@ func (s Series) Max() int {
 		}
 	}
 	return max
-}
-
-// Sum returns the series total (the time-integral of activity).
-func (s Series) Sum() int64 {
-	var total int64
-	for _, v := range s {
-		total += int64(v)
-	}
-	return total
-}
-
-// Mean returns the average value, or 0 for an empty series.
-func (s Series) Mean() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	return float64(s.Sum()) / float64(len(s))
-}
-
-// ArgMax returns the index of the first maximum, or -1 for empty series.
-func (s Series) ArgMax() int {
-	if len(s) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range s {
-		if v > s[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // Downsample reduces the series to at most buckets points by averaging
@@ -221,7 +190,7 @@ func (h *Heatmap) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// shades are the glyph ramp for ASCII heatmaps and sparklines.
+// shades are the glyph ramp for ASCII heatmaps.
 var shades = []rune(" .:-=+*#%@")
 
 // Render draws the heatmap as ASCII art, one glyph per cell, normalised to
@@ -253,18 +222,6 @@ func shade(v, max float64) rune {
 	return shades[idx]
 }
 
-// Sparkline renders a series as a single line of glyphs, downsampled to
-// width characters.
-func Sparkline(s Series, width int) string {
-	ds := s.Downsample(width)
-	max := ds.Max()
-	var b strings.Builder
-	for _, v := range ds {
-		b.WriteRune(shade(float64(v), float64(max)))
-	}
-	return b.String()
-}
-
 // AsciiPlot renders a series as a height x width scatter of '*', with axis
 // annotations, for Figure 5-style queued-messages traces.
 func AsciiPlot(s Series, width, height int) string {
@@ -291,27 +248,5 @@ func AsciiPlot(s Series, width, height int) string {
 	}
 	fmt.Fprintf(&b, "%6d └%s\n", 0, strings.Repeat("─", len(ds)))
 	fmt.Fprintf(&b, "%7s0%*d steps\n", "", len(ds)-1, len(s))
-	return b.String()
-}
-
-// CSV renders rows of named columns as comma-separated text with a header,
-// for piping experiment results into external plotting tools.
-func CSV(header []string, rows [][]float64) string {
-	var b strings.Builder
-	b.WriteString(strings.Join(header, ","))
-	b.WriteByte('\n')
-	for _, row := range rows {
-		for i, v := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-				fmt.Fprintf(&b, "%d", int64(v))
-			} else {
-				fmt.Fprintf(&b, "%g", v)
-			}
-		}
-		b.WriteByte('\n')
-	}
 	return b.String()
 }

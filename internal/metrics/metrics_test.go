@@ -14,18 +14,9 @@ func TestSeriesBasics(t *testing.T) {
 	if s.Max() != 5 {
 		t.Errorf("Max = %d", s.Max())
 	}
-	if s.Sum() != 14 {
-		t.Errorf("Sum = %d", s.Sum())
-	}
-	if s.Mean() != 2.8 {
-		t.Errorf("Mean = %v", s.Mean())
-	}
-	if s.ArgMax() != 1 {
-		t.Errorf("ArgMax = %d, want 1 (first max)", s.ArgMax())
-	}
 	var empty Series
-	if empty.Max() != 0 || empty.Sum() != 0 || empty.Mean() != 0 || empty.ArgMax() != -1 {
-		t.Error("empty series accessors wrong")
+	if empty.Max() != 0 {
+		t.Error("empty series Max wrong")
 	}
 }
 
@@ -167,18 +158,6 @@ func TestHeatmapImbalance(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	s := Series{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	line := Sparkline(s, 5)
-	if len([]rune(line)) != 5 {
-		t.Fatalf("width = %d, want 5", len([]rune(line)))
-	}
-	runes := []rune(line)
-	if runes[0] == runes[4] {
-		t.Error("increasing series should use distinct glyphs at ends")
-	}
-}
-
 func TestAsciiPlot(t *testing.T) {
 	s := Series{0, 10, 20, 30, 20, 10, 0}
 	out := AsciiPlot(s, 20, 8)
@@ -190,14 +169,6 @@ func TestAsciiPlot(t *testing.T) {
 	}
 	if AsciiPlot(nil, 10, 5) == "" {
 		t.Error("empty plot should explain itself")
-	}
-}
-
-func TestCSV(t *testing.T) {
-	out := CSV([]string{"cores", "perf"}, [][]float64{{16, 0.5}, {64, 0.25}})
-	want := "cores,perf\n16,0.5\n64,0.25\n"
-	if out != want {
-		t.Errorf("CSV = %q, want %q", out, want)
 	}
 }
 

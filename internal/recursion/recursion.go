@@ -170,8 +170,7 @@ func (p *pool) drain() {
 // so a task must not keep it, or use it from anywhere but its own call
 // stack. (The slice Sync returns is the task's to keep.)
 type Frame struct {
-	node sched.PID
-	w    *worker // nil once the task has returned or was killed: the frame is dead
+	w *worker // nil once the task has returned or was killed: the frame is dead
 
 	idx          int // position in Runtime.frames
 	parentTicket mapping.Ticket
@@ -197,10 +196,6 @@ func (f *Frame) suspend(op opKind) resumeMsg {
 	}
 	return w.resume
 }
-
-// Node returns the PID of the process evaluating this frame, for
-// diagnostics and tests; tasks should not use it to direct work.
-func (f *Frame) Node() sched.PID { return f.node }
 
 // Call requests the asynchronous evaluation of the task on arg by another
 // node (the paper's "yield Call(args)"). Results are collected by the next
@@ -391,7 +386,7 @@ func (rt *Runtime) startFrame(ctx *mapping.Context, arg Value, parent mapping.Ti
 	}
 	w := p.worker()
 	p.live++
-	f.node, f.w, f.idx, f.parentTicket, f.isRoot = rt.self, w, len(rt.frames), parent, isRoot
+	f.w, f.idx, f.parentTicket, f.isRoot = w, len(rt.frames), parent, isRoot
 	rt.frames = append(rt.frames, f)
 	if rt.opts.CancelSpeculative && !isRoot {
 		rt.byParent[parent] = f

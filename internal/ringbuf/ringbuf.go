@@ -61,13 +61,6 @@ func (r *Ring[T]) At(i int) T {
 	return r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 
-// Grow ensures capacity for at least extra more pushes without reallocating.
-func (r *Ring[T]) Grow(extra int) {
-	for r.n+extra > len(r.buf) {
-		r.grow()
-	}
-}
-
 func (r *Ring[T]) grow() {
 	newCap := len(r.buf) * 2
 	if newCap < minCap {

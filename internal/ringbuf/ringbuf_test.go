@@ -96,22 +96,6 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 	r.At(0)
 }
 
-func TestGrowReserves(t *testing.T) {
-	var r Ring[int]
-	r.Push(1)
-	r.Grow(1000)
-	before := len(r.buf)
-	for i := 0; i < 1000; i++ {
-		r.Push(i)
-	}
-	if len(r.buf) != before {
-		t.Fatalf("buffer reallocated after Grow: %d -> %d", before, len(r.buf))
-	}
-	if v, _ := r.Pop(); v != 1 {
-		t.Fatalf("front = %d, want 1", v)
-	}
-}
-
 func TestPopZeroesSlot(t *testing.T) {
 	var r Ring[*int]
 	x := new(int)

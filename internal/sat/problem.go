@@ -142,13 +142,13 @@ func (p *Problem) unit(c int32) (unit Lit, ok bool) {
 	return unit, ok
 }
 
-// SimplifyStats reports what Simplify did.
+// SimplifyStats reports what SimplifyWith did.
 type SimplifyStats struct {
 	UnitPropagations int
 	PureAssignments  int
 }
 
-// SimplifyMode selects how aggressively Simplify runs.
+// SimplifyMode selects how aggressively SimplifyWith runs.
 type SimplifyMode int
 
 const (
@@ -169,14 +169,6 @@ func (m SimplifyMode) String() string {
 		return "fixpoint"
 	}
 	return "onepass"
-}
-
-// Simplify applies unit propagation and pure-literal elimination to a copy
-// of the problem until fixpoint. It stops early when an empty clause
-// appears. (Sequential solving default; the distributed task defaults to
-// the paper-faithful OnePass via SimplifyWith.)
-func (p *Problem) Simplify() (*Problem, SimplifyStats) {
-	return p.SimplifyWith(Fixpoint)
 }
 
 // Polarity bits of the pure-literal scans.
@@ -216,9 +208,12 @@ func (p *Problem) polarities(seen []uint8) {
 }
 
 // SimplifyWith applies the selected simplification mode to a copy of the
-// problem. Both modes are satisfiability-preserving: unit propagation is
-// forced, and a snapshot-pure literal stays pure after other assignments
-// only remove occurrences.
+// problem, stopping early when an empty clause appears: Fixpoint (the
+// sequential solver's default) repeats unit propagation and pure-literal
+// elimination until nothing changes; OnePass is the distributed task's
+// paper-faithful default. Both modes are satisfiability-preserving: unit
+// propagation is forced, and a snapshot-pure literal stays pure after other
+// assignments only remove occurrences.
 func (p *Problem) SimplifyWith(mode SimplifyMode) (*Problem, SimplifyStats) {
 	out := p.Clone()
 	var stats SimplifyStats

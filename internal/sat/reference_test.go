@@ -30,7 +30,7 @@ func newRefProblem(f Formula) *refProblem {
 	p := &refProblem{NumVars: f.NumVars, Assign: NewAssignment(f.NumVars)}
 	p.Clauses = make([]Clause, len(f.Clauses))
 	for i, c := range f.Clauses {
-		p.Clauses[i] = c.Clone()
+		p.Clauses[i] = append(Clause(nil), c...)
 	}
 	return p
 }
@@ -40,7 +40,7 @@ func (p *refProblem) Clone() *refProblem {
 	out := &refProblem{NumVars: p.NumVars, Assign: p.Assign.Clone()}
 	out.Clauses = make([]Clause, len(p.Clauses))
 	for i, c := range p.Clauses {
-		out.Clauses[i] = c.Clone()
+		out.Clauses[i] = append(Clause(nil), c...)
 	}
 	return out
 }

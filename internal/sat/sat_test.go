@@ -32,15 +32,6 @@ func TestAssignmentOps(t *testing.T) {
 	if a.Value(2) != 1 || a.Value(3) != -1 || a.Value(1) != 0 {
 		t.Errorf("values: %v", a)
 	}
-	if !a.Satisfies(NewLit(2, true)) || a.Satisfies(NewLit(2, false)) {
-		t.Error("Satisfies wrong for var 2")
-	}
-	if !a.Falsifies(NewLit(3, true)) || a.Falsifies(NewLit(1, true)) {
-		t.Error("Falsifies wrong")
-	}
-	if a.Assigned() != 2 {
-		t.Errorf("Assigned = %d, want 2", a.Assigned())
-	}
 	b := a.Clone()
 	b.Set(NewLit(1, true))
 	if a.Value(1) != 0 {
@@ -111,7 +102,7 @@ func TestWithAssignment(t *testing.T) {
 func TestSimplifyUnitPropagation(t *testing.T) {
 	// (x1) & (!x1 | x2) & (!x2 | x3) — chains to all true.
 	p := NewProblem(Formula{NumVars: 3, Clauses: []Clause{{1}, {-1, 2}, {-2, 3}}})
-	s, stats := p.Simplify()
+	s, stats := p.SimplifyWith(Fixpoint)
 	if !s.Consistent() {
 		t.Fatalf("expected full simplification, clauses: %v", residual(s))
 	}
@@ -128,7 +119,7 @@ func TestSimplifyUnitPropagation(t *testing.T) {
 func TestSimplifyPureLiteral(t *testing.T) {
 	// x1 occurs only positively; x2 both; x3 only negatively.
 	p := NewProblem(Formula{NumVars: 3, Clauses: []Clause{{1, 2}, {1, -2}, {-3, 2}}})
-	s, stats := p.Simplify()
+	s, stats := p.SimplifyWith(Fixpoint)
 	if stats.PureAssignments == 0 {
 		t.Error("expected pure literal assignments")
 	}
@@ -143,7 +134,7 @@ func TestSimplifyPureLiteral(t *testing.T) {
 func TestSimplifyDetectsConflict(t *testing.T) {
 	// (x1) & (!x1) — unit propagation exposes the empty clause.
 	p := NewProblem(Formula{NumVars: 1, Clauses: []Clause{{1}, {-1}}})
-	s, _ := p.Simplify()
+	s, _ := p.SimplifyWith(Fixpoint)
 	if !s.HasEmptyClause() {
 		t.Error("conflict not detected")
 	}
@@ -154,7 +145,7 @@ func TestSimplifyPreservesSatisfiability(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		f := Random3SAT(rng, 8, 30)
 		want := SolveBruteForce(f).Status
-		s, _ := NewProblem(f).Simplify()
+		s, _ := NewProblem(f).SimplifyWith(Fixpoint)
 		// Re-solve the simplified residual plus accumulated assignment.
 		if s.HasEmptyClause() {
 			if want != UNSAT {
@@ -181,7 +172,7 @@ func TestHeuristicsPickValidLiterals(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 20; i++ {
 		f := Random3SAT(rng, 10, 30)
-		p, _ := NewProblem(f).Simplify()
+		p, _ := NewProblem(f).SimplifyWith(Fixpoint)
 		if p.Consistent() || p.HasEmptyClause() {
 			continue
 		}
@@ -432,11 +423,6 @@ func TestStatusString(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	f := Formula{NumVars: 2, Clauses: []Clause{{1, 2}}}
-	g := f.Clone()
-	g.Clauses[0][0] = -1
-	if f.Clauses[0][0] != 1 {
-		t.Error("Formula.Clone aliases clause storage")
-	}
 	p := NewProblem(f)
 	f.Clauses[0][0] = -2
 	q := p.Clone()

@@ -43,22 +43,10 @@ func (l Lit) String() string { return strconv.Itoa(int(l)) }
 // Clause is a disjunction of literals.
 type Clause []Lit
 
-// Clone returns an independent copy of the clause.
-func (c Clause) Clone() Clause { return append(Clause(nil), c...) }
-
 // Formula is a CNF formula: a conjunction of clauses over NumVars variables.
 type Formula struct {
 	NumVars int
 	Clauses []Clause
-}
-
-// Clone returns a deep copy of the formula.
-func (f Formula) Clone() Formula {
-	out := Formula{NumVars: f.NumVars, Clauses: make([]Clause, len(f.Clauses))}
-	for i, c := range f.Clauses {
-		out.Clauses[i] = c.Clone()
-	}
-	return out
 }
 
 // Validate checks structural sanity: literals are non-zero and reference
@@ -101,35 +89,6 @@ func (a Assignment) Set(l Lit) {
 	} else {
 		a[l.Var()] = -1
 	}
-}
-
-// Satisfies reports whether the literal evaluates to true under the
-// assignment (unassigned variables evaluate to false-ish: not satisfied).
-func (a Assignment) Satisfies(l Lit) bool {
-	if l.Positive() {
-		return a[l.Var()] == 1
-	}
-	return a[l.Var()] == -1
-}
-
-// Falsifies reports whether the literal evaluates to false under the
-// assignment (its variable is assigned the opposite polarity).
-func (a Assignment) Falsifies(l Lit) bool {
-	if l.Positive() {
-		return a[l.Var()] == -1
-	}
-	return a[l.Var()] == 1
-}
-
-// Assigned counts assigned variables.
-func (a Assignment) Assigned() int {
-	n := 0
-	for _, v := range a[1:] {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Verify reports whether the assignment satisfies the formula, treating

@@ -137,12 +137,6 @@ func New(cfg Config) (*Cluster, error) {
 // Virtual returns the PID-level topology the upper layers schedule over.
 func (c *Cluster) Virtual() mesh.Topology { return c.virtual }
 
-// Physical returns the hardware topology.
-func (c *Cluster) Physical() mesh.Topology { return c.sim.Topology() }
-
-// ProcsPerNode returns the number of process slots per core.
-func (c *Cluster) ProcsPerNode() int { return c.procs }
-
 // Process returns the process instance behind a PID, letting callers extract
 // results after a run.
 func (c *Cluster) Process(p PID) Process {
@@ -169,12 +163,6 @@ func (c *Cluster) RunContext(ctx context.Context) simulator.Stats { return c.sim
 // PIDOf maps (physical node, slot) to a PID.
 func (c *Cluster) PIDOf(node mesh.NodeID, slot int) PID {
 	return PID(int(node)*c.procs + slot)
-}
-
-// NodeOf maps a PID to its physical node.
-func (c *Cluster) NodeOf(p PID) mesh.NodeID {
-	node, _ := c.split(p)
-	return mesh.NodeID(node)
 }
 
 func (c *Cluster) split(p PID) (node, slot int) {

@@ -53,9 +53,6 @@ func TestPIDMapping(t *testing.T) {
 	if got := c.PIDOf(2, 1); got != 7 {
 		t.Errorf("PIDOf(2,1) = %d, want 7", got)
 	}
-	if got := c.NodeOf(7); got != 2 {
-		t.Errorf("NodeOf(7) = %d, want 2", got)
-	}
 	if got := c.Virtual().Size(); got != 48 {
 		t.Errorf("virtual size = %d, want 48", got)
 	}

@@ -180,33 +180,43 @@ func MetricsHandler(reg *telemetry.Registry) http.HandlerFunc {
 	}
 }
 
-// ReadJobSpec decodes a JobSpec request body, bounded by MaxSpecBytes and
-// rejecting unknown fields. On failure it writes the API error response
-// itself (413 for oversized bodies, 400 otherwise) and reports !ok. The
-// daemon handler and the cluster router share it, so admission semantics
-// cannot diverge between serve and route modes.
-func ReadJobSpec(w http.ResponseWriter, r *http.Request) (JobSpec, bool) {
+// DecodeJobSpec decodes exactly one JobSpec JSON document from r, rejecting
+// unknown fields and trailing data. The daemon, the cluster router (both
+// through ReadJobSpec) and hyperctl submit -spec share it, so a spec is
+// accepted or refused the same way wherever it is sent.
+func DecodeJobSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	// Bound the request body: admission control is pointless if one
-	// oversized spec can exhaust memory before it reaches the queue.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, err
+	}
+	// Decode reads one value and stops, so `{...}{...}` or `{...}junk`
+	// would otherwise be admitted with the trailing content silently
+	// dropped — a concatenated batch the sender meant as several jobs would
+	// quietly run as one.
+	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
+		return JobSpec{}, errors.New("trailing data after the JSON document")
+	}
+	return spec, nil
+}
+
+// ReadJobSpec decodes a JobSpec request body with DecodeJobSpec, bounded by
+// MaxSpecBytes. On failure it writes the API error response itself (413 for
+// oversized bodies, 400 otherwise) and reports !ok. The daemon handler and
+// the cluster router share it, so admission semantics cannot diverge
+// between serve and route modes.
+func ReadJobSpec(w http.ResponseWriter, r *http.Request) (JobSpec, bool) {
+	// Bound the request body: admission control is pointless if one
+	// oversized spec can exhaust memory before it reaches the queue.
+	spec, err := DecodeJobSpec(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		WriteError(w, status, fmt.Errorf("decoding job spec: %w", err))
-		return JobSpec{}, false
-	}
-	// The body must be exactly one JSON document. Decode reads one value and
-	// stops, so `{...}{...}` or `{...}junk` would otherwise be admitted with
-	// the trailing content silently dropped — a concatenated batch the
-	// sender meant as several jobs would quietly run as one.
-	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		WriteError(w, http.StatusBadRequest,
-			errors.New("decoding job spec: trailing data after the JSON document"))
 		return JobSpec{}, false
 	}
 	return spec, true

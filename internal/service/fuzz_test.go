@@ -3,8 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -38,24 +36,16 @@ func cheapToCompile(spec JobSpec) bool {
 	return spec.N <= 64 || spec.N > maxGeneratedN
 }
 
-// FuzzReadJobSpec feeds arbitrary bytes to the admission decoder the daemon
-// and the router share. It never panics; a rejected body is answered with
-// 400 or 413; an accepted one re-marshals (what the router forwards to a
-// shard) to a body that is accepted as the same spec, and compiling it
-// returns a machine or an error, never a panic.
+// FuzzReadJobSpec feeds arbitrary bytes to the spec decoder that the
+// daemon, the router and hyperctl share. It never panics; an accepted body
+// re-marshals (what the router forwards to a shard) to a body that is
+// accepted as the same spec, and compiling it returns a machine or an
+// error, never a panic.
 func FuzzReadJobSpec(f *testing.F) {
 	f.Add([]byte(`{"kind":"sat","cnf":"p cnf 3 2\n1 -3 0\n2 3 0\n"}`)) // the rest of the seeds are in testdata/fuzz
-	read := func(body []byte) (JobSpec, bool, int) {
-		w := httptest.NewRecorder()
-		spec, ok := ReadJobSpec(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
-		return spec, ok, w.Code
-	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		spec, ok, status := read(body)
-		if !ok {
-			if status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge {
-				t.Fatalf("rejected with status %d, want 400 or 413", status)
-			}
+		spec, err := DecodeJobSpec(bytes.NewReader(body))
+		if err != nil {
 			return
 		}
 		forwarded, err := json.Marshal(spec)
@@ -63,9 +53,9 @@ func FuzzReadJobSpec(f *testing.F) {
 			t.Fatalf("accepted spec does not marshal: %v", err)
 		}
 		// Compared as bytes: an empty portfolio forwards as an absent one.
-		again, ok, _ := read(forwarded)
-		if reforwarded, _ := json.Marshal(again); !ok || !bytes.Equal(reforwarded, forwarded) {
-			t.Fatalf("forwarded spec %s is re-read (ok=%v) as %s", forwarded, ok, reforwarded)
+		again, err := DecodeJobSpec(bytes.NewReader(forwarded))
+		if reforwarded, _ := json.Marshal(again); err != nil || !bytes.Equal(reforwarded, forwarded) {
+			t.Fatalf("forwarded spec %s is re-read (err=%v) as %s", forwarded, err, reforwarded)
 		}
 		if cheapToCompile(spec) {
 			if c, err := spec.Compile(); err == nil && (c.Config.Topology == nil || c.Config.Mapper == nil || c.Config.Task == nil) {

@@ -78,8 +78,6 @@ type NodeConfig struct {
 	// PullEvery is the standby's tail cadence once caught up (<= 0
 	// defaults to 250ms); a lagging standby pulls continuously.
 	PullEvery time.Duration
-	// PullLimit caps records per feed page (<= 0 uses the store default).
-	PullLimit int
 	// HTTP is the transport for feed pulls; nil means http.DefaultClient.
 	HTTP *http.Client
 	// Logger receives role transitions and the periodic lag report as
@@ -229,7 +227,7 @@ func (n *Node) pullLoop(ctx context.Context, follow string, reset bool) {
 			from = lsn + 1
 		}
 		first = false
-		page, err := client.ReplicationFeed(ctx, from, n.cfg.PullLimit)
+		page, err := client.ReplicationFeed(ctx, from)
 		var res store.FeedResult
 		if err == nil {
 			res, err = n.file.ApplyFeed(page, stampReplicaApply(time.Now().UTC()))
@@ -365,14 +363,6 @@ func (n *Node) statusLocked() ReplicationStatus {
 		}
 	}
 	return st
-}
-
-// Service returns the node's solve service while it is primary (nil on a
-// standby) — the process-internal handle for tests and embedders.
-func (n *Node) Service() *Service {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.svc
 }
 
 // Close stops the node: the pull loop, the service (when primary), and the

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"hypersolve/internal/core"
 	"hypersolve/internal/sat"
 	"hypersolve/internal/store"
 )
@@ -98,26 +97,12 @@ func TestPortfolioBitIdenticalToSoloWinner(t *testing.T) {
 		if winners != 1 {
 			t.Fatalf("%d winning attempts, want exactly 1", winners)
 		}
-		if done.Raw() == nil {
-			t.Fatal("done portfolio job has no raw result")
-		}
 
 		// Solo reference run under the winning strategy.
 		solo := spec
 		solo.Portfolio = nil
 		solo.Mapper = done.Winner
-		built, err := solo.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := core.RunOnce(built.Config, built.Arg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(*done.Raw(), serial) {
-			t.Fatalf("portfolio result differs from solo %q run:\nportfolio: %+v\nsolo:      %+v",
-				done.Winner, *done.Raw(), serial)
-		}
+		matchSerial(t, solo, done.Result)
 	})
 }
 
@@ -242,7 +227,7 @@ func TestPortfolioRecoveryReRaces(t *testing.T) {
 			t.Fatalf("re-raced ledger still carries a live attempt: %+v", a)
 		}
 	}
-	if done.Raw() == nil || !done.Result.SAT.Verified {
+	if done.Result == nil || !done.Result.SAT.Verified {
 		t.Fatalf("re-raced result not verified: %+v", done.Result)
 	}
 }

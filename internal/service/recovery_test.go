@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"hypersolve/internal/core"
 	"hypersolve/internal/sat"
 	"hypersolve/internal/store"
 	"hypersolve/internal/tracelog"
@@ -46,17 +45,6 @@ func TestRecoveryRerunsInterruptedJob(t *testing.T) {
 		Seed:         13,
 		RecordSeries: true,
 	}
-	serial := func() core.Result {
-		built, err := spec.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.RunOnce(built.Config, built.Arg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}()
 
 	// Stage the crash state directly in the store: the job was submitted
 	// and started, and then the process died — no finish record exists.
@@ -82,12 +70,7 @@ func TestRecoveryRerunsInterruptedJob(t *testing.T) {
 	s := New(Config{QueueDepth: 4, Workers: 1, Store: openStore(t, dir)})
 	defer s.Close()
 	done := waitState(t, s, sj.ID, StateDone, 30*time.Second)
-	if done.Raw() == nil {
-		t.Fatal("re-run job has no raw result")
-	}
-	if !reflect.DeepEqual(*done.Raw(), serial) {
-		t.Fatalf("re-run result differs from serial run:\nre-run: %+v\nserial: %+v", *done.Raw(), serial)
-	}
+	matchSerial(t, spec, done.Result)
 	if done.Result.SAT == nil || !done.Result.SAT.Verified {
 		t.Fatalf("re-run SAT payload = %+v, want verified", done.Result.SAT)
 	}

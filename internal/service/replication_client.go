@@ -11,12 +11,10 @@ import (
 // journal: records from LSN `from` onwards, or a full snapshot when the
 // cursor predates the server's tail (from=0 forces one). The raw page
 // bytes are returned ready for store.ApplyFeed — the client never decodes
-// them, so the store owns the wire format end to end.
-func (c *Client) ReplicationFeed(ctx context.Context, from int64, limit int) ([]byte, error) {
+// them, so the store owns the wire format end to end. Pages are sized by
+// the server's default limit.
+func (c *Client) ReplicationFeed(ctx context.Context, from int64) ([]byte, error) {
 	path := fmt.Sprintf("/v1/replication/journal?from=%d", from)
-	if limit > 0 {
-		path += fmt.Sprintf("&limit=%d", limit)
-	}
 	var page json.RawMessage
 	if err := c.do(ctx, http.MethodGet, path, nil, &page); err != nil {
 		return nil, err

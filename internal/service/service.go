@@ -95,11 +95,6 @@ type Job struct {
 	// the store's attempt records, so they survive restarts and failover.
 	Winner   string    `json:"winner,omitempty"`
 	Attempts []Attempt `json:"attempts,omitempty"`
-
-	// raw preserves the undecoded core.Result for in-process callers (the
-	// determinism tests compare it bit-for-bit against a serial run). It is
-	// not persisted: after a daemon restart Raw returns nil.
-	raw *core.Result
 }
 
 // Attempt is one strategy's run inside a portfolio race: the job's spec
@@ -140,10 +135,6 @@ type attemptsDoc struct {
 	Winner   string    `json:"winner,omitempty"`
 	Attempts []Attempt `json:"attempts"`
 }
-
-// Raw returns the undecoded core.Result of a done job (nil otherwise, and
-// nil for jobs completed before a restart).
-func (j Job) Raw() *core.Result { return j.raw }
 
 // Sentinel errors of the admission and cancellation paths; the HTTP layer
 // maps them onto status codes (429, 404, 409, 500, 503).
@@ -217,9 +208,6 @@ type Service struct {
 	// per-attempt bookkeeping, the progress broker and the span timeline.
 	// Entries are dropped when the job goes terminal.
 	runs map[int64]*jobRun
-	// raws keeps the undecoded core.Result of done jobs for in-process
-	// callers (Job.Raw); never persisted.
-	raws map[int64]*core.Result
 	// adapt is the per-problem-class strategy-stats table biasing
 	// portfolio launch order (see adapt.go).
 	adapt  *strategyStats
@@ -258,7 +246,6 @@ func New(cfg Config) *Service {
 		cfg:   cfg,
 		store: st,
 		runs:  make(map[int64]*jobRun),
-		raws:  make(map[int64]*core.Result),
 		adapt: newStrategyStats(),
 		done:  make(chan struct{}),
 	}
@@ -473,7 +460,6 @@ type jobRun struct {
 	winner   int                  // deciding attempt's index, -1 until decided
 	winErr   error                // deciding attempt's error (nil = success)
 	winRes   *JobResult
-	winRaw   *core.Result
 }
 
 // leadFunc returns the leading-attempt predicate for attempt idx: publish
@@ -511,17 +497,13 @@ func (s *Service) next() (workItem, bool) {
 // Queue returns the configured admission-queue depth and worker count.
 func (s *Service) Queue() (depth, workers int) { return s.cfg.QueueDepth, s.cfg.Workers }
 
-// Submit validates the spec, persists the submission and enqueues the job.
-// It never blocks: when the admission queue is full the job is rejected
-// with ErrQueueFull (the HTTP layer's 429), preserving bounded memory under
-// overload. Cancelling a queued job frees its slot immediately.
-func (s *Service) Submit(spec JobSpec) (Job, error) {
-	return s.SubmitTraced(spec, tracelog.TraceContext{})
-}
-
-// SubmitTraced is Submit with an explicit trace context: a valid tc
-// (e.g. parsed from an inbound traceparent header) is adopted as the
-// job's trace ID, an invalid or zero one mints a fresh trace. The
+// SubmitTraced validates the spec, persists the submission and enqueues
+// the job. It never blocks: when the admission queue is full the job is
+// rejected with ErrQueueFull (the HTTP layer's 429), preserving bounded
+// memory under overload. Cancelling a queued job frees its slot
+// immediately. A valid tc (e.g. parsed from an inbound traceparent header)
+// is adopted as the job's trace ID, an invalid or zero one mints a fresh
+// trace. The
 // timeline opens with sequential compile and admission spans (the
 // journal append nested inside admission) and an open queue-wait span;
 // the initial timeline is persisted immediately so it survives a crash
@@ -570,15 +552,7 @@ func (s *Service) SubmitTraced(spec JobSpec, tc tracelog.TraceContext) (Job, err
 	} else {
 		s.wake.Signal()
 	}
-	return s.jobFromStore(sj), nil
-}
-
-// jobFromStore decodes a persisted record into the API shape, attaching the
-// in-process raw result when one exists. Callers hold s.mu.
-func (s *Service) jobFromStore(sj store.Job) Job {
-	j := jobFromRecord(sj)
-	j.raw = s.raws[sj.ID]
-	return j
+	return jobFromRecord(sj), nil
 }
 
 // jobFromRecord decodes a persisted record into the API shape. A standby
@@ -593,7 +567,7 @@ func jobFromRecord(sj store.Job) Job {
 		FinishedAt:  sj.FinishedAt,
 		Error:       sj.Error,
 	}
-	// The spec bytes were produced by Submit's json.Marshal (or validated
+	// The spec bytes were produced by SubmitTraced's json.Marshal (or validated
 	// at recovery); decoding cannot fail.
 	_ = json.Unmarshal(sj.Spec, &j.Spec)
 	if len(sj.Result) > 0 {
@@ -622,7 +596,7 @@ func (s *Service) Get(id int64) (Job, bool) {
 	if !ok {
 		return Job{}, false
 	}
-	return s.jobFromStore(sj), true
+	return jobFromRecord(sj), true
 }
 
 // List returns snapshots ordered by ID, optionally filtered to the given
@@ -633,7 +607,7 @@ func (s *Service) List(states ...State) []Job {
 	recs := s.store.List(states...)
 	out := make([]Job, 0, len(recs))
 	for _, sj := range recs {
-		out = append(out, s.jobFromStore(sj))
+		out = append(out, jobFromRecord(sj))
 	}
 	return out
 }
@@ -733,14 +707,13 @@ func (s *Service) Cancel(id int64) (Job, error) {
 			jr.cancel()
 		}
 	default:
-		return s.jobFromStore(sj), ErrFinished
+		return jobFromRecord(sj), ErrFinished
 	}
-	return s.jobFromStore(sj), nil
+	return jobFromRecord(sj), nil
 }
 
-// finishLocked records a terminal transition in the store, drops the job's
-// cached build, and clears service-side caches for any records the store
-// evicted beyond its retention bound. strategy is a won portfolio race's
+// finishLocked records a terminal transition in the store and drops the
+// job's cached build. strategy is a won portfolio race's
 // winner, stamped on the terminal progress frame; empty otherwise. Callers
 // hold s.mu.
 func (s *Service) finishLocked(id int64, state State, errMsg, strategy string, result *JobResult) {
@@ -751,7 +724,7 @@ func (s *Service) finishLocked(id int64, state State, errMsg, strategy string, r
 	// A journal write error here degrades durability, not correctness: the
 	// store's in-memory view already reflects the transition and stays
 	// authoritative for this process.
-	evicted, _ := s.store.Finish(id, state, time.Now().UTC(), errMsg, raw)
+	_, _ = s.store.Finish(id, state, time.Now().UTC(), errMsg, raw)
 	s.metrics.finished[state].Inc()
 	jr := s.runs[id]
 	// Close whatever is still open (the queue span for a
@@ -761,9 +734,6 @@ func (s *Service) finishLocked(id int64, state State, errMsg, strategy string, r
 	_ = s.store.Annotate(id, annotationTrace, jr.trace.JSON())
 	jr.broker.Finish(state, errMsg, strategy, result)
 	delete(s.runs, id)
-	for _, eid := range evicted {
-		delete(s.raws, eid)
-	}
 }
 
 // Close stops the service: no further submissions are accepted, queued jobs
@@ -877,7 +847,7 @@ func (s *Service) runAttempt(it workItem) {
 
 	s.metrics.busy.Add(1)
 	runStart := time.Now()
-	res, raw, runErr := execute(actx, jr.spec, jr.built, strat, obs)
+	res, runErr := execute(actx, jr.spec, jr.built, strat, obs)
 	s.metrics.duration.Observe(time.Since(runStart).Seconds())
 	s.metrics.busy.Add(-1)
 
@@ -894,7 +864,7 @@ func (s *Service) runAttempt(it workItem) {
 	switch {
 	case jr.winner < 0 && runErr == nil:
 		jr.winner = idx
-		jr.winRes, jr.winRaw = res, raw
+		jr.winRes = res
 		jr.attempts[idx].Winner = true
 		if jr.portfolio {
 			tr.SetAttr(jr.spans[idx], "winner", true)
@@ -991,7 +961,6 @@ func (s *Service) finishRaceLocked(id int64, jr *jobRun) {
 	}
 	switch {
 	case jr.winner >= 0 && jr.winErr == nil:
-		s.raws[id] = jr.winRaw
 		strat := ""
 		if jr.portfolio {
 			strat = jr.strategies[jr.winner]
@@ -1025,17 +994,17 @@ func (s *Service) persistAttemptsLocked(id int64, jr *jobRun) {
 // strategy, decoding the raw result into the job's JSON payload. The
 // observer (nil when the job has no broker) streams throttled progress
 // snapshots from the layer-1 step loop.
-func execute(ctx context.Context, spec JobSpec, built *Compiled, strategy string, obs simulator.Observer) (*JobResult, *core.Result, error) {
+func execute(ctx context.Context, spec JobSpec, built *Compiled, strategy string, obs simulator.Observer) (*JobResult, error) {
 	cfg := built.Config
 	cfg.Mapper = built.mappers[strategy]
 	cfg.Observer = obs
 	machine, err := core.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	raw, err := machine.RunContext(ctx, built.Arg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res := &JobResult{
 		OK:              raw.OK,
@@ -1069,5 +1038,5 @@ func execute(ctx context.Context, spec JobSpec, built *Compiled, strategy string
 			res.Value = raw.Value
 		}
 	}
-	return res, &raw, nil
+	return res, nil
 }

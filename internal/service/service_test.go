@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -10,7 +11,13 @@ import (
 	"hypersolve/internal/core"
 	"hypersolve/internal/sat"
 	"hypersolve/internal/store"
+	"hypersolve/internal/tracelog"
 )
+
+// Submit is SubmitTraced with a fresh trace, the way most tests submit.
+func (s *Service) Submit(spec JobSpec) (Job, error) {
+	return s.SubmitTraced(spec, tracelog.TraceContext{})
+}
 
 // slowSpec is a job that runs for ~20 s if never cancelled: a linear sum
 // chain whose ~1000 link hops each spend 5M steps in flight, on a tiny ring.
@@ -297,9 +304,75 @@ func TestCloseCancelsOutstanding(t *testing.T) {
 	})
 }
 
+// matchSerial checks that got, a done job's result as a client receives
+// it, matches a serial run of the same spec+seed: the layer-1 statistics,
+// the paper's metrics, the value or SAT verdict and assignment, and the
+// activity series and node heatmap when the spec asks for them.
+func matchSerial(t *testing.T, spec JobSpec, got *JobResult) {
+	t.Helper()
+	built, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine, err := core.New(built.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := machine.Run(built.Arg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == nil {
+		t.Fatal("done job has no result")
+	}
+	if !reflect.DeepEqual(got.Stats, serial.Stats) {
+		t.Fatalf("stats differ from serial run:\njob:    %+v\nserial: %+v", got.Stats, serial.Stats)
+	}
+	if got.OK != serial.OK || got.ComputationTime != serial.ComputationTime || got.Performance != serial.Performance {
+		t.Fatalf("ok/time/performance = %v/%d/%v, serial %v/%d/%v", got.OK, got.ComputationTime,
+			got.Performance, serial.OK, serial.ComputationTime, serial.Performance)
+	}
+	if out, isSAT := serial.Value.(sat.Outcome); isSAT {
+		var lits []int
+		if out.Status == sat.SAT {
+			for v := 1; v <= built.Formula.NumVars; v++ {
+				lit := -v
+				if v < len(out.Assignment) && out.Assignment.Value(v) > 0 {
+					lit = v
+				}
+				lits = append(lits, lit)
+			}
+		}
+		if got.SAT == nil || got.SAT.Status != out.Status.String() || !reflect.DeepEqual(got.SAT.Assignment, lits) {
+			t.Fatalf("SAT payload %+v, serial run %v with assignment %v", got.SAT, out.Status, lits)
+		}
+	} else {
+		// The job's value went through the store's JSON encoding.
+		data, err := json.Marshal(serial.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want any
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Value, want) {
+			t.Fatalf("value %v, serial run %v", got.Value, want)
+		}
+	}
+	if spec.RecordSeries && !reflect.DeepEqual(got.Series, serial.QueuedSeries) {
+		t.Fatalf("series differs from serial run:\njob:    %v\nserial: %v", got.Series, serial.QueuedSeries)
+	}
+	if spec.Heatmap {
+		if want := machine.NodeHeatmap(serial); !reflect.DeepEqual(got.Heatmap, want) {
+			t.Fatalf("heatmap differs from serial run:\njob:    %+v\nserial: %+v", got.Heatmap, want)
+		}
+	}
+}
+
 // TestServiceMatchesSerialRun is the determinism acceptance check: a job
-// executed through the queue/worker machinery must produce a core.Result
-// bit-identical to the same spec+seed run serially.
+// executed through the queue/worker machinery must deliver the result a
+// serial run of the same spec+seed produces.
 func TestServiceMatchesSerialRun(t *testing.T) {
 	suite, err := sat.GenerateSuite(sat.UF20Params(41))
 	if err != nil {
@@ -316,19 +389,8 @@ func TestServiceMatchesSerialRun(t *testing.T) {
 		Mapper:       "lbn",
 		Seed:         7,
 		RecordSeries: true,
+		Heatmap:      true,
 	}
-
-	serial := func() core.Result {
-		built, err := spec.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.RunOnce(built.Config, built.Arg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}()
 
 	backends(t, Config{QueueDepth: 4, Workers: 2}, func(t *testing.T, s *Service) {
 		job, err := s.Submit(spec)
@@ -336,12 +398,7 @@ func TestServiceMatchesSerialRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		done := waitState(t, s, job.ID.Seq, StateDone, 30*time.Second)
-		if done.Raw() == nil {
-			t.Fatal("done job has no raw result")
-		}
-		if !reflect.DeepEqual(*done.Raw(), serial) {
-			t.Fatalf("service result differs from serial run:\nservice: %+v\nserial:  %+v", *done.Raw(), serial)
-		}
+		matchSerial(t, spec, done.Result)
 		if done.Result.SAT == nil || done.Result.SAT.Status != "SAT" || !done.Result.SAT.Verified {
 			t.Fatalf("SAT payload = %+v, want verified SAT", done.Result.SAT)
 		}

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"hypersolve/internal/core"
 	"hypersolve/internal/store"
 )
 
@@ -156,15 +155,6 @@ func TestRaceJournalsLedger(t *testing.T) {
 // spec without it produces.
 func TestRecoveryIgnoresRemovedEngineField(t *testing.T) {
 	spec := quickSpec()
-	built, err := spec.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := core.RunOnce(built.Config, built.Arg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	raw, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -181,9 +171,7 @@ func TestRecoveryIgnoresRemovedEngineField(t *testing.T) {
 	s := New(Config{QueueDepth: 4, Workers: 1, Store: openStore(t, dir)})
 	defer s.Close()
 	done := waitState(t, s, sj.ID, StateDone, 10*time.Second)
-	if done.Raw() == nil || !reflect.DeepEqual(*done.Raw(), serial) {
-		t.Fatalf("recovered job result %+v, want the serial run's %+v", done.Raw(), serial)
-	}
+	matchSerial(t, spec, done.Result)
 }
 
 // TestSubmitRejectsRemovedEngineField: over HTTP the removed field is an

@@ -92,42 +92,26 @@ type Attr struct {
 // A is shorthand for constructing an Attr at a call site.
 func A(key string, value any) Attr { return Attr{Key: key, Value: value} }
 
-// Logger writes leveled structured records to a single writer. A nil
-// *Logger is a valid no-op, so every component can log unconditionally.
-// Loggers derived with With share the writer (and its mutex), so all
-// lines from one process interleave whole.
+// Logger writes leveled structured records to a single writer, one whole
+// line per record. A nil *Logger is a valid no-op, so every component can
+// log unconditionally.
 type Logger struct {
-	mu    *sync.Mutex
+	mu    sync.Mutex
 	w     io.Writer
 	level Level
 	fmt   Format
-	attrs []Attr // base attrs prepended to every record
 }
 
 // New returns a Logger writing records at or above level to w in the
 // given format.
 func New(w io.Writer, level Level, format Format) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, level: level, fmt: format}
-}
-
-// With returns a child logger whose records carry attrs in addition to
-// (after) the parent's base attrs. The child shares the parent's writer.
-func (l *Logger) With(attrs ...Attr) *Logger {
-	if l == nil || len(attrs) == 0 {
-		return l
-	}
-	child := *l
-	child.attrs = append(append([]Attr{}, l.attrs...), attrs...)
-	return &child
+	return &Logger{w: w, level: level, fmt: format}
 }
 
 // Enabled reports whether records at level would be written.
 func (l *Logger) Enabled(level Level) bool {
 	return l != nil && level >= l.level
 }
-
-// Debug logs a record at LevelDebug.
-func (l *Logger) Debug(msg string, attrs ...Attr) { l.log(LevelDebug, msg, attrs) }
 
 // Info logs a record at LevelInfo.
 func (l *Logger) Info(msg string, attrs ...Attr) { l.log(LevelInfo, msg, attrs) }
@@ -138,15 +122,6 @@ func (l *Logger) Warn(msg string, attrs ...Attr) { l.log(LevelWarn, msg, attrs) 
 // Error logs a record at LevelError.
 func (l *Logger) Error(msg string, attrs ...Attr) { l.log(LevelError, msg, attrs) }
 
-// Logf is the printf bridge for legacy call sites: the formatted string
-// becomes the record's message, logged at LevelInfo.
-func (l *Logger) Logf(format string, args ...any) {
-	if l == nil || !l.Enabled(LevelInfo) {
-		return
-	}
-	l.log(LevelInfo, fmt.Sprintf(format, args...), nil)
-}
-
 func (l *Logger) log(level Level, msg string, attrs []Attr) {
 	if !l.Enabled(level) {
 		return
@@ -154,9 +129,9 @@ func (l *Logger) log(level Level, msg string, attrs []Attr) {
 	ts := time.Now().UTC()
 	var buf []byte
 	if l.fmt == FormatJSON {
-		buf = appendJSONRecord(buf, ts, level, msg, l.attrs, attrs)
+		buf = appendJSONRecord(buf, ts, level, msg, attrs)
 	} else {
-		buf = appendTextRecord(buf, ts, level, msg, l.attrs, attrs)
+		buf = appendTextRecord(buf, ts, level, msg, attrs)
 	}
 	buf = append(buf, '\n')
 	l.mu.Lock()
@@ -164,16 +139,13 @@ func (l *Logger) log(level Level, msg string, attrs []Attr) {
 	l.w.Write(buf)
 }
 
-func appendJSONRecord(buf []byte, ts time.Time, level Level, msg string, base, attrs []Attr) []byte {
+func appendJSONRecord(buf []byte, ts time.Time, level Level, msg string, attrs []Attr) []byte {
 	buf = append(buf, `{"ts":`...)
 	buf = appendJSONValue(buf, ts.Format(time.RFC3339Nano))
 	buf = append(buf, `,"level":`...)
 	buf = appendJSONValue(buf, level.String())
 	buf = append(buf, `,"msg":`...)
 	buf = appendJSONValue(buf, msg)
-	for _, a := range base {
-		buf = appendJSONAttr(buf, a)
-	}
 	for _, a := range attrs {
 		buf = appendJSONAttr(buf, a)
 	}
@@ -195,7 +167,7 @@ func appendJSONValue(buf []byte, v any) []byte {
 	return append(buf, b...)
 }
 
-func appendTextRecord(buf []byte, ts time.Time, level Level, msg string, base, attrs []Attr) []byte {
+func appendTextRecord(buf []byte, ts time.Time, level Level, msg string, attrs []Attr) []byte {
 	buf = ts.AppendFormat(buf, "2006-01-02T15:04:05.000Z")
 	buf = append(buf, ' ')
 	lv := strings.ToUpper(level.String())
@@ -205,9 +177,6 @@ func appendTextRecord(buf []byte, ts time.Time, level Level, msg string, base, a
 	}
 	buf = append(buf, ' ')
 	buf = appendTextToken(buf, msg)
-	for _, a := range base {
-		buf = appendTextAttr(buf, a)
-	}
 	for _, a := range attrs {
 		buf = appendTextAttr(buf, a)
 	}

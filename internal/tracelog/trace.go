@@ -125,14 +125,6 @@ type Span struct {
 	Annotations []Annotation   `json:"annotations,omitempty"`
 }
 
-// Duration returns End-Start, or zero while the span is open.
-func (s Span) Duration() time.Duration {
-	if s.End.IsZero() {
-		return 0
-	}
-	return s.End.Sub(s.Start)
-}
-
 // Annotation is a timestamped note attached to a span — the run span
 // collects one per observer publish ("step 1048576, 42 queued").
 type Annotation struct {

@@ -162,8 +162,8 @@ func TestNilTraceIsNoOp(t *testing.T) {
 
 func TestLoggerJSONFormat(t *testing.T) {
 	var sb strings.Builder
-	l := New(&sb, LevelInfo, FormatJSON).With(A("component", "router"))
-	l.Debug("hidden")
+	l := New(&sb, LevelInfo, FormatJSON)
+	l.log(LevelDebug, "hidden", nil)
 	l.Info("probe failed", A("backend", "http://x"), A("fails", 3))
 	line := sb.String()
 	if strings.Contains(line, "hidden") {
@@ -173,7 +173,7 @@ func TestLoggerJSONFormat(t *testing.T) {
 	if err := json.Unmarshal([]byte(strings.TrimSpace(line)), &rec); err != nil {
 		t.Fatalf("log line not JSON: %q: %v", line, err)
 	}
-	for k, want := range map[string]any{"level": "info", "msg": "probe failed", "component": "router", "backend": "http://x", "fails": float64(3)} {
+	for k, want := range map[string]any{"level": "info", "msg": "probe failed", "backend": "http://x", "fails": float64(3)} {
 		if rec[k] != want {
 			t.Errorf("rec[%q] = %v, want %v", k, rec[k], want)
 		}
@@ -195,7 +195,6 @@ func TestLoggerTextFormatAndNil(t *testing.T) {
 	}
 	var nilLogger *Logger
 	nilLogger.Info("ignored") // must not panic
-	nilLogger.With(A("k", "v")).Logf("also ignored %d", 1)
 	if nilLogger.Enabled(LevelError) {
 		t.Fatal("nil logger claims enabled")
 	}
