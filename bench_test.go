@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's evaluation artifacts (Figure 4 and
-// Figure 5) plus the ablations listed in DESIGN.md. Each benchmark iteration
-// simulates one full SAT solve (or other workload) on one machine
-// configuration and reports the simulated computation time as the custom
-// metric "steps" alongside the wall-clock ns/op.
+// Figure 5) plus the ablations A1-A8 below (BenchmarkAblation*). Each
+// benchmark iteration simulates one full SAT solve (or other workload) on
+// one machine configuration and reports the simulated computation time as
+// the custom metric "steps" alongside the wall-clock ns/op.
 //
 // The full paper tables are produced by `go run ./cmd/figures`; these
 // benchmarks exercise the same code paths per configuration point so that
@@ -321,7 +321,8 @@ func BenchmarkAblationLinkModel(b *testing.B) {
 }
 
 // BenchmarkAblationQueueModel (A6): per-node vs per-link queues — the two
-// readings of the paper's simulator semantics (see DESIGN.md).
+// readings of the paper's simulator semantics (see the internal/simulator
+// package documentation).
 func BenchmarkAblationQueueModel(b *testing.B) {
 	uf50, _ := benchInstances(b)
 	for _, c := range []struct {
@@ -425,45 +426,6 @@ func BenchmarkSequentialDPLL(b *testing.B) {
 					b.Fatal("expected SAT")
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationCancellation (A9): the speculative-cancellation
-// extension. In a one-hop-per-step machine the cancel wave cannot outrun
-// the unfolding work frontier, so frame counts barely move for DPLL (every
-// frame spawns its children on arrival); the measurable effect is on the
-// reply cascade and the step count.
-func BenchmarkAblationCancellation(b *testing.B) {
-	uf50, _ := benchInstances(b)
-	for _, c := range []struct {
-		name   string
-		cancel bool
-	}{
-		{"paper-semantics", false},
-		{"cancel-speculative", true},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			var steps, cancelled int64
-			for i := 0; i < b.N; i++ {
-				res, err := hypersolve.Run(hypersolve.Config{
-					Topology:          hypersolve.MustTorus(14, 14),
-					Mapper:            hypersolve.LeastBusyMapper(),
-					Task:              hypersolve.SATTask(hypersolve.HeuristicFirst),
-					CancelSpeculative: c.cancel,
-					Seed:              int64(i),
-				}, hypersolve.NewSATProblem(uf50))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.OK {
-					b.Fatal("did not complete")
-				}
-				steps = res.ComputationTime
-				cancelled = res.FramesCancelled
-			}
-			b.ReportMetric(float64(steps), "steps")
-			b.ReportMetric(float64(cancelled), "cancelled-frames")
 		})
 	}
 }

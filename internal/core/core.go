@@ -4,6 +4,10 @@
 // the coroutine-based recursion runtime (layer 4) and a user task
 // (layer 5). It is the primary entry point of the library: configure a
 // Machine, Run a task, read the result and the activity metrics.
+//
+// Every machine runs the paper's semantics: each node activates, round-robin,
+// every message waiting when a step begins, and a choice lets its losing
+// branches run to completion and ignores their results.
 package core
 
 import (
@@ -35,21 +39,16 @@ type Config struct {
 	// (default 1), scheduled round-robin with no per-step activation cap.
 	ProcsPerNode int
 
-	// CancelSpeculative enables the recursion layer's speculative
-	// cancellation extension: when a Choose resolves, the losing branches
-	// are revoked across the mesh instead of running to completion. Off by
-	// default (the paper's semantics).
-	CancelSpeculative bool
-
-	// Observer, if non-nil, receives the layer-1 after-step callback
-	// (overriding any Link.Observer). The solve service installs its
-	// throttled progress publisher here so running jobs can be watched
-	// live; the hook costs nothing measurable when nil.
+	// Observer, if non-nil, receives the layer-1 after-step callback. The
+	// solve service installs its throttled progress publisher here so
+	// running jobs can be watched live; the hook costs nothing measurable
+	// when nil.
 	Observer simulator.Observer
 
 	// Seed drives all randomness in the stack.
 	Seed int64
-	// MaxSteps bounds the simulation (default simulator's 4M).
+	// MaxSteps bounds the simulation; values below 1 take the simulator's
+	// default of 4M steps.
 	MaxSteps int64
 	// RecordSeries enables the per-step interconnect activity trace.
 	RecordSeries bool
@@ -61,9 +60,9 @@ type Config struct {
 	Parallelism int
 
 	// Link carries the optional layer-1 link-model extensions (latency,
-	// bandwidth, bounded queues, loss + reliability). Topology, Factory,
-	// Seed, MaxSteps and RecordSeries set here are overridden by the
-	// fields above.
+	// bandwidth, bounded queues, loss + reliability). Its other fields
+	// (Topology, Factory, Observer, Seed, MaxSteps, RecordSeries) are
+	// ignored: the fields above set them.
 	Link simulator.Config
 }
 
@@ -91,9 +90,6 @@ type Result struct {
 	ReceivedPerProcess []int64
 	// FramesPerProcess counts task invocations evaluated by each process.
 	FramesPerProcess []int64
-	// FramesCancelled counts invocations abandoned by speculative
-	// cancellation across the whole machine.
-	FramesCancelled int64
 }
 
 // Machine is a configured five-layer stack, ready to run one computation.
@@ -114,19 +110,15 @@ func New(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("core: Config.Task is nil")
 	}
 	simCfg := cfg.Link
-	if cfg.Observer != nil {
-		simCfg.Observer = cfg.Observer
-	}
+	simCfg.Observer = cfg.Observer
 	simCfg.Seed = cfg.Seed
-	if cfg.MaxSteps > 0 {
-		simCfg.MaxSteps = cfg.MaxSteps
-	}
+	simCfg.MaxSteps = cfg.MaxSteps
 	simCfg.RecordSeries = cfg.RecordSeries
 	net, err := mapping.New(mapping.Config{
 		Physical:     cfg.Topology,
 		ProcsPerNode: cfg.ProcsPerNode,
 		Mapper:       cfg.Mapper,
-		Factory:      recursion.AppFactoryOpts(cfg.Task, recursion.Options{CancelSpeculative: cfg.CancelSpeculative}),
+		Factory:      recursion.AppFactory(cfg.Task),
 		Seed:         cfg.Seed,
 		Sim:          simCfg,
 	})
@@ -187,7 +179,6 @@ func (m *Machine) RunContext(ctx context.Context, arg recursion.Value) (res Resu
 	for pid := 0; pid < size; pid++ {
 		rt := m.net.App(sched.PID(pid)).(*recursion.Runtime)
 		res.FramesPerProcess[pid] = rt.FramesStarted()
-		res.FramesCancelled += rt.FramesCancelled()
 	}
 
 	rootRT := m.net.App(0).(*recursion.Runtime)

@@ -1,8 +1,8 @@
 // Package experiments regenerates the evaluation artifacts of Tarawneh et
 // al. (P2S2 2017): Figure 4 (SAT solver scalability across topologies and
 // mapping algorithms) and Figure 5 (temporal and spatial unfolding of the
-// computation on a 196-core 2D torus). See EXPERIMENTS.md for the mapping
-// from paper artifact to harness entry point and for measured results.
+// computation on a 196-core 2D torus). See docs/ARCHITECTURE.md for where
+// these sit in the system; `go run ./cmd/figures` prints them.
 package experiments
 
 import (

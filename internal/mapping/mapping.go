@@ -49,10 +49,6 @@ const (
 	Work
 	// Reply is a result returned for a ticket this node issued.
 	Reply
-	// Cancel revokes a previously sent work message: the receiver should
-	// abandon the work and will not reply. Used by the speculative
-	// cancellation extension of the recursion layer.
-	Cancel
 )
 
 func (k Kind) String() string {
@@ -63,8 +59,6 @@ func (k Kind) String() string {
 		return "work"
 	case Reply:
 		return "reply"
-	case Cancel:
-		return "cancel"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -248,7 +242,6 @@ type runtime struct {
 	received  int64
 	nextSeq   uint64
 	ticketSrc map[Ticket]sched.PID // incoming work ticket -> requester
-	sentTo    map[Ticket]sched.PID // outgoing work ticket -> destination
 	initDone  bool
 	// ctx is the one Context handed to the app on every activation.
 	ctx Context
@@ -265,7 +258,6 @@ func newRuntime(net *Network, p sched.PID, cfg Config) *runtime {
 		panic(fmt.Sprintf("mapping: app factory returned nil for pid %d", p))
 	}
 	rt.ticketSrc = make(map[Ticket]sched.PID)
-	rt.sentTo = make(map[Ticket]sched.PID)
 	// Neighbour-aligned state is completed lazily in Init when the layer-2
 	// context (and thus the virtual topology view) is available.
 	rt.mapperSeed = cfg.Seed
@@ -311,12 +303,7 @@ func (rt *runtime) Receive(ctx *sched.Context, src sched.PID, payload any) {
 		rt.ticketSrc[env.Ticket] = src
 		rt.app.Recv(mctx, env.Ticket, Work, env.Payload)
 	case Reply:
-		delete(rt.sentTo, env.Ticket)
 		rt.app.Recv(mctx, env.Ticket, Reply, env.Payload)
-	case Cancel:
-		// The requester revoked this work; it no longer expects a reply.
-		delete(rt.ticketSrc, env.Ticket)
-		rt.app.Recv(mctx, env.Ticket, Cancel, env.Payload)
 	default:
 		panic(fmt.Sprintf("mapping: pid %d received unknown kind %v", rt.self, env.Kind))
 	}
@@ -367,23 +354,7 @@ func (c *Context) SendWork(payload any, hint float64) (Ticket, error) {
 	if err := c.sctx.Send(dst, env); err != nil {
 		return NoTicket, err
 	}
-	rt.sentTo[ticket] = dst
 	return ticket, nil
-}
-
-// Cancel revokes work this node previously mapped out. The receiver drops
-// the work (and recursively cancels its own subcalls, at the recursion
-// layer); no reply will arrive for the ticket. Cancelling a ticket whose
-// reply has already been received returns an error.
-func (c *Context) Cancel(ticket Ticket) error {
-	rt := c.rt
-	dst, ok := rt.sentTo[ticket]
-	if !ok {
-		return fmt.Errorf("mapping: pid %d cancelling unknown ticket %d", rt.self, ticket)
-	}
-	delete(rt.sentTo, ticket)
-	env := rt.net.envelope(envelope{Kind: Cancel, Ticket: ticket, Activity: rt.received})
-	return c.sctx.Send(dst, env)
 }
 
 // Reply returns a result for a work ticket to whichever node issued it.

@@ -31,7 +31,7 @@ func BenchmarkFrameOverhead(b *testing.B) {
 		if stats := net.Run(); !stats.Quiescent {
 			b.Fatal("no quiescence")
 		}
-		started, _, _ := totalFrames(net)
+		started, _ := totalFrames(net)
 		frames += started
 		coroutines += int64(poolOf(net).created)
 	}

@@ -18,7 +18,7 @@ func TestWorkersAreReusedAcrossFrames(t *testing.T) {
 	if !ok || got.(int) != 610 {
 		t.Fatalf("fib(15) = %v (ok=%v), want 610", got, ok)
 	}
-	frames, _, _ := totalFrames(net)
+	frames, _ := totalFrames(net)
 	if frames != 1973 {
 		t.Fatalf("fib(15) ran %d frames, want 1973", frames)
 	}

@@ -24,7 +24,8 @@
 // Call records work as in the paper's Figure 3: each subcall's ticket is
 // stored alongside an empty result slot; replies fill slots; Sync blocks
 // until the current group is complete; a choice group resumes on the first
-// valid result and ignores the rest.
+// valid result and ignores the rest. As in the paper (Section IV-C), the
+// losing evaluations run to completion and their replies are absorbed.
 package recursion
 
 import (
@@ -170,7 +171,7 @@ func (p *pool) drain() {
 // so a task must not keep it, or use it from anywhere but its own call
 // stack. (The slice Sync returns is the task's to keep.)
 type Frame struct {
-	w *worker // nil once the task has returned or was killed: the frame is dead
+	w *worker // nil once the task has returned: the frame is dead
 
 	idx          int // position in Runtime.frames
 	parentTicket mapping.Ticket
@@ -181,10 +182,6 @@ type Frame struct {
 	// gather is the frame's Call/Sync record. One suffices: the task cannot
 	// open the next round before Sync has seen the last reply of this one.
 	gather callGroup
-	// tickets lists the frame's issued subcall tickets (pruned lazily);
-	// kept under CancelSpeculative only, to cancel the speculative subtree
-	// when the frame is killed.
-	tickets []mapping.Ticket
 }
 
 // suspend yields op to the runtime and returns what it resumed the frame
@@ -285,54 +282,30 @@ type record struct {
 	slot  int
 }
 
-// Options configures optional recursion-layer behaviours.
-type Options struct {
-	// CancelSpeculative kills losing branches when a Choose resolves: the
-	// runtime sends layer-3 Cancel messages for the group's outstanding
-	// tickets, and receivers recursively abandon those subtrees. Off by
-	// default — the paper's semantics let speculative work run to
-	// completion and merely ignore its results (Section IV-C).
-	CancelSpeculative bool
-}
-
 // Runtime is the per-process layer-4 engine. It implements mapping.App.
 type Runtime struct {
 	pool *pool
-	opts Options
 	self sched.PID
 	// frames holds the unretired frames in no particular order (a retiring
 	// frame swaps with the last).
-	frames []*Frame
-	// byParent indexes live non-root frames by the work ticket that
-	// spawned them; kept under CancelSpeculative only, for cancellation.
-	byParent map[mapping.Ticket]*Frame
-	records  map[mapping.Ticket]record
+	frames  []*Frame
+	records map[mapping.Ticket]record
 
-	framesStarted   int64
-	framesCancelled int64
-	rootResult      Value
-	rootDone        bool
+	framesStarted int64
+	rootResult    Value
+	rootDone      bool
 }
 
 var _ mapping.App = (*Runtime)(nil)
 
 // AppFactory adapts a Task into a layer-3 application factory, installing
-// one layer-4 runtime per process.
+// one layer-4 runtime per process. The factory owns the worker pool its
+// runtimes share, so it serves one machine at a time: build a factory per
+// machine, as core.New does.
 func AppFactory(task Task) mapping.AppFactory {
-	return AppFactoryOpts(task, Options{})
-}
-
-// AppFactoryOpts is AppFactory with explicit runtime options. The factory
-// owns the worker pool its runtimes share, so it serves one machine at a
-// time: build a factory per machine, as core.New does.
-func AppFactoryOpts(task Task, opts Options) mapping.AppFactory {
 	p := &pool{task: task}
 	return func(pid sched.PID) mapping.App {
-		rt := &Runtime{pool: p, opts: opts, self: pid, records: make(map[mapping.Ticket]record)}
-		if opts.CancelSpeculative {
-			rt.byParent = make(map[mapping.Ticket]*Frame)
-		}
-		return rt
+		return &Runtime{pool: p, self: pid, records: make(map[mapping.Ticket]record)}
 	}
 }
 
@@ -349,8 +322,6 @@ func (rt *Runtime) Recv(ctx *mapping.Context, ticket mapping.Ticket, kind mappin
 		rt.startFrame(ctx, payload, ticket, false)
 	case mapping.Reply:
 		rt.handleReply(ctx, ticket, payload)
-	case mapping.Cancel:
-		rt.handleCancel(ctx, ticket)
 	}
 }
 
@@ -388,9 +359,6 @@ func (rt *Runtime) startFrame(ctx *mapping.Context, arg Value, parent mapping.Ti
 	p.live++
 	f.w, f.idx, f.parentTicket, f.isRoot = w, len(rt.frames), parent, isRoot
 	rt.frames = append(rt.frames, f)
-	if rt.opts.CancelSpeculative && !isRoot {
-		rt.byParent[parent] = f
-	}
 	w.frame, w.arg = f, arg
 	rt.drive(ctx, f)
 }
@@ -476,9 +444,6 @@ func (rt *Runtime) sendWork(ctx *mapping.Context, f *Frame, g *callGroup, slot i
 		panic(fmt.Sprintf("recursion: pid %d failed to map subcall: %v", rt.self, err))
 	}
 	rt.records[ticket] = record{frame: f, group: g, slot: slot}
-	if rt.opts.CancelSpeculative {
-		f.tickets = append(f.tickets, ticket)
-	}
 	f.outstanding++
 }
 
@@ -491,17 +456,7 @@ func (rt *Runtime) finishFrame(ctx *mapping.Context, f *Frame, result Value) {
 	} else if err := ctx.Reply(f.parentTicket, result); err != nil {
 		panic(fmt.Sprintf("recursion: pid %d failed to reply: %v", rt.self, err))
 	}
-	rt.bury(f)
-}
-
-// bury marks a frame dead — returned or killed — and retires it unless
-// replies are still outstanding.
-func (rt *Runtime) bury(f *Frame) {
-	f.parked = nil
 	f.w = nil
-	if rt.opts.CancelSpeculative && !f.isRoot {
-		delete(rt.byParent, f.parentTicket)
-	}
 	if f.outstanding == 0 {
 		rt.retire(f)
 	}
@@ -523,11 +478,6 @@ func (rt *Runtime) retire(f *Frame) {
 func (rt *Runtime) handleReply(ctx *mapping.Context, ticket mapping.Ticket, payload any) {
 	rec, ok := rt.records[ticket]
 	if !ok {
-		if rt.opts.CancelSpeculative {
-			// The reply raced with a Cancel already sent for this ticket;
-			// drop it.
-			return
-		}
 		panic(fmt.Sprintf("recursion: pid %d got reply for unknown ticket %d", rt.self, ticket))
 	}
 	delete(rt.records, ticket)
@@ -557,9 +507,6 @@ func (rt *Runtime) handleReply(ctx *mapping.Context, ticket mapping.Ticket, payl
 			if f.parked != g {
 				panic("recursion: choice group resolved while frame not parked on it")
 			}
-			if rt.opts.CancelSpeculative {
-				rt.cancelFrameTickets(ctx, f, g)
-			}
 			rt.resumeWith(ctx, f, resumeMsg{value: payload, ok: true})
 			return
 		}
@@ -570,55 +517,6 @@ func (rt *Runtime) handleReply(ctx *mapping.Context, ticket mapping.Ticket, payl
 		}
 	}
 }
-
-// cancelFrameTickets revokes the frame's outstanding subcalls belonging to
-// the given group (or all groups when g is nil): layer-3 Cancel messages go
-// out, and the local records are dropped so late replies are ignored.
-func (rt *Runtime) cancelFrameTickets(ctx *mapping.Context, f *Frame, g *callGroup) {
-	kept := f.tickets[:0]
-	for _, tk := range f.tickets {
-		rec, live := rt.records[tk]
-		if !live || rec.frame != f {
-			continue // already answered
-		}
-		if g != nil && rec.group != g {
-			kept = append(kept, tk)
-			continue // belongs to another (still wanted) group
-		}
-		delete(rt.records, tk)
-		f.outstanding--
-		rec.group.remaining--
-		if err := ctx.Cancel(tk); err != nil {
-			panic(fmt.Sprintf("recursion: pid %d failed to cancel ticket %d: %v", rt.self, tk, err))
-		}
-	}
-	f.tickets = kept
-}
-
-// handleCancel abandons the frame spawned by the given work ticket: the
-// frame's task is unwound and its own outstanding subcalls are cancelled
-// recursively across the mesh.
-func (rt *Runtime) handleCancel(ctx *mapping.Context, ticket mapping.Ticket) {
-	f, ok := rt.byParent[ticket]
-	if !ok {
-		return // frame already finished (its reply may be in flight)
-	}
-	rt.killFrame(ctx, f)
-}
-
-// killFrame retires a live frame without producing a result. Its worker is
-// not reused: stopping it ends the coroutine.
-func (rt *Runtime) killFrame(ctx *mapping.Context, f *Frame) {
-	rt.framesCancelled++
-	rt.cancelFrameTickets(ctx, f, nil)
-	f.w.stop()
-	rt.bury(f)
-	rt.pool.leave()
-}
-
-// FramesCancelled returns how many frames this process abandoned due to
-// speculative cancellation.
-func (rt *Runtime) FramesCancelled() int64 { return rt.framesCancelled }
 
 // Abort unwinds every parked frame so its worker's coroutine exits, and ends
 // the pool's idle workers. It must only be called after the simulation loop

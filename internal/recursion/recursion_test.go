@@ -41,6 +41,16 @@ func runRoot(t *testing.T, net *mapping.Network, arg Value) (Value, bool) {
 	return rt.RootResult()
 }
 
+// totalFrames sums the frames every process started and still holds live.
+func totalFrames(net *mapping.Network) (started, live int64) {
+	for pid := 0; pid < net.Virtual().Size(); pid++ {
+		rt := net.App(sched.PID(pid)).(*Runtime)
+		started += rt.FramesStarted()
+		live += int64(rt.LiveFrames())
+	}
+	return
+}
+
 // sumTask is the paper's Listing 3: sum(n) = n + sum(n-1) with a single
 // delegated subcall per level.
 var sumTask Task = func(f *Frame, arg Value) Value {
@@ -184,40 +194,125 @@ func TestChooseAllInvalidYieldsNull(t *testing.T) {
 	}
 }
 
-func TestChooseLateRepliesIgnored(t *testing.T) {
-	// Two branches: a fast leaf and a slow chain. The fast one is valid;
-	// the slow chain's eventual reply must be absorbed silently and the
-	// run must still quiesce with no live frames.
-	task := func(f *Frame, arg Value) Value {
+// chooseChainTask: the root (-1) chooses between a fast valid leaf (0) and a
+// slow chain of chainLen sequential calls that also ends in the leaf.
+func chooseChainTask(chainLen int) Task {
+	return func(f *Frame, arg Value) Value {
 		n := arg.(int)
 		switch {
-		case n == 0: // fast valid leaf
-			return 1
-		case n > 0: // slow chain of n sequential calls, returns 1 at depth 0
-			if n == 99 { // root marker
-				v, ok := f.Choose(func(v Value) bool { return v.(int) > 0 }, 0, 10)
-				if !ok {
-					return -1
-				}
-				return v.(int)
+		case n == -1:
+			v, ok := f.Choose(func(v Value) bool { return v.(int) > 0 }, 0, chainLen)
+			if !ok {
+				return -1
 			}
+			return v.(int)
+		case n == 0:
+			return 1
+		default:
 			return f.CallSync(n - 1)
 		}
+	}
+}
+
+// TestChooseLateRepliesIgnored: a choice resolves on its fast leaf while
+// the losing branch is still running. The loser runs to the end — every
+// frame it would start on its own is started — its late reply is absorbed
+// silently, and the machine quiesces with no live frame and no goroutine
+// left behind.
+func TestChooseLateRepliesIgnored(t *testing.T) {
+	const phases = 30
+	// phased loses with sequential leaf rounds, parked between them.
+	phased := func(f *Frame, arg Value) Value {
+		n := arg.(int)
+		switch {
+		case n == -1:
+			v, _ := f.Choose(func(v Value) bool { return v.(int) > 0 }, 0, -2)
+			return v
+		case n == 0:
+			return 1
+		case n == -2:
+			total := 0
+			for p := 0; p < phases; p++ {
+				total += f.CallSync(100 + p).(int)
+			}
+			return -total
+		}
+		return n
+	}
+	// tree loses with a binary fork-join tree of depth 6.
+	tree := func(f *Frame, arg Value) Value {
+		n := arg.(int)
+		switch {
+		case n == -1:
+			v, _ := f.Choose(func(v Value) bool { return v.(int) > 0 }, 0, 6)
+			return v
+		case n == 0:
+			return 1
+		case n == 1:
+			return -1
+		}
+		f.Call(n - 1)
+		f.Call(n - 1)
+		f.Sync()
 		return -1
 	}
-	net := newNet(t, mesh.MustTorus(5, 5), mapping.NewRoundRobin(), task)
-	got, ok := runRoot(t, net, 99)
-	if !ok {
-		t.Fatal("no root result")
+	cases := []struct {
+		name   string
+		topo   mesh.Topology
+		mapper mapping.Factory
+		task   Task
+		frames int64 // root + fast leaf + the whole losing branch
+	}{
+		{"chain", mesh.MustTorus(5, 5), mapping.NewRoundRobin(), chooseChainTask(10), 2 + 11},
+		{"phased", mesh.MustTorus(8, 8), mapping.NewRoundRobin(), phased, 2 + 1 + phases},
+		{"tree", mesh.MustTorus(6, 6), mapping.NewRoundRobin(), tree, 2 + 63},
+		{"long-chain", mesh.MustTorus(6, 6), mapping.NewLeastBusy(), chooseChainTask(60), 2 + 61},
 	}
-	if got.(int) != 1 {
-		t.Errorf("root = %v, want 1", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			net := newNet(t, tc.topo, tc.mapper, tc.task)
+			got, ok := runRoot(t, net, -1)
+			if !ok || got.(int) != 1 {
+				t.Fatalf("root = %v (ok=%v), want 1", got, ok)
+			}
+			started, live := totalFrames(net)
+			if live != 0 {
+				t.Errorf("%d live frames after quiescence", live)
+			}
+			if started != tc.frames {
+				t.Errorf("started %d frames, want %d: the losing branch must run to completion", started, tc.frames)
+			}
+			// No grace period: a frame's coroutine is gone by the time
+			// next() or stop() returns, so the count is back as soon as
+			// Run is.
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("goroutines leaked: before=%d after=%d", before, after)
+			}
+		})
 	}
-	// Every frame everywhere must have been retired.
-	for pid := 0; pid < net.Virtual().Size(); pid++ {
-		rt := net.App(sched.PID(pid)).(*Runtime)
-		if live := rt.LiveFrames(); live != 0 {
-			t.Errorf("pid %d has %d live frames after quiescence", pid, live)
+}
+
+// TestChooseVerdictsWithRunningLosers: the fast leaf wins under every mapper
+// and chain length, including chains short enough that the loser's reply
+// arrives right behind the winner's.
+func TestChooseVerdictsWithRunningLosers(t *testing.T) {
+	for _, mf := range []mapping.Factory{mapping.NewRoundRobin(), mapping.NewLeastBusy(), mapping.NewRandom()} {
+		for _, chain := range []int{0, 1, 5, 25} {
+			for seed := int64(0); seed < 4; seed++ {
+				net, err := mapping.New(mapping.Config{
+					Physical: mesh.MustTorus(5, 5),
+					Mapper:   mf,
+					Factory:  AppFactory(chooseChainTask(chain)),
+					Seed:     seed,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v, ok := runRoot(t, net, -1); !ok || v.(int) != 1 {
+					t.Errorf("chain %d seed %d: result %v (ok=%v), want 1", chain, seed, v, ok)
+				}
+			}
 		}
 	}
 }

@@ -11,11 +11,10 @@
 // above (mapping, recursion) operate purely on PIDs and the virtual
 // topology, which is how layer 2 hides oversubscription from them.
 //
-// Delivery semantics model the hardware constraint: a physical core performs
-// at most Config.ActivationsPerStep process activations per simulation step
-// regardless of how many messages arrived, with a round-robin scheduling
-// policy choosing among process slots that have waiting messages (the
-// "round-robin" layer-2 implementation of the paper's Figure 2).
+// Each step, a node activates every message waiting in its mailboxes when
+// the step's tick begins, visiting process slots round-robin (the
+// "round-robin" layer-2 implementation of the paper's Figure 2): computation
+// is free and the network is the bottleneck, as in the paper's model.
 package sched
 
 import (
@@ -44,27 +43,6 @@ type Process interface {
 // ProcessFactory builds the process for one PID.
 type ProcessFactory func(p PID) Process
 
-// Policy selects the node-level scheduling discipline.
-type Policy int
-
-const (
-	// RoundRobin rotates fairly among process slots with pending messages.
-	RoundRobin Policy = iota
-	// FIFO activates processes strictly in message arrival order.
-	FIFO
-)
-
-func (p Policy) String() string {
-	switch p {
-	case RoundRobin:
-		return "round-robin"
-	case FIFO:
-		return "fifo"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
 // Config assembles a scheduled cluster on top of a physical topology.
 type Config struct {
 	// Physical is the hardware interconnect.
@@ -72,14 +50,6 @@ type Config struct {
 	// ProcsPerNode is the number of process slots per core. Values below 1
 	// default to 1.
 	ProcsPerNode int
-	// ActivationsPerStep bounds process activations per core per step.
-	// Zero (the default) means unbounded: every message delivered in a
-	// step is processed within that step, matching the paper's model in
-	// which computation is free and the network is the bottleneck.
-	// Positive values model compute-bound cores (an ablation axis).
-	ActivationsPerStep int
-	// Policy is the scheduling discipline (default RoundRobin).
-	Policy Policy
 	// Factory builds each process.
 	Factory ProcessFactory
 	// Sim carries layer-1 options through to the simulator.
@@ -116,11 +86,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	simCfg := cfg.Sim
 	simCfg.Topology = cfg.Physical
-	// Under per-node queues the inbox must feed the core at least as fast
-	// as its activation budget, or layer 1 throttles layer 2.
-	if simCfg.QueueModel == simulator.NodeQueues && simCfg.DeliverPerStep < cfg.ActivationsPerStep {
-		simCfg.DeliverPerStep = cfg.ActivationsPerStep
-	}
 	simCfg.Factory = func(n mesh.NodeID) simulator.Handler {
 		ns := newNodeScheduler(c, n, cfg)
 		c.nodes[int(n)] = ns
@@ -205,18 +170,16 @@ type inboxEntry struct {
 
 // nodeScheduler is the layer-1 handler for one physical node. It demuxes
 // arriving envelopes into per-process mailboxes and activates processes
-// subject to the per-step activation budget.
+// round-robin.
 type nodeScheduler struct {
 	cluster *Cluster
 	node    mesh.NodeID
-	cfg     Config
 	procs   []*procState
 	// ctxs holds one reusable per-slot Context, built in Init so that
 	// activations do not allocate.
 	ctxs    []Context
-	cursor  int                 // round-robin position
-	fifoQ   ringbuf.Ring[int32] // slot activation order for the FIFO policy
-	backlog int                 // total queued mailbox entries
+	cursor  int // round-robin position
+	backlog int // total queued mailbox entries
 	// activations counts process activations on this node, the layer-2
 	// equivalent of the paper's per-node "node activity" metric (it also
 	// covers intra-node messages that never cross the interconnect).
@@ -224,7 +187,7 @@ type nodeScheduler struct {
 }
 
 func newNodeScheduler(c *Cluster, node mesh.NodeID, cfg Config) *nodeScheduler {
-	ns := &nodeScheduler{cluster: c, node: node, cfg: cfg}
+	ns := &nodeScheduler{cluster: c, node: node}
 	ns.procs = make([]*procState, cfg.ProcsPerNode)
 	for slot := 0; slot < cfg.ProcsPerNode; slot++ {
 		pid := c.PIDOf(node, slot)
@@ -245,7 +208,7 @@ func (ns *nodeScheduler) Init(ctx *simulator.Context) {
 }
 
 // Receive buffers the arriving envelope into the target slot's mailbox.
-// Activation happens in Tick, bounded by the activation budget.
+// Activation happens in Tick.
 func (ns *nodeScheduler) Receive(ctx *simulator.Context, src mesh.NodeID, payload simulator.Payload) {
 	env, ok := payload.(*envelope)
 	if !ok {
@@ -255,25 +218,17 @@ func (ns *nodeScheduler) Receive(ctx *simulator.Context, src mesh.NodeID, payloa
 		panic(fmt.Sprintf("sched: node %d received envelope for bad slot %d", ns.node, env.DstSlot))
 	}
 	ns.procs[env.DstSlot].mailbox.Push(inboxEntry{src: env.SrcPID, payload: env.Payload})
-	ns.fifoQ.Push(int32(env.DstSlot))
 	ns.backlog++
 	*env = envelope{DstSlot: -1}
 	ns.cluster.free = append(ns.cluster.free, env)
 }
 
-// Tick performs the step's process activations: all currently buffered
-// entries when ActivationsPerStep is zero (a snapshot, so entries enqueued
-// during this tick wait for the next step), or at most that many otherwise.
+// Tick performs the step's process activations: every entry buffered when
+// the tick begins (a snapshot, so entries enqueued during this tick wait for
+// the next step).
 func (ns *nodeScheduler) Tick(ctx *simulator.Context) {
-	budget := ns.cfg.ActivationsPerStep
-	if budget <= 0 {
-		budget = ns.backlog
-	}
-	for k := 0; k < budget && ns.backlog > 0; k++ {
+	for k := ns.backlog; k > 0; k-- {
 		slot := ns.pickSlot()
-		if slot < 0 {
-			break
-		}
 		ps := ns.procs[slot]
 		entry, _ := ps.mailbox.Pop()
 		ns.backlog--
@@ -292,31 +247,19 @@ func (c *Cluster) ActivationsPerNode() []int64 {
 	return out
 }
 
-// pickSlot selects the next process slot to activate under the configured
-// policy, returning -1 when no mailbox has work.
+// pickSlot selects the next process slot with waiting work, round-robin
+// from the slot after the last one activated. Tick calls it only while the
+// backlog is positive, so some mailbox has an entry.
 func (ns *nodeScheduler) pickSlot() int {
-	switch ns.cfg.Policy {
-	case FIFO:
-		for {
-			slot, ok := ns.fifoQ.Pop()
-			if !ok {
-				return -1
-			}
-			if ns.procs[slot].mailbox.Len() > 0 {
-				return int(slot)
-			}
+	n := len(ns.procs)
+	for i := 0; i < n; i++ {
+		slot := (ns.cursor + i) % n
+		if ns.procs[slot].mailbox.Len() > 0 {
+			ns.cursor = (slot + 1) % n
+			return slot
 		}
-	default: // RoundRobin
-		n := len(ns.procs)
-		for i := 0; i < n; i++ {
-			slot := (ns.cursor + i) % n
-			if ns.procs[slot].mailbox.Len() > 0 {
-				ns.cursor = (slot + 1) % n
-				return slot
-			}
-		}
-		return -1
 	}
+	panic(fmt.Sprintf("sched: node %d has a backlog of %d but empty mailboxes", ns.node, ns.backlog))
 }
 
 // PendingWork reports buffered mailbox entries so the simulator does not
@@ -364,7 +307,6 @@ func (c *Context) Send(dst PID, payload any) error {
 		// will be activated on a later tick.
 		ns := c.cluster.nodes[dstNode]
 		ns.procs[dstSlot].mailbox.Push(inboxEntry{src: c.self, payload: payload})
-		ns.fifoQ.Push(int32(dstSlot))
 		ns.backlog++
 		return nil
 	}

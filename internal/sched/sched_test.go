@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"hypersolve/internal/mesh"
+	"hypersolve/internal/simulator"
 )
 
 // echoProc records what it receives and optionally forwards once to a fixed
@@ -186,89 +188,22 @@ type procFunc func(ctx *Context, src PID, payload any)
 func (f procFunc) Init(ctx *Context)                          {}
 func (f procFunc) Receive(ctx *Context, src PID, payload any) { f(ctx, src, payload) }
 
-func TestActivationBudgetSerialisesWork(t *testing.T) {
-	// Two processes on one node each receive a trigger in the same step;
-	// with 1 activation/step they are served on different steps.
-	topo := mesh.MustFullyConnected(2)
-	var steps []int64
-	c, err := New(Config{
-		Physical:           topo,
-		ProcsPerNode:       2,
-		ActivationsPerStep: 1,
-		Factory: func(p PID) Process {
-			return procFunc(func(ctx *Context, src PID, payload any) {
-				if ctx.Node() == 0 {
-					steps = append(steps, ctx.Step())
-				}
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Inject(0, nil); err != nil { // node 0 slot 0
-		t.Fatal(err)
-	}
-	if err := c.Inject(1, nil); err != nil { // node 0 slot 1
-		t.Fatal(err)
-	}
-	c.Run()
-	if len(steps) != 2 {
-		t.Fatalf("activations = %d, want 2", len(steps))
-	}
-	if steps[0] == steps[1] {
-		t.Errorf("both activations in step %d despite budget 1", steps[0])
-	}
-}
-
-func TestActivationBudgetTwoRunsInOneStep(t *testing.T) {
-	topo := mesh.MustFullyConnected(2)
-	var steps []int64
-	c, err := New(Config{
-		Physical:           topo,
-		ProcsPerNode:       2,
-		ActivationsPerStep: 2,
-		Factory: func(p PID) Process {
-			return procFunc(func(ctx *Context, src PID, payload any) {
-				if ctx.Node() == 0 {
-					steps = append(steps, ctx.Step())
-				}
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Inject(0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Inject(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	c.Run()
-	if len(steps) != 2 {
-		t.Fatalf("activations = %d, want 2", len(steps))
-	}
-	if steps[0] != steps[1] {
-		t.Errorf("activations on steps %v, want same step with budget 2", steps)
-	}
-}
-
 func TestRoundRobinFairness(t *testing.T) {
-	// One node, 3 slots; slot 0 floods itself... instead: all slots get
-	// pre-loaded messages; round-robin must interleave activations
-	// 0,1,2,0,1,2 rather than draining one mailbox first.
+	// One node, 3 slots, two messages per slot injected slot by slot, all
+	// delivered in the same step: round-robin must interleave the step's
+	// activations 0,1,2,0,1,2 rather than draining one mailbox first.
 	topo := mesh.MustFullyConnected(2)
 	var order []int
+	var steps []int64
 	c, err := New(Config{
-		Physical:           topo,
-		ProcsPerNode:       3,
-		ActivationsPerStep: 1,
-		Policy:             RoundRobin,
+		Physical:     topo,
+		ProcsPerNode: 3,
+		Sim:          simulator.Config{DeliverPerStep: 6},
 		Factory: func(p PID) Process {
 			return procFunc(func(ctx *Context, src PID, payload any) {
 				if ctx.Node() == 0 {
 					order = append(order, ctx.Slot())
+					steps = append(steps, ctx.Step())
 				}
 			})
 		},
@@ -276,59 +211,19 @@ func TestRoundRobinFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two messages per slot on node 0.
-	for round := 0; round < 2; round++ {
-		for slot := 0; slot < 3; slot++ {
-			if err := c.Inject(PID(slot), round); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	c.Run()
-	want := []int{0, 1, 2, 0, 1, 2}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestFIFOPolicyArrivalOrder(t *testing.T) {
-	topo := mesh.MustFullyConnected(2)
-	var order []int
-	c, err := New(Config{
-		Physical:           topo,
-		ProcsPerNode:       3,
-		ActivationsPerStep: 1,
-		Policy:             FIFO,
-		Factory: func(p PID) Process {
-			return procFunc(func(ctx *Context, src PID, payload any) {
-				if ctx.Node() == 0 {
-					order = append(order, ctx.Slot())
-				}
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Injection order: slot 2, 2, 0, 1. FIFO must preserve it.
-	for _, slot := range []int{2, 2, 0, 1} {
-		if err := c.Inject(PID(slot), nil); err != nil {
+	for _, slot := range []PID{0, 0, 1, 1, 2, 2} {
+		if err := c.Inject(slot, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Run()
-	want := []int{2, 2, 0, 1}
-	if len(order) != len(want) {
+	want := []int{0, 1, 2, 0, 1, 2}
+	if !slices.Equal(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+	for _, s := range steps {
+		if s != steps[0] {
+			t.Fatalf("activations on steps %v, want all six in one step", steps)
 		}
 	}
 }
@@ -362,15 +257,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Physical: mesh.MustRing(4)}); err == nil {
 		t.Error("expected error for nil factory")
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if RoundRobin.String() != "round-robin" || FIFO.String() != "fifo" {
-		t.Error("policy names wrong")
-	}
-	if Policy(9).String() == "" {
-		t.Error("unknown policy should still format")
 	}
 }
 
@@ -427,4 +313,70 @@ func TestRecycledEnvelopeIsPoisoned(t *testing.T) {
 		}
 	}()
 	c.nodes[0].Receive(nil, 1, env)
+}
+
+// relayToken is the one message of a relay, passed by pointer so that no
+// send boxes it.
+type relayToken struct{ left int }
+
+// relayProc forwards the token to its neighbours in turn until the token's
+// hop count runs out, so the relay crosses the interconnect and stays on a
+// node by turns.
+type relayProc struct{ next int }
+
+func (r *relayProc) Init(ctx *Context) {}
+
+func (r *relayProc) Receive(ctx *Context, src PID, payload any) {
+	tok := payload.(*relayToken)
+	if tok.left == 0 {
+		return
+	}
+	tok.left--
+	nbrs := ctx.Neighbours()
+	r.next = (r.next + 1) % len(nbrs)
+	if err := ctx.Send(nbrs[r.next], tok); err != nil {
+		panic(err)
+	}
+}
+
+// raceEnabled is set under the race detector, which allocates on its own
+// account and so blurs exact allocation counts.
+var raceEnabled bool
+
+// A node keeps no per-activation state: a relay of 2^16 hops allocates
+// exactly what one of 2^10 hops does, machine build included.
+func TestRelayAllocsIndependentOfLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	relay := func(hops int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			c, err := New(Config{
+				Physical:     mesh.MustTorus(4, 4),
+				ProcsPerNode: 2,
+				Factory:      func(PID) Process { return &relayProc{} },
+				Sim:          simulator.Config{MaxSteps: 1 << 20},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Inject(0, &relayToken{left: hops}); err != nil {
+				t.Fatal(err)
+			}
+			if stats := c.Run(); !stats.Quiescent {
+				t.Fatalf("relay of %d hops did not quiesce", hops)
+			}
+			var acts int64
+			for _, a := range c.ActivationsPerNode() {
+				acts += a
+			}
+			if acts != int64(hops)+1 {
+				t.Fatalf("relay of %d hops made %d activations", hops, acts)
+			}
+		})
+	}
+	short, long := relay(1<<10), relay(1<<16)
+	if short != long {
+		t.Errorf("relay allocations grow with length: %.0f for 2^10 hops, %.0f for 2^16", short, long)
+	}
 }
