@@ -293,27 +293,68 @@ func TestChooseLateRepliesIgnored(t *testing.T) {
 	}
 }
 
-// TestChooseVerdictsWithRunningLosers: the fast leaf wins under every mapper
+// The three TestCancel* tests keep the names they had when the runtime could
+// cancel a choice's losing branches. Losers now always run to completion
+// (Section IV-C), and these tests pin that the choices they covered still
+// reach the same verdicts.
+
+// TestCancelDoesNotChangeVerdicts: the fast leaf wins under every mapper
 // and chain length, including chains short enough that the loser's reply
 // arrives right behind the winner's.
-func TestChooseVerdictsWithRunningLosers(t *testing.T) {
+func TestCancelDoesNotChangeVerdicts(t *testing.T) {
 	for _, mf := range []mapping.Factory{mapping.NewRoundRobin(), mapping.NewLeastBusy(), mapping.NewRandom()} {
 		for _, chain := range []int{0, 1, 5, 25} {
-			for seed := int64(0); seed < 4; seed++ {
-				net, err := mapping.New(mapping.Config{
-					Physical: mesh.MustTorus(5, 5),
-					Mapper:   mf,
-					Factory:  AppFactory(chooseChainTask(chain)),
-					Seed:     seed,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v, ok := runRoot(t, net, -1); !ok || v.(int) != 1 {
-					t.Errorf("chain %d seed %d: result %v (ok=%v), want 1", chain, seed, v, ok)
-				}
+			net := newNet(t, mesh.MustTorus(5, 5), mf, chooseChainTask(chain))
+			if v, ok := runRoot(t, net, -1); !ok || v.(int) != 1 {
+				t.Errorf("chain %d: result %v (ok=%v), want 1", chain, v, ok)
 			}
 		}
+	}
+}
+
+// TestCancelRaceWithInFlightReply: with a chain of length 1 the losing
+// branch finishes almost at once, so its late reply often arrives in the
+// same step as the winner's or the parent's own exit. Many seeds vary the
+// timing; the late reply must be absorbed without changing the result.
+func TestCancelRaceWithInFlightReply(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		net, err := mapping.New(mapping.Config{
+			Physical: mesh.MustTorus(4, 4),
+			Mapper:   mapping.NewRandom(),
+			Factory:  AppFactory(chooseChainTask(1)),
+			Seed:     seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := runRoot(t, net, -1); !ok || v.(int) != 1 {
+			t.Errorf("seed %d: result %v (ok=%v), want 1", seed, v, ok)
+		}
+		if _, live := totalFrames(net); live != 0 {
+			t.Errorf("seed %d: %d live frames after quiescence", seed, live)
+		}
+	}
+}
+
+// TestCancelAllInvalidStillYieldsNull: when no branch is valid, nothing
+// resolves early, every branch runs and replies, and Choose reports !ok.
+func TestCancelAllInvalidStillYieldsNull(t *testing.T) {
+	task := func(f *Frame, arg Value) Value {
+		n := arg.(int)
+		if n >= 0 {
+			return n
+		}
+		_, ok := f.Choose(func(v Value) bool { return v.(int) > 10 }, 1, 2, 3)
+		return ok
+	}
+	net := newNet(t, mesh.MustTorus(4, 4), mapping.NewRoundRobin(), task)
+	v, ok := runRoot(t, net, -1)
+	if !ok || v.(bool) != false {
+		t.Errorf("result %v (ok=%v), want false", v, ok)
+	}
+	started, live := totalFrames(net)
+	if started != 4 || live != 0 {
+		t.Errorf("frames started %d, live %d; want 4 (root + 3 branches), 0", started, live)
 	}
 }
 

@@ -188,6 +188,42 @@ type procFunc func(ctx *Context, src PID, payload any)
 func (f procFunc) Init(ctx *Context)                          {}
 func (f procFunc) Receive(ctx *Context, src PID, payload any) { f(ctx, src, payload) }
 
+// TestActivationBudgetTwoRunsInOneStep keeps the name it had when layer 2
+// capped activations per step. With no cap, two messages waiting for two
+// slots of one node when its tick begins both run in that tick.
+func TestActivationBudgetTwoRunsInOneStep(t *testing.T) {
+	topo := mesh.MustFullyConnected(2)
+	var steps []int64
+	c, err := New(Config{
+		Physical:     topo,
+		ProcsPerNode: 2,
+		Sim:          simulator.Config{DeliverPerStep: 2},
+		Factory: func(p PID) Process {
+			return procFunc(func(ctx *Context, src PID, payload any) {
+				if ctx.Node() == 0 {
+					steps = append(steps, ctx.Step())
+				}
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Inject(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Inject(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	if len(steps) != 2 {
+		t.Fatalf("activations = %d, want 2", len(steps))
+	}
+	if steps[0] != steps[1] {
+		t.Errorf("activations on steps %v, want both in one step", steps)
+	}
+}
+
 func TestRoundRobinFairness(t *testing.T) {
 	// One node, 3 slots, two messages per slot injected slot by slot, all
 	// delivered in the same step: round-robin must interleave the step's
