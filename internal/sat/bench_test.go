@@ -36,9 +36,9 @@ func BenchmarkSimplify(b *testing.B) {
 	}
 }
 
-// BenchmarkWithAssignment measures what a branch costs: one scan of the live
-// clauses plus three allocations (the Problem, its assignment, its clause-id
-// list), whatever the formula's size.
+// BenchmarkWithAssignment measures what a branch costs: a copy of the live
+// entries, a search of them for each clause the variable occurs in, and three
+// allocations (the Problem, its assignment, its live entries).
 func BenchmarkWithAssignment(b *testing.B) {
 	p := NewProblem(benchFormula(50, 218))
 	b.ReportAllocs()

@@ -60,26 +60,3 @@ func dpll(p *Problem, opts Options, res *Result) Status {
 	}
 	return dpll(simplified.WithAssignment(lit.Negate()), opts, res)
 }
-
-// SolveBruteForce decides satisfiability by enumerating all 2^NumVars
-// assignments. It is the test oracle for small formulas.
-func SolveBruteForce(f Formula) Result {
-	n := f.NumVars
-	if n > 24 {
-		panic("sat: brute force limited to 24 variables")
-	}
-	a := NewAssignment(n)
-	for bits := 0; bits < 1<<n; bits++ {
-		for v := 1; v <= n; v++ {
-			if bits>>(v-1)&1 == 1 {
-				a[v] = 1
-			} else {
-				a[v] = -1
-			}
-		}
-		if Verify(f, a) {
-			return Result{Status: SAT, Assignment: a.Clone()}
-		}
-	}
-	return Result{Status: UNSAT}
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -19,9 +20,9 @@ import (
 // reference representation stores in Clauses.
 func residual(p *Problem) []Clause {
 	out := make([]Clause, 0, len(p.live))
-	for _, c := range p.live {
+	for _, e := range p.live {
 		rc := Clause{}
-		for _, l := range p.clauses.clause(c) {
+		for _, l := range p.clauses.clause(p.clauses.id(e)) {
 			if p.Assign[l.Var()] == 0 {
 				rc = append(rc, l)
 			}
@@ -42,11 +43,11 @@ func sameState(t *testing.T, where string, p *Problem, r *refProblem) {
 	if len(p.live) != len(r.Clauses) {
 		t.Fatalf("%s: %d clauses left, reference has %d\n got %v\nwant %v", where, len(p.live), len(r.Clauses), residual(p), r.Clauses)
 	}
-	for i, c := range p.live {
+	for i, e := range p.live {
 		// Compared in place: materialising every clause of every state
 		// dominated the test's run time.
 		want, n := r.Clauses[i], 0
-		for _, l := range p.clauses.clause(c) {
+		for _, l := range p.clauses.clause(p.clauses.id(e)) {
 			if p.Assign[l.Var()] != 0 {
 				continue
 			}
@@ -57,6 +58,12 @@ func sameState(t *testing.T, where string, p *Problem, r *refProblem) {
 		}
 		if n != len(want) {
 			t.Fatalf("%s: clause %d reads %v, reference %v", where, i, residual(p)[i], want)
+		}
+		if k := p.clauses.count(e); k != min(n, p.clauses.maxCount) {
+			t.Fatalf("%s: clause %d has %d literals left, its entry counts %d (max %d)", where, i, n, k, p.clauses.maxCount)
+		}
+		if i > 0 && p.clauses.id(p.live[i-1]) >= p.clauses.id(e) {
+			t.Fatalf("%s: live ids out of formula order at %d", where, i)
 		}
 	}
 	if !slices.Equal(p.Assign, r.Assign) {
@@ -83,6 +90,7 @@ func walkBoth(t *testing.T, p *Problem, r *refProblem, h Heuristic, mode Simplif
 		t.Fatalf("simplify stats %+v, reference %+v", ps, rs)
 	}
 	sameState(t, "after SimplifyWith", sp, sr)
+	sameState(t, "receiver of SimplifyWith", p, r)
 	if sp.HasEmptyClause() || sp.Consistent() {
 		return
 	}
@@ -93,6 +101,7 @@ func walkBoth(t *testing.T, p *Problem, r *refProblem, h Heuristic, mode Simplif
 	for _, l := range []Lit{lit, lit.Negate()} {
 		bp, br := sp.WithAssignment(l), sr.WithAssignment(l)
 		sameState(t, "after WithAssignment", bp, br)
+		sameState(t, "receiver of WithAssignment", sp, sr)
 		walkBoth(t, bp, br, h, mode, budget)
 	}
 }
@@ -110,7 +119,33 @@ func handWrittenFormulas() []Formula {
 		indexSkipFormula,
 		{NumVars: 6, Clauses: []Clause{{1, 6}, {2, 6}, {1}, {2}, {3}, {-3, 4, 5}, {-2, -4}, {-4, -5}, {4, 5, -1}}}, // two skips in one scan
 		{NumVars: 5, Clauses: []Clause{{1, 2, 3}, {1, 2, 3}, {-1, -2, -3}, {4, -5}, {-4, 5}, {4, 5}}},
+		{NumVars: 60, Clauses: append(negatedUnits(59), longClause())},              // a saturated count recounted down to a unit
+		{NumVars: 60, Clauses: append([]Clause{longClause()}, negatedUnits(60)...)}, // ... and down to empty
+		{NumVars: 2, Clauses: []Clause{{1, -1}, {-1, 2}, {1, -2}}},                  // a one-variable tautology is dropped, never empty
 	}
+}
+
+// longClause is longer than a live entry's count field holds: each of the
+// variables 1-59 five times, then 60 once, 296 literals in all. Its count
+// saturates until enough of them are falsified, and falsifying one variable
+// removes five occurrences at once.
+func longClause() Clause {
+	var c Clause
+	for range 5 {
+		for v := 1; v < 60; v++ {
+			c = append(c, Lit(v))
+		}
+	}
+	return append(c, 60)
+}
+
+// negatedUnits returns the unit clauses {-1} ... {-n}.
+func negatedUnits(n int) []Clause {
+	var units []Clause
+	for v := 1; v <= n; v++ {
+		units = append(units, Clause{Lit(-v)})
+	}
+	return units
 }
 
 // indexSkipFormula pins the OnePass unit scan: at i=1 the unit {1} is
@@ -147,6 +182,70 @@ func TestProblemMatchesReference(t *testing.T) {
 				walkBoth(t, NewProblem(f), newRefProblem(f), h, mode, &budget)
 				if t.Failed() {
 					t.Fatalf("formula %d %v/%v: %v", i, h, mode, f)
+				}
+			}
+		}
+	}
+}
+
+// TestLiveEntryLayout walks the id/count split of a live entry across its
+// edges: the count field is countBits wide until the ids need more room, and
+// never narrower than one bit.
+func TestLiveEntryLayout(t *testing.T) {
+	for _, tc := range []struct {
+		clauses  int
+		idBits   uint
+		maxCount int
+	}{
+		{0, 24, 255},
+		{1, 24, 255},
+		{1 << 24, 24, 255},
+		{1<<24 + 1, 25, 127},
+		{1 << 30, 30, 3},
+		{1<<30 + 1, 31, 1},
+		{1 << 31, 31, 1},
+	} {
+		idBits, maxCount := layout(tc.clauses)
+		if idBits != tc.idBits || maxCount != tc.maxCount {
+			t.Errorf("layout(%d) = %d id bits, max count %d; want %d, %d", tc.clauses, idBits, maxCount, tc.idBits, tc.maxCount)
+			continue
+		}
+		a := &arena{idBits: idBits, maxCount: maxCount}
+		for _, c := range []int32{0, 1, int32(max(tc.clauses-1, 0))} {
+			for _, k := range []int{0, 1, maxCount - 1, maxCount, maxCount + 1, 1 << 30} {
+				if e := a.entry(c, k); a.id(e) != c || a.count(e) != min(k, maxCount) {
+					t.Errorf("%d clauses: entry(%d, %d) reads back as id %d, count %d", tc.clauses, c, k, a.id(e), a.count(e))
+				}
+			}
+		}
+	}
+}
+
+// A formula needs 2^24 clauses before its count field narrows, too many to
+// build here, so the narrow layouts are forced onto ordinary formulas: at
+// one bit every live clause with a literal left is saturated and recounted.
+func TestNarrowCountMatchesReference(t *testing.T) {
+	formulas := handWrittenFormulas()
+	rng := rand.New(rand.NewSource(7))
+	for range 40 {
+		n := 5 + rng.Intn(26)
+		formulas = append(formulas, Random3SAT(rng, n, int(4.26*float64(n))))
+	}
+	for _, idBits := range []uint{30, 31} {
+		for i, f := range formulas {
+			for _, h := range allHeuristics {
+				for _, mode := range allModes {
+					p := NewProblem(f)
+					a := p.clauses
+					a.idBits, a.maxCount = idBits, 1<<(32-idBits)-1
+					for c := range p.live {
+						p.live[c] = a.entry(int32(c), len(a.clause(int32(c))))
+					}
+					budget := 40
+					walkBoth(t, p, newRefProblem(f), h, mode, &budget)
+					if t.Failed() {
+						t.Fatalf("%d id bits, formula %d %v/%v: %v", idBits, i, h, mode, f)
+					}
 				}
 			}
 		}
@@ -267,6 +366,35 @@ func TestSharedProblemAcrossMachines(t *testing.T) {
 	}
 	if !results[0].OK || results[0].Value.(Outcome).Status != Solve(f, Options{}).Status {
 		t.Errorf("shared problem solved wrongly: %+v", results[0].Value)
+	}
+}
+
+var branchSink *Problem
+
+// TestBranchAllocBudget pins what one branch costs on a uf50 problem: three
+// allocations (the Problem, its assignment, its live entries) of 1040 bytes
+// in all, as before the occurrence index. The index and the layout are per
+// formula; anything added per branch shows here before it shows as the
+// harness's peak RSS.
+func TestBranchAllocBudget(t *testing.T) {
+	const wantAllocs, wantBytes = 3, 1040
+	p := NewProblem(benchFormula(50, 218))
+	branch := func() { branchSink = p.WithAssignment(NewLit(1, true)) }
+	if got := testing.AllocsPerRun(100, branch); got != wantAllocs {
+		t.Errorf("WithAssignment made %.0f allocations, want %d", got, wantAllocs)
+	}
+	// Read like AllocsPerRun reads its count: one P, after a warm-up run.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	branch()
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		branch()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got != wantBytes {
+		t.Errorf("WithAssignment allocated %d bytes, want %d", got, wantBytes)
 	}
 }
 

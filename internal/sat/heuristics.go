@@ -68,8 +68,8 @@ func SelectLiteral(p *Problem, h Heuristic) Lit {
 	case JeroslowWang:
 		return selectJW(p)
 	default:
-		for _, c := range p.live {
-			for _, l := range p.clauses.clause(c) {
+		for _, e := range p.live {
+			for _, l := range p.clauses.clause(p.clauses.id(e)) {
 				if p.Assign[l.Var()] == 0 {
 					return l
 				}
@@ -85,8 +85,8 @@ func selectByCount(p *Problem, perLiteral bool) Lit {
 	var buf [2 * (smallVars + 1)]int
 	counts := scratch(buf[:], 2*(p.NumVars+1))
 	pos, neg := counts[:p.NumVars+1], counts[p.NumVars+1:]
-	for _, c := range p.live {
-		for _, l := range p.clauses.clause(c) {
+	for _, e := range p.live {
+		for _, l := range p.clauses.clause(p.clauses.id(e)) {
 			if p.Assign[l.Var()] != 0 {
 				continue
 			}
@@ -134,9 +134,9 @@ func selectJW(p *Problem) Lit {
 	var seenBuf [smallVars + 1]uint8
 	scores, seen := scratch(scoreBuf[:], 2*(p.NumVars+1)), scratch(seenBuf[:], p.NumVars+1)
 	pos, neg := scores[:p.NumVars+1], scores[p.NumVars+1:]
-	for _, c := range p.live {
-		lits := p.clauses.clause(c)
-		k := p.remaining(lits)
+	for _, e := range p.live {
+		lits := p.clauses.clause(p.clauses.id(e))
+		k := p.free(e)
 		var w float64
 		if k < len(jwWeights) {
 			w = jwWeights[k]

@@ -1,28 +1,76 @@
 package sat
 
+import "math/bits"
+
 // arena is the flattened clause store of one formula: every clause's
-// literals back to back, in the formula's clause and literal order. It is
-// built once by NewProblem, shared by every Problem derived from it — on
-// every node, and across concurrently running machines — and never written
-// again: no lazy index may be added here.
+// literals back to back, in the formula's clause and literal order, and the
+// occurrence index over them. It is built once by NewProblem, shared by every
+// Problem derived from it — on every node, and across concurrently running
+// machines — and never written again: no lazy index may be added here.
 type arena struct {
 	lits []Lit
 	offs []int32 // clause c is lits[offs[c]:offs[c+1]]
+	// occ lists, for each literal, the ids of the clauses it occurs in,
+	// ascending and once per occurrence (a duplicated literal lists its
+	// clause twice): literal l's list is occ[occOffs[n+l]:occOffs[n+l+1]]
+	// for a formula over n variables.
+	occ     []int32
+	occOffs []int32
+	numVars int
+	// idBits is the width of the clause-id field of a live entry; the count
+	// field above it holds at most maxCount (see layout).
+	idBits   uint
+	maxCount int
 }
 
 func (a *arena) clause(c int32) []Lit { return a.lits[a.offs[c]:a.offs[c+1]] }
 
+// occurrences returns the ids of the clauses l occurs in, ascending.
+func (a *arena) occurrences(l Lit) []int32 {
+	i := a.numVars + int(l)
+	return a.occ[a.occOffs[i]:a.occOffs[i+1]]
+}
+
+// countBits is the widest count field of a live entry. Counts below
+// 2^countBits-1 are exact; the top value means "at least that many": such a
+// clause is recounted from the arena. Fixing the width keeps that path
+// reachable by an ordinary long clause instead of only by a formula too big
+// to test.
+const countBits = 8
+
+// layout splits a live entry for a formula of numClauses clauses: ids take
+// the low idBits (at least 32-countBits, more when the formula needs them),
+// the count takes the rest and saturates at maxCount >= 1.
+func layout(numClauses int) (idBits uint, maxCount int) {
+	idBits = max(32-countBits, uint(bits.Len32(uint32(max(numClauses-1, 0)))))
+	return idBits, 1<<(32-idBits) - 1
+}
+
+// entry packs clause c with k of its literals unassigned into a live entry.
+func (a *arena) entry(c int32, k int) int32 {
+	return int32(uint32(c) | uint32(min(k, a.maxCount))<<a.idBits)
+}
+
+// id returns the clause id of a live entry.
+func (a *arena) id(e int32) int32 { return int32(uint32(e) & (1<<a.idBits - 1)) }
+
+// count returns the remaining-literal field of a live entry: exact below
+// maxCount, a lower bound at it.
+func (a *arena) count(e int32) int { return int(uint32(e) >> a.idBits) }
+
 // Problem is a partially solved CNF instance, held as a view onto the shared
-// clause arena: the partial assignment accumulated so far plus the ids of
-// the clauses it has not yet satisfied, in formula order. A live clause reads
-// as its original literals minus those whose variable is assigned (every
-// assignment drops the clauses it satisfies, so an assigned variable's
-// surviving occurrences are exactly the falsified ones). It is the
-// sub-problem payload that travels between nodes in the distributed solver,
-// and the working state of the sequential one.
+// clause arena: the partial assignment accumulated so far plus one entry per
+// clause it has not yet satisfied, in formula order. An entry packs the
+// clause's id with the number of its literals still unassigned (duplicates
+// counted as occurrences). A live clause reads as its original literals
+// minus those whose variable is assigned (every assignment drops the clauses
+// it satisfies, so an assigned variable's surviving occurrences are exactly
+// the falsified ones). It is the sub-problem payload that travels between
+// nodes in the distributed solver, and the working state of the sequential
+// one.
 //
-// Assign must only be written through the Problem's own methods: the
-// clause-id list is only meaningful together with it.
+// Assign must only be written through the Problem's own methods: the live
+// entries are only meaningful together with it.
 type Problem struct {
 	NumVars int
 	Assign  Assignment
@@ -35,13 +83,21 @@ type Problem struct {
 	empty bool
 }
 
-// NewProblem wraps a formula into an unassigned problem, copying clauses.
+// NewProblem wraps a formula into an unassigned problem, copying clauses and
+// indexing their literals.
 func NewProblem(f Formula) *Problem {
 	n := 0
 	for _, c := range f.Clauses {
 		n += len(c)
 	}
-	a := &arena{lits: make([]Lit, 0, n), offs: make([]int32, 1, len(f.Clauses)+1)}
+	a := &arena{
+		lits:    make([]Lit, 0, n),
+		offs:    make([]int32, 1, len(f.Clauses)+1),
+		occ:     make([]int32, n),
+		occOffs: make([]int32, 2*f.NumVars+2),
+		numVars: f.NumVars,
+	}
+	a.idBits, a.maxCount = layout(len(f.Clauses))
 	p := &Problem{
 		NumVars: f.NumVars,
 		Assign:  NewAssignment(f.NumVars),
@@ -51,11 +107,28 @@ func NewProblem(f Formula) *Problem {
 	for i, c := range f.Clauses {
 		a.lits = append(a.lits, c...)
 		a.offs = append(a.offs, int32(len(a.lits)))
-		p.live[i] = int32(i)
+		p.live[i] = a.entry(int32(i), len(c))
 		if len(c) == 0 {
 			p.empty = true
 		}
+		for _, l := range c {
+			a.occOffs[f.NumVars+int(l)+1]++
+		}
 	}
+	// Counts to starts, then each list filled in clause order while its
+	// start advances to its end, which is the next list's start.
+	for i := 1; i < len(a.occOffs); i++ {
+		a.occOffs[i] += a.occOffs[i-1]
+	}
+	for i, c := range f.Clauses {
+		for _, l := range c {
+			j := f.NumVars + int(l)
+			a.occ[a.occOffs[j]] = int32(i)
+			a.occOffs[j]++
+		}
+	}
+	copy(a.occOffs[1:], a.occOffs)
+	a.occOffs[0] = 0
 	return p
 }
 
@@ -86,7 +159,8 @@ func (p *Problem) WithAssignment(l Lit) *Problem {
 }
 
 // assignInPlace applies a literal to the problem destructively; the caller
-// owns Assign and live.
+// owns Assign and live. Only the clauses that mention l's variable are
+// touched, found through the occurrence index.
 func (p *Problem) assignInPlace(l Lit) {
 	assigned := p.Assign[l.Var()] != 0
 	p.Assign.Set(l)
@@ -94,27 +168,95 @@ func (p *Problem) assignInPlace(l Lit) {
 		// No live clause mentions an assigned variable: only the value moves.
 		return
 	}
-	neg := l.Negate()
-	n := 0
-clauses:
-	for _, c := range p.live {
-		lits := p.clauses.clause(c)
-		falsified := false
-		for _, cl := range lits {
-			if cl == l {
-				continue clauses
-			}
-			if cl == neg {
-				falsified = true
-			}
+	// Dropping first takes a tautology out before its falsified half could
+	// be counted against it.
+	p.drop(p.clauses.occurrences(l))
+	p.falsify(p.clauses.occurrences(l.Negate()))
+}
+
+// seek returns the first index at or after i of a live entry whose clause id
+// is at least c. Ids ascend strictly, so that index is at most i+c-id(i).
+// Which half of the window holds it is unpredictable, so the halving step
+// is arithmetic rather than a branch: ids and c lie in [0, 2^31), their
+// difference cannot overflow, and its sign, spread over a word, selects half
+// or nothing.
+func (p *Problem) seek(i int, c int32) int {
+	mask := uint32(1)<<p.clauses.idBits - 1
+	live := p.live[i:]
+	if len(live) == 0 {
+		return i
+	}
+	d := c - int32(uint32(live[0])&mask)
+	if d <= 0 {
+		return i
+	}
+	base, n := 0, min(len(live), int(d))
+	for n > 1 {
+		half := n >> 1
+		base += half & int((int32(uint32(live[base+half])&mask)-c)>>31)
+		n -= half
+	}
+	if int32(uint32(live[base])&mask) < c {
+		base++
+	}
+	return i + base
+}
+
+// drop removes the live clauses listed in ids (ascending), keeping the rest
+// in order.
+func (p *Problem) drop(ids []int32) {
+	a := p.clauses
+	w, r, i := 0, 0, 0 // write end, first unmoved entry, search start
+	for _, c := range ids {
+		if i = p.seek(i, c); i == len(p.live) {
+			break
 		}
-		if falsified && !p.empty && p.remaining(lits) == 0 {
+		if a.id(p.live[i]) != c {
+			continue
+		}
+		if w != r {
+			copy(p.live[w:], p.live[r:i])
+		}
+		w += i - r
+		i++
+		r = i
+	}
+	if w != r {
+		copy(p.live[w:], p.live[r:])
+	}
+	p.live = p.live[:w+len(p.live)-r]
+}
+
+// falsify lowers the count of every live clause listed in ids (ascending,
+// once per occurrence of the literal just falsified), after the assignment
+// has been recorded.
+func (p *Problem) falsify(ids []int32) {
+	a := p.clauses
+	i := 0
+	for j := 0; j < len(ids); j++ {
+		c, m := ids[j], 1
+		for j+1 < len(ids) && ids[j+1] == c {
+			j++
+			m++
+		}
+		if i = p.seek(i, c); i == len(p.live) {
+			return
+		}
+		e := p.live[i]
+		if a.id(e) != c {
+			continue
+		}
+		k := a.count(e)
+		if k == a.maxCount {
+			k = p.remaining(a.clause(c))
+		} else {
+			k -= m
+		}
+		p.live[i] = a.entry(c, k)
+		if k == 0 {
 			p.empty = true
 		}
-		p.live[n] = c
-		n++
 	}
-	p.live = p.live[:n]
 }
 
 // remaining counts the literals of a live clause that are still there.
@@ -128,10 +270,23 @@ func (p *Problem) remaining(lits []Lit) int {
 	return n
 }
 
-// unit returns the only remaining literal of clause c; ok is false when
-// the clause reads as empty or has more than one literal left.
-func (p *Problem) unit(c int32) (unit Lit, ok bool) {
-	for _, cl := range p.clauses.clause(c) {
+// free returns the number of unassigned literals of live entry e.
+func (p *Problem) free(e int32) int {
+	if k := p.clauses.count(e); k < p.clauses.maxCount {
+		return k
+	}
+	return p.remaining(p.clauses.clause(p.clauses.id(e)))
+}
+
+// unit returns the only remaining literal of live entry e; ok is false when
+// the clause reads as empty or has more than one literal left. A count of 1
+// is exact unless the count field is one bit wide, where it means "at least
+// one": the scan decides either way.
+func (p *Problem) unit(e int32) (unit Lit, ok bool) {
+	if p.clauses.count(e) != 1 {
+		return 0, false
+	}
+	for _, cl := range p.clauses.clause(p.clauses.id(e)) {
 		if p.Assign[cl.Var()] == 0 {
 			if ok {
 				return 0, false
@@ -192,17 +347,32 @@ func scratch[T any](buf []T, n int) []T {
 
 // polarities records, per variable, which polarities occur among the
 // remaining literals. seen must be zeroed and NumVars+1 long.
+//
+// Both polarities and assignment are read without a branch, since neither is
+// predictable: a literal's sign bit selects seenPos (1) or seenNeg (2), and
+// an assigned variable turns the mark off. A clause with every literal
+// unassigned skips the assignment (a saturated count equals the length only
+// then too).
 func (p *Problem) polarities(seen []uint8) {
-	for _, c := range p.live {
-		for _, cl := range p.clauses.clause(c) {
-			if p.Assign[cl.Var()] != 0 {
-				continue
+	a := p.clauses
+	for _, e := range p.live {
+		lits := a.clause(a.id(e))
+		if a.count(e) == len(lits) {
+			for _, cl := range lits {
+				x := int32(cl)
+				sign := x >> 31
+				seen[(x^sign)-sign] |= 1 << (uint32(x) >> 31)
 			}
-			if cl.Positive() {
-				seen[cl.Var()] |= seenPos
-			} else {
-				seen[cl.Var()] |= seenNeg
-			}
+			continue
+		}
+		for _, cl := range lits {
+			x := int32(cl)
+			sign := x >> 31
+			v := (x ^ sign) - sign
+			val := uint8(p.Assign[v])
+			// val is 0, 1 or 255: free is 0xFF when it is 0, else 0.
+			free := uint8(int8(val|-val)>>7) ^ 0xFF
+			seen[v] |= 1 << (uint32(x) >> 31) & free
 		}
 	}
 }
@@ -255,40 +425,29 @@ func (p *Problem) SimplifyWith(mode SimplifyMode) (*Problem, SimplifyStats) {
 		return out, stats
 	}
 	// ...then a single pure-literal scan over a polarity snapshot. A pure
-	// literal falsifies nothing, so all of them are set first and the
-	// clauses they satisfy are dropped in one compaction.
+	// literal falsifies nothing, so setting one only drops the clauses it
+	// occurs in and leaves every other count as it is.
 	out.polarities(seen)
 	for v := 1; v <= p.NumVars; v++ {
+		var l Lit
 		switch seen[v] {
 		case seenPos:
-			out.Assign[v] = 1
+			l = NewLit(v, true)
 		case seenNeg:
-			out.Assign[v] = -1
+			l = NewLit(v, false)
 		default:
 			continue
 		}
+		out.Assign.Set(l)
+		out.drop(out.clauses.occurrences(l))
 		stats.PureAssignments++
 	}
-	if stats.PureAssignments == 0 {
-		return out, stats
-	}
-	kept := out.live[:0]
-clauses:
-	for _, c := range out.live {
-		for _, cl := range out.clauses.clause(c) {
-			if s := seen[cl.Var()]; s == seenPos || s == seenNeg {
-				continue clauses
-			}
-		}
-		kept = append(kept, c)
-	}
-	out.live = kept
 	return out, stats
 }
 
 func (p *Problem) findUnit() (Lit, bool) {
-	for _, c := range p.live {
-		if l, ok := p.unit(c); ok {
+	for _, e := range p.live {
+		if l, ok := p.unit(e); ok {
 			return l, true
 		}
 	}
@@ -307,17 +466,4 @@ func firstPure(seen []uint8) (Lit, bool) {
 		}
 	}
 	return 0, false
-}
-
-// FreeVars counts variables that appear in remaining clauses.
-func (p *Problem) FreeVars() int {
-	seen := make([]uint8, p.NumVars+1)
-	p.polarities(seen)
-	n := 0
-	for _, s := range seen {
-		if s != 0 {
-			n++
-		}
-	}
-	return n
 }

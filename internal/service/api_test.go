@@ -200,6 +200,7 @@ func TestHTTPErrors(t *testing.T) {
 		`{"kind":"sat","cnf":"p cnf 3 1\n4294967297 2 0\n","topology":"ring:4"}`,
 		`{"kind":"sat","cnf":"p cnf 3 1\n-2147483648 2 0\n","topology":"ring:4"}`,
 		`{"kind":"sat","n":1000000000}`,
+		`{"kind":"sat","cnf":"p cnf 50000000 0\n"}`,
 		`{"kind":"knapsack","n":1000000000}`,
 		`{"kind":"queens","n":128}`,
 		`{"kind":"fib","n":5,"topology":"torus:100000x100000"}`,

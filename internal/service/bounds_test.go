@@ -17,6 +17,10 @@ func TestCompileAdmissionBounds(t *testing.T) {
 		{JobSpec{Kind: "sat", N: 10_001, Topology: "ring:4"}, "at most n = 10000"},
 		{JobSpec{Kind: "sat", N: 1_000_000_000}, "at most n = 10000"},
 		{JobSpec{Kind: "sat", N: 1_000_000_000, CNF: "p cnf 1 1\n1 0\n"}, ""}, // n is ignored beside a formula
+		{JobSpec{Kind: "sat", CNF: "p cnf 1048576 1\n1048576 -1 0\n", Topology: "ring:4"}, ""},
+		{JobSpec{Kind: "sat", CNF: "p cnf 1048577 0\n"}, "at most 1048576"},
+		{JobSpec{Kind: "sat", CNF: "p cnf 50000000 0\n"}, "at most 1048576"},
+		{JobSpec{Kind: "sat", CNF: "p cnf 2147483647 0\n"}, "at most 1048576"},
 		{JobSpec{Kind: "knapsack", N: 10_000, Topology: "ring:4"}, ""},
 		{JobSpec{Kind: "knapsack", N: 10_001}, "0 < n <= 10000"},
 		{JobSpec{Kind: "queens", N: 127, Topology: "ring:4"}, ""},
