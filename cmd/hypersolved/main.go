@@ -70,9 +70,10 @@
 // endpoints left the file; it never removes a shard outright (drain first,
 // then remove via the API once its jobs are no longer needed).
 //
-// Observability: every request is access-logged through the structured
-// logger (-log-level debug|info|warn|error, -log-format text|json), gets
-// an X-Request-Id echoed on the response, and carries any inbound W3C
+// Observability: the process logs through log/slog to stderr
+// (-log-level debug|info|warn|error, -log-format text|json, slog's text
+// and JSON handlers). Every request is access-logged, gets an
+// X-Request-Id echoed on the response, and carries any inbound W3C
 // traceparent into the trace the service records per job (hyperctl
 // trace <id> renders it). -pprof-addr exposes net/http/pprof on a
 // separate private listener; -version prints the stamped build identity
@@ -91,6 +92,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -111,7 +113,7 @@ import (
 // -log-format before any mode starts. Every subsystem (HTTP access log,
 // replication node, cluster router) derives from it, so one pair of flags
 // governs the whole process.
-var logger *tracelog.Logger
+var logger *slog.Logger
 
 func main() {
 	var (
@@ -160,20 +162,25 @@ func main() {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(200)
 	}
-	lvl, err := tracelog.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hypersolved:", err)
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
+		fmt.Fprintln(os.Stderr, "hypersolved: -log-level:", err)
 		os.Exit(2)
 	}
-	format, err := tracelog.ParseFormat(*logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hypersolved:", err)
+	opts := &slog.HandlerOptions{Level: lvl}
+	switch *logFormat {
+	case "text":
+		logger = slog.New(slog.NewTextHandler(os.Stderr, opts))
+	case "json":
+		logger = slog.New(slog.NewJSONHandler(os.Stderr, opts))
+	default:
+		fmt.Fprintf(os.Stderr, "hypersolved: unknown -log-format %q (want text or json)\n", *logFormat)
 		os.Exit(2)
 	}
-	logger = tracelog.New(os.Stderr, lvl, format)
 	if *pprofAddr != "" {
 		go servePprof(*pprofAddr)
 	}
+	var err error
 	if *route != "" || *routeConfig != "" {
 		err = runRouter(*addr, routerOptions{
 			route:         *route,
@@ -202,10 +209,8 @@ func runServe(addr string, queue, workers int, dataDir string, fsync bool, snaps
 		}
 		svc := service.New(cfg)
 		depth, pool := svc.Queue()
-		logger.Info("listening",
-			tracelog.A("mode", "serve"), tracelog.A("addr", addr),
-			tracelog.A("queue_depth", depth), tracelog.A("workers", pool),
-			tracelog.A("version", version.String()))
+		logger.Info("listening", "mode", "serve", "addr", addr,
+			"queue_depth", depth, "workers", pool, "version", version.String())
 		return serve(addr, service.NewHandler(svc), svc.Close, nil)
 	}
 	// Durable daemons run as replication nodes: same solve service, plus
@@ -222,14 +227,10 @@ func runServe(addr string, queue, workers int, dataDir string, fsync bool, snaps
 		return err
 	}
 	st := node.Status()
-	attrs := []tracelog.Attr{
-		tracelog.A("mode", "durable"), tracelog.A("addr", addr),
-		tracelog.A("role", st.Role), tracelog.A("store", dataDir),
-		tracelog.A("epoch", st.Epoch), tracelog.A("lsn", st.LSN),
-		tracelog.A("version", version.String()),
-	}
+	attrs := []any{"mode", "durable", "addr", addr, "role", st.Role, "store", dataDir,
+		"epoch", st.Epoch, "lsn", st.LSN, "version", version.String()}
 	if follow != "" {
-		attrs = append(attrs, tracelog.A("following", follow))
+		attrs = append(attrs, "following", follow)
 	}
 	logger.Info("listening", attrs...)
 	return serve(addr, node.Handler(), node.Close, nil)
@@ -280,22 +281,20 @@ func runRouter(addr string, opt routerOptions) error {
 		reload = func() {
 			members, err := readMembers(opt.configFile)
 			if err != nil {
-				logger.Error("SIGHUP reload failed", tracelog.A("error", err.Error()))
+				logger.Error("SIGHUP reload failed", "error", err)
 				return
 			}
 			added, drained, err := r.ApplyMembership(members)
 			if err != nil {
-				logger.Error("SIGHUP reload failed", tracelog.A("error", err.Error()))
+				logger.Error("SIGHUP reload failed", "error", err)
 				return
 			}
-			logger.Info("membership reloaded",
-				tracelog.A("file", opt.configFile), tracelog.A("shards", r.Shards()),
-				tracelog.A("added", fmt.Sprint(added)), tracelog.A("drained", fmt.Sprint(drained)))
+			logger.Info("membership reloaded", "file", opt.configFile, "shards", r.Shards(),
+				"added", added, "drained", drained)
 		}
 	}
-	logger.Info("routing",
-		tracelog.A("mode", "router"), tracelog.A("addr", addr),
-		tracelog.A("shards", r.Shards()), tracelog.A("version", version.String()))
+	logger.Info("routing", "mode", "router", "addr", addr,
+		"shards", r.Shards(), "version", version.String())
 	return serve(addr, cluster.NewHandler(r), r.Close, reload)
 }
 
@@ -310,10 +309,10 @@ func servePprof(addr string) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	logger.Info("pprof listening", tracelog.A("addr", addr))
+	logger.Info("pprof listening", "addr", addr)
 	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Error("pprof server failed", tracelog.A("error", err.Error()))
+		logger.Error("pprof server failed", "error", err)
 	}
 }
 

@@ -40,3 +40,22 @@ func TestGolden(t *testing.T) {
 		})
 	}
 }
+
+// A file declaring more variables than the parser's bound fails with the
+// parser's error on either path, before anything is allocated for them.
+func TestDeclaredVarsBound(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.cnf")
+	if err := os.WriteFile(path, []byte("p cnf 2147483647 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{path}, {"-mesh", "torus:6x6", path}} {
+		var out bytes.Buffer
+		_, err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "declares 2147483647 variables, at most 1048576") {
+			t.Errorf("satsolve %v: err %v, want the parser's bound", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("satsolve %v printed %q", args, out.Bytes())
+		}
+	}
+}

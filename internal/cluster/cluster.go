@@ -29,13 +29,13 @@ package cluster
 
 import (
 	"errors"
+	"log/slog"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"hypersolve/internal/telemetry"
-	"hypersolve/internal/tracelog"
 	"hypersolve/internal/version"
 )
 
@@ -91,7 +91,7 @@ type Config struct {
 	SubmitTimeout time.Duration
 	// Logger receives failover and membership transitions as structured
 	// records; nil discards them.
-	Logger *tracelog.Logger
+	Logger *slog.Logger
 	// Telemetry receives the router's own metrics (failovers, promotions,
 	// spillovers, proxied streams, per-backend health). Nil allocates a
 	// private registry. GET /metrics merges this with the backends'
@@ -204,6 +204,9 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
+	}
 	r := &Router{
 		cfg:    cfg,
 		shards: make(map[int]*shard),
@@ -273,8 +276,6 @@ func (r *Router) Shards() int {
 	defer r.mu.RUnlock()
 	return len(r.shards)
 }
-
-func (r *Router) log() *tracelog.Logger { return r.cfg.Logger }
 
 // shardByID resolves a shard number under the read lock.
 func (r *Router) shardByID(id int) *shard {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"hypersolve/internal/service"
-	"hypersolve/internal/tracelog"
 )
 
 // testLogWriter forwards the router's structured log lines into the test
@@ -158,7 +158,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 		FailAfter:     2,
 		PromoteAfter:  50 * time.Millisecond,
 		SubmitTimeout: 5 * time.Second,
-		Logger:        tracelog.New(testLogWriter{t}, tracelog.LevelInfo, tracelog.FormatText),
+		Logger:        slog.New(slog.NewTextHandler(testLogWriter{t}, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestFailoverReRacesPortfolio(t *testing.T) {
 		FailAfter:     2,
 		PromoteAfter:  50 * time.Millisecond,
 		SubmitTimeout: 5 * time.Second,
-		Logger:        tracelog.New(testLogWriter{t}, tracelog.LevelInfo, tracelog.FormatText),
+		Logger:        slog.New(slog.NewTextHandler(testLogWriter{t}, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)

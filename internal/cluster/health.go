@@ -9,7 +9,6 @@ import (
 
 	"hypersolve/internal/service"
 	"hypersolve/internal/telemetry"
-	"hypersolve/internal/tracelog"
 	"hypersolve/internal/version"
 )
 
@@ -164,17 +163,16 @@ func (r *Router) reconcile() {
 			res, err := standby.client.Promote(ctx)
 			cancel()
 			if err != nil {
-				r.log().Warn("shard promotion failed", tracelog.A("shard", sh.id),
-					tracelog.A("standby", standby.base), tracelog.A("error", err.Error()))
+				r.cfg.Logger.Warn("shard promotion failed", "shard", sh.id,
+					"standby", standby.base, "error", err)
 				continue
 			}
 			sh.mu.Lock()
 			sh.activeStandby, sh.promoted = true, true
 			sh.mu.Unlock()
 			r.metrics.promotions.Inc()
-			r.log().Info("shard failed over", tracelog.A("shard", sh.id),
-				tracelog.A("standby", standby.base), tracelog.A("epoch", res.Epoch),
-				tracelog.A("requeued", len(res.Requeued)))
+			r.cfg.Logger.Info("shard failed over", "shard", sh.id,
+				"standby", standby.base, "epoch", res.Epoch, "requeued", len(res.Requeued))
 		default:
 			// Promoted: heal the old primary once it answers probes again.
 			oldPrimary, newPrimary := sh.primary, sh.standby
@@ -186,8 +184,8 @@ func (r *Router) reconcile() {
 			_, err := oldPrimary.client.Demote(ctx, newPrimary.base)
 			cancel()
 			if err != nil {
-				r.log().Warn("stale primary demotion failed", tracelog.A("shard", sh.id),
-					tracelog.A("primary", oldPrimary.base), tracelog.A("error", err.Error()))
+				r.cfg.Logger.Warn("stale primary demotion failed", "shard", sh.id,
+					"primary", oldPrimary.base, "error", err)
 				continue
 			}
 			sh.mu.Lock()
@@ -195,8 +193,8 @@ func (r *Router) reconcile() {
 			sh.activeStandby = false
 			sh.mu.Unlock()
 			r.metrics.demotions.Inc()
-			r.log().Info("shard healed", tracelog.A("shard", sh.id),
-				tracelog.A("demoted", oldPrimary.base), tracelog.A("primary", newPrimary.base))
+			r.cfg.Logger.Info("shard healed", "shard", sh.id,
+				"demoted", oldPrimary.base, "primary", newPrimary.base)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"hypersolve/internal/service"
 	"hypersolve/internal/telemetry"
-	"hypersolve/internal/tracelog"
 )
 
 // newEndpoint normalises a base URL into an endpoint, checking it against
@@ -88,7 +87,7 @@ func (r *Router) AddShard(primary, standby string) (int, error) {
 		return 0, err
 	}
 	r.rebuildRingLocked()
-	r.log().Info("shard added", tracelog.A("shard", id), tracelog.A("primary", primary))
+	r.cfg.Logger.Info("shard added", "shard", id, "primary", primary)
 	return id, nil
 }
 
@@ -106,7 +105,7 @@ func (r *Router) DrainShard(id int, drain bool) error {
 	sh.draining = drain
 	sh.mu.Unlock()
 	r.rebuildRingLocked()
-	r.log().Info("shard drain toggled", tracelog.A("shard", id), tracelog.A("draining", drain))
+	r.cfg.Logger.Info("shard drain toggled", "shard", id, "draining", drain)
 	return nil
 }
 
@@ -137,7 +136,7 @@ func (r *Router) RemoveShard(id int) error {
 	}
 	sh.mu.Unlock()
 	r.rebuildRingLocked()
-	r.log().Info("shard removed", tracelog.A("shard", id))
+	r.cfg.Logger.Info("shard removed", "shard", id)
 	return nil
 }
 
@@ -197,8 +196,7 @@ func (r *Router) ApplyMembership(specs []MemberSpec) (added, drained []int, err 
 	sort.Ints(added)
 	sort.Ints(drained)
 	if len(added) > 0 || len(drained) > 0 {
-		r.log().Info("membership reloaded",
-			tracelog.A("added", fmt.Sprint(added)), tracelog.A("drained", fmt.Sprint(drained)))
+		r.cfg.Logger.Info("membership reloaded", "added", added, "drained", drained)
 	}
 	return added, drained, err
 }

@@ -6,16 +6,21 @@
 package e2e
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"hypersolve/internal/sat"
 	"hypersolve/internal/service"
 )
 
@@ -69,9 +74,10 @@ type daemon struct {
 }
 
 // startDaemon launches hypersolved on a free loopback port with the given
-// flags and waits until it answers /healthz. The process is killed when the
-// test ends unless the case already stopped it.
-func startDaemon(t *testing.T, flags ...string) *daemon {
+// flags and waits until it answers /healthz. Its stderr goes to stderr, or
+// to the test binary's own when stderr is nil. The process is killed when
+// the test ends unless the case already stopped it.
+func startDaemon(t *testing.T, stderr io.Writer, flags ...string) *daemon {
 	t.Helper()
 	bin := binary(t, "hypersolved")
 	// Reserve a port by binding it, then hand it to the daemon.
@@ -82,7 +88,10 @@ func startDaemon(t *testing.T, flags ...string) *daemon {
 	addr := ln.Addr().String()
 	ln.Close()
 	cmd := exec.Command(bin, append([]string{"-addr", addr, "-log-level", "warn"}, flags...)...)
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = stderr
+	if stderr == nil {
+		cmd.Stderr = os.Stderr
+	}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,4 +131,53 @@ func (d *daemon) awaitState(ctx context.Context, t *testing.T, id service.JobID,
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// logBuffer collects a daemon's stderr: exec copies the process's output
+// into it from its own goroutine while the test reads.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// awaitRecord waits for a JSON log line for which match holds and returns
+// it decoded, failing the test after five seconds without one.
+func (b *logBuffer) awaitRecord(t *testing.T, what string, match func(rec map[string]any) bool) map[string]any {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		text := b.buf.String()
+		b.mu.Unlock()
+		for _, line := range strings.Split(text, "\n") {
+			var rec map[string]any
+			if json.Unmarshal([]byte(line), &rec) == nil && match(rec) {
+				return rec
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no log record %s in:\n%s", what, text)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// uf20CNF renders a satisfiable 20-variable random 3-SAT instance in DIMACS.
+func uf20CNF(t *testing.T) string {
+	t.Helper()
+	suite, err := sat.GenerateSuite(sat.UF20Params(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cnf strings.Builder
+	if err := sat.WriteDIMACS(&cnf, suite[0]); err != nil {
+		t.Fatal(err)
+	}
+	return cnf.String()
 }

@@ -34,7 +34,7 @@ func TestDurabilityKillAndRestart(t *testing.T) {
 		specs = append(specs, service.JobSpec{Kind: "sat", N: 20, Mapper: "lbn", Topology: "torus:6x6", Seed: seed})
 	}
 
-	first := startDaemon(t, "-queue", "32", "-workers", "1", "-data-dir", dataDir)
+	first := startDaemon(t, nil, "-queue", "32", "-workers", "1", "-data-dir", dataDir)
 	var ids []service.JobID
 	for _, spec := range specs {
 		job, err := first.Submit(ctx, spec)
@@ -48,7 +48,7 @@ func TestDurabilityKillAndRestart(t *testing.T) {
 	first.awaitState(ctx, t, ids[len(ids)-1], service.StateQueued)
 	first.kill()
 
-	second := startDaemon(t, "-queue", "32", "-workers", "2", "-data-dir", dataDir)
+	second := startDaemon(t, nil, "-queue", "32", "-workers", "2", "-data-dir", dataDir)
 	for i, id := range ids {
 		job, err := second.Wait(ctx, id, 10*time.Millisecond)
 		if err != nil {

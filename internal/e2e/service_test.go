@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
@@ -15,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"hypersolve/internal/sat"
 	"hypersolve/internal/service"
 )
 
@@ -66,17 +66,8 @@ func TestServiceSmoke(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	d := startDaemon(t, "-queue", "8", "-workers", "2")
-
-	suite, err := sat.GenerateSuite(sat.UF20Params(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cnf strings.Builder
-	if err := sat.WriteDIMACS(&cnf, suite[0]); err != nil {
-		t.Fatal(err)
-	}
-	cnfPath := writeFile(t, "uf20.cnf", cnf.String())
+	d := startDaemon(t, nil, "-queue", "8", "-workers", "2")
+	cnfPath := writeFile(t, "uf20.cnf", uf20CNF(t))
 
 	t.Run("version", func(t *testing.T) {
 		out, err := exec.Command(binary(t, "hypersolved"), "-version").Output()
@@ -242,4 +233,30 @@ func TestServiceSmoke(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLogFlags checks -log-format and -log-level at the binary: JSON at
+// info writes a parseable listening record, and a value neither flag knows
+// is a usage error (exit status 2) before anything listens.
+func TestLogFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts real daemons")
+	}
+	var stderr logBuffer
+	startDaemon(t, &stderr, "-log-format", "json", "-log-level", "info")
+	rec := stderr.awaitRecord(t, "listening", func(rec map[string]any) bool { return rec["msg"] == "listening" })
+	if rec["level"] != "INFO" || rec["mode"] != "serve" || !strings.HasPrefix(fmt.Sprint(rec["version"]), stampedVersion+" (") {
+		t.Errorf("listening record %v, want level INFO, mode serve and the stamped version", rec)
+	}
+
+	for _, flags := range [][]string{{"-log-level", "loud"}, {"-log-format", "xml"}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, binary(t, "hypersolved"),
+			append([]string{"-addr", "127.0.0.1:0"}, flags...)...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("hypersolved %v: %v, output %q; want exit status 2", flags, err, out)
+		}
+	}
 }

@@ -8,6 +8,12 @@ import (
 	"strings"
 )
 
+// MaxDeclaredVars bounds the variable count a problem line may declare:
+// NewProblem's index takes 8 bytes per variable and every branch of the
+// search an assignment byte per variable, whether or not a clause mentions
+// it, so a 20-byte file must not be able to ask for gigabytes.
+const MaxDeclaredVars = 1 << 20
+
 // ParseDIMACS reads a CNF formula in DIMACS format: comment lines start
 // with 'c', the problem line is "p cnf <vars> <clauses>", and each clause
 // is a whitespace-separated list of literals terminated by 0 (possibly
@@ -16,7 +22,8 @@ import (
 // The parser tolerates the quirks of SATLIB benchmark files: a '%' line
 // ends the input (SATLIB files append a "%\n0\n" trailer after the last
 // clause), and a final clause without its terminating 0 is accepted. A
-// clause count that disagrees with the problem line is an error.
+// clause count that disagrees with the problem line is an error, and so is
+// a variable count above MaxDeclaredVars.
 func ParseDIMACS(r io.Reader) (Formula, error) {
 	var f Formula
 	sc := bufio.NewScanner(r)
@@ -47,6 +54,9 @@ func ParseDIMACS(r io.Reader) (Formula, error) {
 			nv, err := strconv.Atoi(fields[2])
 			if err != nil || nv < 0 {
 				return f, fmt.Errorf("dimacs: line %d: bad variable count %q", lineNo, fields[2])
+			}
+			if nv > MaxDeclaredVars {
+				return f, fmt.Errorf("dimacs: line %d: problem line declares %d variables, at most %d", lineNo, nv, MaxDeclaredVars)
 			}
 			nc, err := strconv.Atoi(fields[3])
 			if err != nil || nc < 0 {

@@ -84,3 +84,22 @@ func TestDIMACSLiteralRange(t *testing.T) {
 		t.Error("Validate accepted the most negative literal")
 	}
 }
+
+// A problem line is refused above MaxDeclaredVars: every declared variable
+// costs memory in each Problem, whether or not a clause mentions it.
+func TestDIMACSDeclaredVarsBound(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"p cnf 1048576 1\n1048576 -1 0\n", ""},
+		{"p cnf 1048577 0\n", "line 1: problem line declares 1048577 variables, at most 1048576"},
+		{"c big\np cnf 2147483647 0\n", "line 2: problem line declares 2147483647 variables, at most 1048576"},
+	} {
+		f, err := ParseDIMACS(strings.NewReader(tc.src))
+		if tc.want == "" {
+			if err != nil || f.NumVars != MaxDeclaredVars {
+				t.Errorf("ParseDIMACS(%q) = %d variables, %v; want %d accepted", tc.src, f.NumVars, err, MaxDeclaredVars)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseDIMACS(%q) = %v, want an error containing %q", tc.src, err, tc.want)
+		}
+	}
+}

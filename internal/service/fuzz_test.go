@@ -31,7 +31,7 @@ func cheapToCompile(spec JobSpec) bool {
 	}
 	if spec.CNF != "" {
 		f, err := sat.ParseDIMACS(strings.NewReader(spec.CNF))
-		return err != nil || f.NumVars <= 64 || f.NumVars > maxDeclaredVars
+		return err != nil || f.NumVars <= 64 || f.NumVars > sat.MaxDeclaredVars
 	}
 	return spec.N <= 64 || spec.N > maxGeneratedN
 }

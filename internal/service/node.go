@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -82,7 +83,7 @@ type NodeConfig struct {
 	HTTP *http.Client
 	// Logger receives role transitions and the periodic lag report as
 	// structured records; nil discards them.
-	Logger *tracelog.Logger
+	Logger *slog.Logger
 }
 
 // ReplicationStatus is the GET /v1/replication/status payload.
@@ -119,6 +120,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.Service.Telemetry == nil {
 		cfg.Service.Telemetry = telemetry.NewRegistry()
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	n := &Node{cfg: cfg}
 	sc := cfg.Store
@@ -243,11 +247,9 @@ func (n *Node) pullLoop(ctx context.Context, follow string, reset bool) {
 			if lag := res.SourceLSN - lsn; lag != n.lastLag {
 				n.lastLag = lag
 				if lag > 0 {
-					n.cfg.Logger.Info("replication lag",
-						tracelog.A("lag", lag), tracelog.A("source", follow))
+					n.cfg.Logger.Info("replication lag", "lag", lag, "source", follow)
 				} else if res.Snapshot {
-					n.cfg.Logger.Info("replication reset from snapshot",
-						tracelog.A("source", follow), tracelog.A("lsn", lsn))
+					n.cfg.Logger.Info("replication reset from snapshot", "source", follow, "lsn", lsn)
 				}
 			}
 		}
@@ -290,15 +292,14 @@ func (n *Node) Promote() (PromoteResult, error) {
 	n.stopPuller()
 	epoch, requeued, err := n.file.Promote()
 	if err != nil {
-		n.cfg.Logger.Warn("promotion journal write degraded", tracelog.A("error", err.Error()))
+		n.cfg.Logger.Warn("promotion journal write degraded", "error", err)
 	}
 	n.startPrimary()
 	res := PromoteResult{Role: "primary", Epoch: epoch}
 	for _, id := range requeued {
 		res.Requeued = append(res.Requeued, JobID{Seq: id})
 	}
-	n.cfg.Logger.Info("promoted to primary",
-		tracelog.A("epoch", epoch), tracelog.A("requeued", len(res.Requeued)))
+	n.cfg.Logger.Info("promoted to primary", "epoch", epoch, "requeued", len(res.Requeued))
 	return res, nil
 }
 
@@ -337,7 +338,7 @@ func (n *Node) Demote(follow string) (ReplicationStatus, error) {
 	n.sourceLSN, n.pullErr, n.lastLag = 0, "", 0
 	n.pullMu.Unlock()
 	n.startStandby(follow, true)
-	n.cfg.Logger.Info("demoted to standby (full re-sync)", tracelog.A("source", follow))
+	n.cfg.Logger.Info("demoted to standby (full re-sync)", "source", follow)
 	return n.statusLocked(), nil
 }
 

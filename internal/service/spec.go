@@ -142,11 +142,6 @@ const (
 	maxVirtualLinks = 1 << 23
 	// maxGeneratedN bounds the size of a generated sat or knapsack instance.
 	maxGeneratedN = 10_000
-	// maxDeclaredVars bounds the variable count a DIMACS problem line may
-	// declare: the formula's index takes 8 bytes per variable and every
-	// branch of the search an assignment byte per variable, whether or not
-	// a clause mentions it.
-	maxDeclaredVars = 1 << 20
 	// maxQueensN is the largest board whose columns fit QueensState's int8.
 	maxQueensN = 127
 )
@@ -224,9 +219,6 @@ func (s JobSpec) Compile() (Compiled, error) {
 			formula, err = sat.ParseDIMACS(strings.NewReader(s.CNF))
 			if err != nil {
 				return out, fmt.Errorf("service: %w", err)
-			}
-			if formula.NumVars > maxDeclaredVars {
-				return out, fmt.Errorf("service: formula declares %d variables, at most %d", formula.NumVars, maxDeclaredVars)
 			}
 		} else {
 			n := s.N

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"testing"
 	"time"
 
@@ -150,7 +149,7 @@ func TestWriteErrorCarriesRequestID(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusInternalServerError, ErrStore)
 	})
-	srv := httptest.NewServer(tracelog.Middleware(tracelog.New(os.Stderr, tracelog.LevelError, tracelog.FormatText), inner))
+	srv := httptest.NewServer(tracelog.Middleware(nil, inner))
 	defer srv.Close()
 
 	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/boom", nil)

@@ -1,6 +1,7 @@
 package tracelog
 
 import (
+	"log/slog"
 	"net/http"
 	"time"
 )
@@ -25,7 +26,10 @@ const RequestIDHeader = "X-Request-Id"
 // trace for a submit), so the hop that roots a trace still logs its ID.
 //
 // A nil logger still performs the header and context plumbing.
-func Middleware(l *Logger, next http.Handler) http.Handler {
+func Middleware(l *slog.Logger, next http.Handler) http.Handler {
+	if l == nil {
+		l = slog.New(slog.DiscardHandler)
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		reqID := r.Header.Get(RequestIDHeader)
@@ -39,21 +43,21 @@ func Middleware(l *Logger, next http.Handler) http.Handler {
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r)
-		if l.Enabled(LevelInfo) {
-			attrs := []Attr{
-				A("method", r.Method),
-				A("path", r.URL.Path),
-				A("status", sw.status),
-				A("duration_ms", float64(time.Since(start).Microseconds())/1000),
-				A("request_id", reqID),
+		if l.Enabled(r.Context(), slog.LevelInfo) {
+			attrs := []slog.Attr{
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.Int("status", sw.status),
+				slog.Float64("duration_ms", float64(time.Since(start).Microseconds())/1000),
+				slog.String("request_id", reqID),
 			}
 			if !tc.Valid() {
 				tc, _ = ParseTraceparent(w.Header().Get("traceparent"))
 			}
 			if tc.Valid() {
-				attrs = append(attrs, A("trace_id", tc.TraceID))
+				attrs = append(attrs, slog.String("trace_id", tc.TraceID))
 			}
-			l.Info("http request", attrs...)
+			l.LogAttrs(r.Context(), slog.LevelInfo, "http request", attrs...)
 		}
 	})
 }

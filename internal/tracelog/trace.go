@@ -1,3 +1,11 @@
+// Package tracelog carries the fleet's request tracing: a per-job span
+// timeline with monotonic span IDs, W3C traceparent propagation between
+// processes, and an HTTP middleware that stamps a request ID and the
+// inbound trace context on every request and writes one access-log record
+// per request to a log/slog logger. The store persists timelines as opaque
+// JSON alongside the job record, so traces survive crash recovery and ride
+// the replication feed to standbys; tracelog owns the format so no other
+// package has to parse it.
 package tracelog
 
 import (
@@ -193,14 +201,6 @@ func Resume(data []byte) (*Trace, error) {
 		t.spans = append(t.spans, &sp)
 	}
 	return t, nil
-}
-
-// ID returns the trace's 32-hex trace ID.
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
 }
 
 // StartSpan opens a top-level span and returns its ID.

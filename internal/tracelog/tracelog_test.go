@@ -2,6 +2,7 @@ package tracelog
 
 import (
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -160,103 +161,92 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	}
 }
 
-func TestLoggerJSONFormat(t *testing.T) {
-	var sb strings.Builder
-	l := New(&sb, LevelInfo, FormatJSON)
-	l.log(LevelDebug, "hidden", nil)
-	l.Info("probe failed", A("backend", "http://x"), A("fails", 3))
-	line := sb.String()
-	if strings.Contains(line, "hidden") {
-		t.Fatal("debug record written at info level")
-	}
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(strings.TrimSpace(line)), &rec); err != nil {
-		t.Fatalf("log line not JSON: %q: %v", line, err)
-	}
-	for k, want := range map[string]any{"level": "info", "msg": "probe failed", "backend": "http://x", "fails": float64(3)} {
-		if rec[k] != want {
-			t.Errorf("rec[%q] = %v, want %v", k, rec[k], want)
-		}
-	}
-	if _, err := time.Parse(time.RFC3339Nano, rec["ts"].(string)); err != nil {
-		t.Errorf("bad ts %v: %v", rec["ts"], err)
-	}
-}
-
-func TestLoggerTextFormatAndNil(t *testing.T) {
-	var sb strings.Builder
-	l := New(&sb, LevelDebug, FormatText)
-	l.Warn("lag high", A("lsn", 17), A("note", "two words"))
-	line := sb.String()
-	for _, want := range []string{"WARN", "\"lag high\"", "lsn=17", `note="two words"`} {
-		if !strings.Contains(line, want) {
-			t.Errorf("text line %q missing %q", line, want)
-		}
-	}
-	var nilLogger *Logger
-	nilLogger.Info("ignored") // must not panic
-	if nilLogger.Enabled(LevelError) {
-		t.Fatal("nil logger claims enabled")
-	}
-}
-
-func TestParseLevelAndFormat(t *testing.T) {
-	if lv, err := ParseLevel("WARN"); err != nil || lv != LevelWarn {
-		t.Fatalf("ParseLevel(WARN) = %v, %v", lv, err)
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Fatal("ParseLevel(loud) accepted")
-	}
-	if f, err := ParseFormat("json"); err != nil || f != FormatJSON {
-		t.Fatalf("ParseFormat(json) = %v, %v", f, err)
-	}
-	if _, err := ParseFormat("xml"); err == nil {
-		t.Fatal("ParseFormat(xml) accepted")
-	}
-}
-
 func TestMiddleware(t *testing.T) {
-	var sb strings.Builder
-	l := New(&sb, LevelInfo, FormatJSON)
-	var gotTC TraceContext
-	var gotOK bool
-	var reqIDInHandler string
-	h := Middleware(l, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotTC, gotOK = FromContext(r.Context())
-		reqIDInHandler = w.Header().Get(RequestIDHeader)
-		w.WriteHeader(http.StatusTeapot)
-	}))
+	const inbound = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	const inboundID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	minted := NewTraceContext()
+	cases := []struct {
+		name string
+		// reqID and traceparent are the inbound headers ("" = absent).
+		reqID, traceparent string
+		// respTraceparent is set on the response by the handler, as the
+		// cluster router does when it mints the trace for a submit.
+		respTraceparent string
+		nilLogger       bool
+		// wantReqID "" means a freshly minted 16-hex ID.
+		wantReqID string
+		// wantCtxTrace is the trace ID the handler sees in its request
+		// context, wantLogTrace the access record's trace_id ("" = none).
+		wantCtxTrace, wantLogTrace string
+	}{
+		{name: "propagated", reqID: "req-abc", traceparent: inbound,
+			wantReqID: "req-abc", wantCtxTrace: inboundID, wantLogTrace: inboundID},
+		{name: "bare"},
+		{name: "root hop", respTraceparent: minted.Traceparent(), wantLogTrace: minted.TraceID},
+		{name: "nil logger", traceparent: inbound, nilLogger: true, wantCtxTrace: inboundID},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var sb strings.Builder
+			l := slog.New(slog.NewJSONHandler(&sb, nil))
+			if c.nilLogger {
+				l = nil
+			}
+			var ctxTrace, reqIDInHandler string
+			h := Middleware(l, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if tc, ok := FromContext(r.Context()); ok {
+					ctxTrace = tc.TraceID
+				}
+				reqIDInHandler = w.Header().Get(RequestIDHeader)
+				if c.respTraceparent != "" {
+					w.Header().Set("traceparent", c.respTraceparent)
+				}
+				w.WriteHeader(http.StatusTeapot)
+			}))
+			req := httptest.NewRequest("GET", "/v1/jobs/7", nil)
+			if c.reqID != "" {
+				req.Header.Set(RequestIDHeader, c.reqID)
+			}
+			if c.traceparent != "" {
+				req.Header.Set("traceparent", c.traceparent)
+			}
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, req)
 
-	// Inbound request id + traceparent are propagated.
-	req := httptest.NewRequest("GET", "/v1/jobs/7", nil)
-	req.Header.Set(RequestIDHeader, "req-abc")
-	req.Header.Set("traceparent", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, req)
-	if got := rr.Header().Get(RequestIDHeader); got != "req-abc" {
-		t.Fatalf("request id not echoed: %q", got)
-	}
-	if reqIDInHandler != "req-abc" {
-		t.Fatalf("request id not visible to handler: %q", reqIDInHandler)
-	}
-	if !gotOK || gotTC.TraceID != "4bf92f3577b34da6a3ce929d0e0e4736" {
-		t.Fatalf("trace context not in request context: %+v ok=%v", gotTC, gotOK)
-	}
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(strings.TrimSpace(sb.String())), &rec); err != nil {
-		t.Fatalf("access log not JSON: %v", err)
-	}
-	if rec["status"] != float64(http.StatusTeapot) || rec["trace_id"] != gotTC.TraceID || rec["request_id"] != "req-abc" {
-		t.Fatalf("access log record = %v", rec)
-	}
-
-	// Absent request id is generated; absent traceparent leaves context bare.
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
-	if rid := rr.Header().Get(RequestIDHeader); len(rid) != 16 {
-		t.Fatalf("generated request id %q, want 16 hex chars", rid)
-	}
-	if gotOK {
-		t.Fatal("trace context present without traceparent header")
+			reqID := rr.Header().Get(RequestIDHeader)
+			if c.wantReqID != "" && reqID != c.wantReqID {
+				t.Errorf("request id %q, want %q echoed", reqID, c.wantReqID)
+			}
+			if c.wantReqID == "" && !isHex(reqID, 16) {
+				t.Errorf("generated request id %q, want 16 hex chars", reqID)
+			}
+			if reqIDInHandler != reqID {
+				t.Errorf("handler saw request id %q, response carries %q", reqIDInHandler, reqID)
+			}
+			if ctxTrace != c.wantCtxTrace {
+				t.Errorf("trace id in request context %q, want %q", ctxTrace, c.wantCtxTrace)
+			}
+			if c.nilLogger {
+				return
+			}
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(sb.String()), &rec); err != nil {
+				t.Fatalf("access log %q is not one JSON record: %v", sb.String(), err)
+			}
+			for k, want := range map[string]any{
+				"level": "INFO", "msg": "http request", "method": "GET", "path": "/v1/jobs/7",
+				"status": float64(http.StatusTeapot), "request_id": reqID,
+			} {
+				if rec[k] != want {
+					t.Errorf("access log %s = %v, want %v", k, rec[k], want)
+				}
+			}
+			if d, ok := rec["duration_ms"].(float64); !ok || d < 0 {
+				t.Errorf("access log duration_ms = %v, want a non-negative number", rec["duration_ms"])
+			}
+			if got, _ := rec["trace_id"].(string); got != c.wantLogTrace {
+				t.Errorf("access log trace_id %q, want %q", got, c.wantLogTrace)
+			}
+		})
 	}
 }
