@@ -103,7 +103,9 @@ func MustTorus(dims ...int) Topology { return mesh.MustTorus(dims...) }
 func NewFullyConnected(size int) (Topology, error) { return mesh.NewFullyConnected(size) }
 
 // ParseTopology builds a topology from a spec string such as "torus:14x14",
-// "hypercube:7" or "full:256".
+// "hypercube:7" or "full:256". The same spec returns one shared immutable
+// value (a small bounded cache keeps it), so machines built on it also share
+// its skeleton; callers must not modify it.
 func ParseTopology(spec string) (Topology, error) { return mesh.Parse(spec) }
 
 // ---------------------------------------------------------------------------

@@ -153,7 +153,8 @@ type MemberSpec struct {
 // absent from specs are drained — not removed, so their jobs stay
 // readable until an operator explicitly retires them. Shards are matched
 // by primary URL (either role's URL matches a promoted shard). It returns
-// the added and drained shard IDs.
+// the added and drained shard IDs and logs nothing: the caller reports the
+// reload.
 func (r *Router) ApplyMembership(specs []MemberSpec) (added, drained []int, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -195,8 +196,5 @@ func (r *Router) ApplyMembership(specs []MemberSpec) (added, drained []int, err 
 	r.rebuildRingLocked()
 	sort.Ints(added)
 	sort.Ints(drained)
-	if len(added) > 0 || len(drained) > 0 {
-		r.cfg.Logger.Info("membership reloaded", "added", added, "drained", drained)
-	}
 	return added, drained, err
 }

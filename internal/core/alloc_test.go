@@ -6,20 +6,23 @@ import (
 	"hypersolve/internal/apps"
 	"hypersolve/internal/mapping"
 	"hypersolve/internal/mesh"
+	"hypersolve/internal/sat"
 )
 
 // TestAllocsPerFrameBudget is the layer 1-4 gate beside
 // sat.TestSATSolveAllocBudget: fib has a negligible layer 5, so allocations
 // per frame of one fib(15) solve on an 8x8 torus under round-robin are the
 // programming model's own, machine build included. Measured when the budget
-// was set: 14 240 allocations over 1973 frames, 7.22 per frame, after layer 3
-// stopped keeping a per-ticket destination map and layer 2 a per-activation
-// queue (before that 14 835, 7.52; before pooled workers — a coroutine, a
-// frame and a call group per frame, two boxed envelopes and a context per
-// message — 49 534, 25.11); repeated runs differ by a handful of
-// allocations, which is the slack.
+// was set: 13 270 allocations over 1973 frames, 6.73 per frame, once the
+// machine's skeleton came from the cache and its run state from slabs
+// (before that 14 240, 7.22, after layer 3 stopped keeping a per-ticket
+// destination map and layer 2 a per-activation queue; before that 14 835,
+// 7.52; before pooled workers — a coroutine, a frame and a call group per
+// frame, two boxed envelopes and a context per message — 49 534, 25.11);
+// repeated runs differ by a handful of allocations, which is the 0.08 of
+// slack.
 func TestAllocsPerFrameBudget(t *testing.T) {
-	const budget = 7.3 // allocations per frame
+	const budget = 6.81 // allocations per frame
 	cfg := Config{Topology: mesh.MustTorus(8, 8), Mapper: mapping.NewRoundRobin(), Task: apps.FibTask(), Seed: 1}
 	var frames int64
 	allocs := testing.AllocsPerRun(3, func() {
@@ -36,5 +39,29 @@ func TestAllocsPerFrameBudget(t *testing.T) {
 	if perFrame := allocs / float64(frames); perFrame > budget {
 		t.Errorf("fib(15) made %.2f allocations per frame (%.0f over %d frames), budget %.2f",
 			perFrame, allocs, frames, budget)
+	}
+}
+
+// TestMachineBuildAllocBudget pins what New allocates for a machine whose
+// skeleton is cached: the run state of layers 1-4 in slabs, a fixed number
+// of allocations whatever the machine's size. The machine is the service's
+// uf20 job shape (torus:14x14, lbn). Measured when the budget was set: 30
+// allocations (2 389 before the skeleton cache and the slabs); New is
+// deterministic, so the slack of 2 only absorbs a runtime that boxes
+// differently.
+func TestMachineBuildAllocBudget(t *testing.T) {
+	const budget = 32
+	cfg := Config{Topology: mesh.MustParse("torus:14x14"), Mapper: mapping.NewLeastBusy(), Task: sat.Task(sat.FirstUnassigned)}
+	if _, err := New(cfg); err != nil { // warm the skeleton cache
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("New made %.0f allocations", allocs)
+	if allocs > budget {
+		t.Errorf("New on a cached skeleton made %.0f allocations, budget %d", allocs, budget)
 	}
 }

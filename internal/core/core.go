@@ -8,6 +8,11 @@
 // Every machine runs the paper's semantics: each node activates, round-robin,
 // every message waiting when a step begins, and a choice lets its losing
 // branches run to completion and ignores their results.
+//
+// A machine is an immutable skeleton, derived from (Topology, ProcsPerNode)
+// alone and shared read-only through a small bounded cache, plus run state
+// built per machine in a few slabs; see skeleton.go. A machine on a cached
+// skeleton runs exactly as one built from scratch.
 package core
 
 import (
@@ -98,29 +103,42 @@ type Machine struct {
 	net *mapping.Network
 }
 
-// New validates the configuration and builds the stack.
+// New validates the configuration and builds the stack on the skeleton of
+// (Topology, ProcsPerNode), which it takes from the skeleton cache or builds
+// and caches there (see skeleton.go).
 func New(cfg Config) (*Machine, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	return newMachine(cfg, skeletonOf(cfg.Topology, cfg.ProcsPerNode))
+}
+
+func (cfg Config) validate() error {
 	if cfg.Topology == nil {
-		return nil, fmt.Errorf("core: Config.Topology is nil")
+		return fmt.Errorf("core: Config.Topology is nil")
 	}
 	if cfg.Mapper == nil {
-		return nil, fmt.Errorf("core: Config.Mapper is nil")
+		return fmt.Errorf("core: Config.Mapper is nil")
 	}
 	if cfg.Task == nil {
-		return nil, fmt.Errorf("core: Config.Task is nil")
+		return fmt.Errorf("core: Config.Task is nil")
 	}
+	return nil
+}
+
+// newMachine builds the run state of a validated configuration on sk, which
+// it only reads.
+func newMachine(cfg Config, sk *mapping.Skeleton) (*Machine, error) {
 	simCfg := cfg.Link
 	simCfg.Observer = cfg.Observer
 	simCfg.Seed = cfg.Seed
 	simCfg.MaxSteps = cfg.MaxSteps
 	simCfg.RecordSeries = cfg.RecordSeries
-	net, err := mapping.New(mapping.Config{
-		Physical:     cfg.Topology,
-		ProcsPerNode: cfg.ProcsPerNode,
-		Mapper:       cfg.Mapper,
-		Factory:      recursion.AppFactory(cfg.Task),
-		Seed:         cfg.Seed,
-		Sim:          simCfg,
+	net, err := sk.New(mapping.Config{
+		Mapper:  cfg.Mapper,
+		Factory: recursion.AppFactory(cfg.Task),
+		Seed:    cfg.Seed,
+		Sim:     simCfg,
 	})
 	if err != nil {
 		return nil, err

@@ -171,7 +171,9 @@ func (w weighted) Choose(v View) int {
 }
 
 func score(v View, i int, alpha float64) float64 {
-	return float64(v.Loads[i]) + alpha*v.Outstanding[i]
+	// The explicit conversion rounds the product, so no port fuses it into
+	// a multiply-add and every architecture scores alike.
+	return float64(v.Loads[i]) + float64(alpha*v.Outstanding[i])
 }
 
 // Registry maps mapper spec strings to factories:

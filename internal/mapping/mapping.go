@@ -128,32 +128,89 @@ type Config struct {
 
 // Network is a simulated machine with layers 1-3 installed.
 type Network struct {
-	cluster  *sched.Cluster
-	runtimes []*runtime
+	cluster *sched.Cluster
+	// runtimes holds one runtime per PID; their neighbour-aligned loads
+	// and outstanding weights are segments of two machine-wide slabs.
+	runtimes []runtime
 	mapped   int64 // work messages mapped so far (View.Mapped)
 	// free holds envelopes their receivers have unpacked, for the next send.
 	free []*envelope
 }
 
+// Skeleton is the part of a mapped machine that depends only on the
+// physical topology and the process slots per node: the layer-2 skeleton
+// and, for every PID, the position of each neighbour in its list. It is
+// immutable once built, so any number of networks, concurrent or not, may
+// share one (see Skeleton.New).
+type Skeleton struct {
+	sched *sched.Skeleton
+	// nbrIndex[p] maps each neighbour of PID p to its position in p's list.
+	nbrIndex []map[sched.PID]int
+	// off[p]..off[p+1] brackets PID p's segment of the neighbour-aligned
+	// run-state slabs.
+	off []int
+}
+
+// NewSkeleton builds the skeleton of a machine with procsPerNode slots on
+// every node of phys; values below 1 default to 1.
+func NewSkeleton(phys mesh.Topology, procsPerNode int) *Skeleton {
+	ssk := sched.NewSkeleton(phys, procsPerNode)
+	v := ssk.Virtual()
+	sk := &Skeleton{sched: ssk, nbrIndex: make([]map[sched.PID]int, v.Size()), off: make([]int, v.Size()+1)}
+	for p := range sk.nbrIndex {
+		nbrs := v.Neighbours(mesh.NodeID(p))
+		idx := make(map[sched.PID]int, len(nbrs))
+		for i, nb := range nbrs {
+			idx[sched.PID(nb)] = i
+		}
+		sk.nbrIndex[p] = idx
+		sk.off[p+1] = sk.off[p] + len(nbrs)
+	}
+	return sk
+}
+
+// Virtual returns the process-level topology of the skeleton.
+func (sk *Skeleton) Virtual() mesh.Topology { return sk.sched.Virtual() }
+
 // New builds the network.
 func New(cfg Config) (*Network, error) {
+	if cfg.Physical == nil {
+		return nil, fmt.Errorf("mapping: Config.Physical is nil")
+	}
+	return NewSkeleton(cfg.Physical, cfg.ProcsPerNode).New(cfg)
+}
+
+// New builds a network on the skeleton, as the package-level New does;
+// cfg.Physical and cfg.ProcsPerNode are the skeleton's. The skeleton is only
+// read.
+func (sk *Skeleton) New(cfg Config) (*Network, error) {
 	if cfg.Mapper == nil {
 		return nil, fmt.Errorf("mapping: Config.Mapper is nil")
 	}
 	if cfg.Factory == nil {
 		return nil, fmt.Errorf("mapping: Config.Factory is nil")
 	}
-	n := &Network{}
-	cluster, err := sched.New(sched.Config{
-		Physical:     cfg.Physical,
-		ProcsPerNode: cfg.ProcsPerNode,
-		Sim:          cfg.Sim,
+	n := &Network{runtimes: make([]runtime, len(sk.nbrIndex))}
+	links := sk.off[len(sk.nbrIndex)]
+	loads, outstanding := make([]int64, links), make([]float64, links)
+	cluster, err := sk.sched.New(sched.Config{
+		Sim: cfg.Sim,
 		Factory: func(p sched.PID) sched.Process {
-			rt := newRuntime(n, p, cfg)
-			for int(p) >= len(n.runtimes) {
-				n.runtimes = append(n.runtimes, nil)
+			lo, hi := sk.off[p], sk.off[p+1]
+			rt := &n.runtimes[p]
+			*rt = runtime{
+				net:           n,
+				self:          p,
+				app:           cfg.Factory(p),
+				nbrIndex:      sk.nbrIndex[p],
+				loads:         loads[lo:hi:hi],
+				outstanding:   outstanding[lo:hi:hi],
+				mapperSeed:    cfg.Seed,
+				mapperFactory: cfg.Mapper,
 			}
-			n.runtimes[int(p)] = rt
+			if rt.app == nil {
+				panic(fmt.Sprintf("mapping: app factory returned nil for pid %d", p))
+			}
 			return rt
 		},
 	})
@@ -178,8 +235,8 @@ func (n *Network) App(p sched.PID) App { return n.runtimes[int(p)].app }
 // activity metric of the paper's Figure 5 heatmaps.
 func (n *Network) ReceivedPerProcess() []int64 {
 	out := make([]int64, len(n.runtimes))
-	for i, rt := range n.runtimes {
-		out[i] = rt.received
+	for i := range n.runtimes {
+		out[i] = n.runtimes[i].received
 	}
 	return out
 }
@@ -234,15 +291,16 @@ type runtime struct {
 	app  App
 	algo Algorithm
 
-	nbrs        []sched.PID
+	nbrs []sched.PID
+	// nbrIndex belongs to the skeleton and is only read; loads and
+	// outstanding are this PID's segments of the network's slabs.
 	nbrIndex    map[sched.PID]int
 	loads       []int64
 	outstanding []float64
 
 	received  int64
 	nextSeq   uint64
-	ticketSrc map[Ticket]sched.PID // incoming work ticket -> requester
-	initDone  bool
+	ticketSrc map[Ticket]sched.PID // incoming work ticket -> requester, made on first use
 	// ctx is the one Context handed to the app on every activation.
 	ctx Context
 
@@ -252,29 +310,9 @@ type runtime struct {
 	mapperFactory Factory
 }
 
-func newRuntime(net *Network, p sched.PID, cfg Config) *runtime {
-	rt := &runtime{net: net, self: p, app: cfg.Factory(p)}
-	if rt.app == nil {
-		panic(fmt.Sprintf("mapping: app factory returned nil for pid %d", p))
-	}
-	rt.ticketSrc = make(map[Ticket]sched.PID)
-	// Neighbour-aligned state is completed lazily in Init when the layer-2
-	// context (and thus the virtual topology view) is available.
-	rt.mapperSeed = cfg.Seed
-	rt.mapperFactory = cfg.Mapper
-	return rt
-}
-
 func (rt *runtime) Init(ctx *sched.Context) {
 	rt.nbrs = ctx.Neighbours()
-	rt.nbrIndex = make(map[sched.PID]int, len(rt.nbrs))
-	for i, nb := range rt.nbrs {
-		rt.nbrIndex[nb] = i
-	}
-	rt.loads = make([]int64, len(rt.nbrs))
-	rt.outstanding = make([]float64, len(rt.nbrs))
 	rt.algo = rt.mapperFactory(rt.self, rt.nbrs, rt.mapperSeed^int64(rt.self)*0x9E3779B9)
-	rt.initDone = true
 	rt.ctx = Context{rt: rt, sctx: ctx}
 	rt.app.Init(&rt.ctx)
 }
@@ -300,6 +338,9 @@ func (rt *runtime) Receive(ctx *sched.Context, src sched.PID, payload any) {
 	case Trigger:
 		rt.app.Recv(mctx, NoTicket, Trigger, env.Payload)
 	case Work:
+		if rt.ticketSrc == nil {
+			rt.ticketSrc = make(map[Ticket]sched.PID)
+		}
 		rt.ticketSrc[env.Ticket] = src
 		rt.app.Recv(mctx, env.Ticket, Work, env.Payload)
 	case Reply:

@@ -15,7 +15,7 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a single processing node within a topology. IDs are
@@ -46,7 +46,8 @@ type Topology interface {
 	Coords(n NodeID) []int
 
 	// Dims returns the extent of each embedding dimension. The product of
-	// the extents equals Size() for lattice topologies.
+	// the extents equals Size() for lattice topologies. The returned slice
+	// must not be modified by the caller.
 	Dims() []int
 
 	// Distance returns the minimum number of hops between two nodes.
@@ -158,19 +159,30 @@ func newLattice(name string, dims []int, wrap bool) (*lattice, error) {
 	return l, nil
 }
 
+// precompute fills every node's coordinates and sorted neighbour list, each
+// kind carved out of one slab with its capacity clipped, so that the lists
+// cost two allocations per lattice rather than two per node.
 func (l *lattice) precompute() {
+	nd := len(l.dims)
+	coords := make([]int, l.size*nd)
 	l.coords = make([][]int, l.size)
+	// A node has at most two neighbours per axis.
+	nbrs := make([]NodeID, 0, l.size*2*nd)
 	l.nbrs = make([][]NodeID, l.size)
 	for id := 0; id < l.size; id++ {
-		c := l.coordsOf(NodeID(id))
+		c := coords[id*nd : (id+1)*nd : (id+1)*nd]
+		rem := id
+		for i, d := range l.dims {
+			c[i] = rem % d
+			rem /= d
+		}
 		l.coords[id] = c
-		var nbrs []NodeID
-		for axis := range l.dims {
-			extent := l.dims[axis]
+		start := len(nbrs)
+		for axis, extent := range l.dims {
 			if extent == 1 {
 				continue // no movement possible along degenerate axes
 			}
-			for _, delta := range []int{-1, 1} {
+			for _, delta := range [2]int{-1, 1} {
 				nc := c[axis] + delta
 				switch {
 				case nc >= 0 && nc < extent:
@@ -182,34 +194,16 @@ func (l *lattice) precompute() {
 				default:
 					continue
 				}
-				id2 := id + (nc-c[axis])*l.strides[axis]
-				if !containsID(nbrs, NodeID(id2)) {
-					nbrs = append(nbrs, NodeID(id2))
+				id2 := NodeID(id + (nc-c[axis])*l.strides[axis])
+				if !contains(nbrs[start:], id2) {
+					nbrs = append(nbrs, id2)
 				}
 			}
 		}
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-		l.nbrs[id] = nbrs
+		own := nbrs[start:len(nbrs):len(nbrs)]
+		slices.Sort(own)
+		l.nbrs[id] = own
 	}
-}
-
-func containsID(ids []NodeID, want NodeID) bool {
-	for _, id := range ids {
-		if id == want {
-			return true
-		}
-	}
-	return false
-}
-
-func (l *lattice) coordsOf(n NodeID) []int {
-	c := make([]int, len(l.dims))
-	rem := int(n)
-	for i, d := range l.dims {
-		c[i] = rem % d
-		rem /= d
-	}
-	return c
 }
 
 func (l *lattice) Name() string { return l.name }

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -281,6 +282,30 @@ func TestParseSpecs(t *testing.T) {
 		if err != nil || nodes != int64(c.size) || links < built || links > 2*built {
 			t.Errorf("Extent(%q) = %d nodes, %d links, %v; built %d nodes, %d links", c.spec, nodes, links, err, c.size, built)
 		}
+	}
+}
+
+// TestParseSharesOneValue pins Parse's cache: a repeated spec returns the
+// very value of the first call, equal to a fresh build, and a topology
+// heavier than the whole budget is built anew every time.
+func TestParseSharesOneValue(t *testing.T) {
+	for spec, fresh := range map[string]Topology{
+		"torus:14x14": MustTorus(14, 14), "hypercube:8": MustHypercube(8), "ring:9": MustRing(9),
+	} {
+		a, b := MustParse(spec), MustParse(spec)
+		if a != b {
+			t.Errorf("%s: two Parse calls returned distinct values", spec)
+		}
+		if !reflect.DeepEqual(a, fresh) {
+			t.Errorf("%s: the cached topology differs from a fresh build", spec)
+		}
+	}
+	heavy := "torus:150x150" // 22 500 nodes and 90 000 links
+	if w := Weight(MustParse(heavy)); w <= maxParsedWeight {
+		t.Fatalf("%s weighs %d, want it over the budget of %d", heavy, w, maxParsedWeight)
+	}
+	if MustParse(heavy) == MustParse(heavy) {
+		t.Errorf("%s is over the budget but was cached", heavy)
 	}
 }
 

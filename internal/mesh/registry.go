@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"hypersolve/internal/lru"
 )
 
 // parseSpec splits a spec into its kind and its numeric arguments: the
@@ -45,7 +47,44 @@ func parseSpec(spec string) (kind string, args []int, err error) {
 //	full:256           fully connected, 256 cores
 //	ring:64            64-core ring
 //	star:32            hub-and-spoke, 32 cores
+//
+// The same spec returns one shared immutable value: Parse keeps what it
+// built in a small bounded cache, so a repeated spec costs a lookup, and a
+// machine built on it can reuse the skeleton cached for that value (see
+// core.New). As the Topology contract says, callers must not modify it.
 func Parse(spec string) (Topology, error) {
+	if t, ok := parsed.Get(spec); ok {
+		return t, nil
+	}
+	t, err := parse(spec)
+	if err != nil {
+		return nil, err
+	}
+	return parsed.Add(spec, t, Weight(t)), nil
+}
+
+// Parse's cache bounds: entries, and nodes plus directed links over all
+// entries (a full:N topology has N(N-1) links).
+const (
+	maxParsedTopologies = 16
+	maxParsedWeight     = 1 << 16
+)
+
+// parsed caches Parse's topologies by spec.
+var parsed = lru.New[string, Topology](maxParsedTopologies, maxParsedWeight)
+
+// Weight is the size of a topology's precomputed structures: its nodes plus
+// its directed links. Bounded caches of topology-derived values budget by it.
+func Weight(t Topology) int {
+	w := t.Size()
+	for n := 0; n < t.Size(); n++ {
+		w += t.Degree(NodeID(n))
+	}
+	return w
+}
+
+// parse builds the topology a spec describes.
+func parse(spec string) (Topology, error) {
 	kind, args, err := parseSpec(spec)
 	if err != nil {
 		return nil, err

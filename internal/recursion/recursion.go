@@ -288,7 +288,9 @@ type Runtime struct {
 	self sched.PID
 	// frames holds the unretired frames in no particular order (a retiring
 	// frame swaps with the last).
-	frames  []*Frame
+	frames []*Frame
+	// records is made on the first subcall, so a process that never
+	// issues one allocates no map.
 	records map[mapping.Ticket]record
 
 	framesStarted int64
@@ -304,8 +306,18 @@ var _ mapping.App = (*Runtime)(nil)
 // machine, as core.New does.
 func AppFactory(task Task) mapping.AppFactory {
 	p := &pool{task: task}
+	// Runtimes are carved out of slabs that double in size, so a machine
+	// of n processes makes about log2(n/16)+1 of them.
+	var slab []Runtime
+	next := 16
 	return func(pid sched.PID) mapping.App {
-		return &Runtime{pool: p, self: pid, records: make(map[mapping.Ticket]record)}
+		if len(slab) == 0 {
+			slab, next = make([]Runtime, next), 2*next
+		}
+		rt := &slab[0]
+		slab = slab[1:]
+		*rt = Runtime{pool: p, self: pid}
+		return rt
 	}
 }
 
@@ -442,6 +454,9 @@ func (rt *Runtime) sendWork(ctx *mapping.Context, f *Frame, g *callGroup, slot i
 	ticket, err := ctx.SendWork(arg, hint)
 	if err != nil {
 		panic(fmt.Sprintf("recursion: pid %d failed to map subcall: %v", rt.self, err))
+	}
+	if rt.records == nil {
+		rt.records = make(map[mapping.Ticket]record)
 	}
 	rt.records[ticket] = record{frame: f, group: g, slot: slot}
 	f.outstanding++

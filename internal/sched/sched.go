@@ -62,10 +62,33 @@ type Cluster struct {
 	sim     *simulator.Simulator
 	virtual *virtualTopology
 	procs   int
-	nodes   []*nodeScheduler
+	// nodes holds one scheduler per physical node; their process slots and
+	// contexts are segments of two machine-wide slabs.
+	nodes []nodeScheduler
 	// free holds envelopes their receivers have unpacked, for the next send.
 	free []*envelope
 }
+
+// Skeleton is the part of a scheduled machine that depends only on the
+// physical topology and the process slots per node: the layer-1 skeleton
+// and the virtual topology of PIDs. It is immutable once built, so any
+// number of clusters, concurrent or not, may share one (see Skeleton.New).
+type Skeleton struct {
+	sim     *simulator.Skeleton
+	virtual *virtualTopology
+}
+
+// NewSkeleton builds the skeleton of a machine with procsPerNode slots on
+// every node of phys; values below 1 default to 1.
+func NewSkeleton(phys mesh.Topology, procsPerNode int) *Skeleton {
+	return &Skeleton{
+		sim:     simulator.NewSkeleton(phys),
+		virtual: newVirtualTopology(phys, max(procsPerNode, 1)),
+	}
+}
+
+// Virtual returns the PID-level topology of the skeleton.
+func (sk *Skeleton) Virtual() mesh.Topology { return sk.virtual }
 
 // New builds the cluster: a virtual topology of PIDs and one nodeScheduler
 // handler per physical node.
@@ -73,25 +96,35 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Physical == nil {
 		return nil, fmt.Errorf("sched: Config.Physical is nil")
 	}
+	return NewSkeleton(cfg.Physical, cfg.ProcsPerNode).New(cfg)
+}
+
+// New builds a cluster on the skeleton, as the package-level New does;
+// cfg.Physical and cfg.ProcsPerNode are the skeleton's. The skeleton is only
+// read.
+func (sk *Skeleton) New(cfg Config) (*Cluster, error) {
 	if cfg.Factory == nil {
 		return nil, fmt.Errorf("sched: Config.Factory is nil")
 	}
-	if cfg.ProcsPerNode < 1 {
-		cfg.ProcsPerNode = 1
-	}
+	phys, procs := sk.sim.Topology(), sk.virtual.procs
 	c := &Cluster{
-		virtual: newVirtualTopology(cfg.Physical, cfg.ProcsPerNode),
-		procs:   cfg.ProcsPerNode,
-		nodes:   make([]*nodeScheduler, cfg.Physical.Size()),
+		virtual: sk.virtual,
+		procs:   procs,
+		nodes:   make([]nodeScheduler, phys.Size()),
 	}
+	slots := make([]procState, phys.Size()*procs)
+	ctxs := make([]Context, phys.Size()*procs)
 	simCfg := cfg.Sim
-	simCfg.Topology = cfg.Physical
 	simCfg.Factory = func(n mesh.NodeID) simulator.Handler {
-		ns := newNodeScheduler(c, n, cfg)
-		c.nodes[int(n)] = ns
+		ns := &c.nodes[n]
+		lo, hi := int(n)*procs, int(n+1)*procs
+		*ns = nodeScheduler{cluster: c, node: n, procs: slots[lo:hi:hi], ctxs: ctxs[lo:hi:hi]}
+		for slot := range ns.procs {
+			ns.procs[slot].proc = cfg.Factory(c.PIDOf(n, slot))
+		}
 		return ns
 	}
-	sim, err := simulator.New(simCfg)
+	sim, err := sk.sim.New(simCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -174,8 +207,8 @@ type inboxEntry struct {
 type nodeScheduler struct {
 	cluster *Cluster
 	node    mesh.NodeID
-	procs   []*procState
-	// ctxs holds one reusable per-slot Context, built in Init so that
+	procs   []procState
+	// ctxs holds one reusable per-slot Context, filled in Init so that
 	// activations do not allocate.
 	ctxs    []Context
 	cursor  int // round-robin position
@@ -186,24 +219,12 @@ type nodeScheduler struct {
 	activations int64
 }
 
-func newNodeScheduler(c *Cluster, node mesh.NodeID, cfg Config) *nodeScheduler {
-	ns := &nodeScheduler{cluster: c, node: node}
-	ns.procs = make([]*procState, cfg.ProcsPerNode)
-	for slot := 0; slot < cfg.ProcsPerNode; slot++ {
-		pid := c.PIDOf(node, slot)
-		proc := cfg.Factory(pid)
-		ns.procs[slot] = &procState{proc: proc}
-	}
-	return ns
-}
-
-// Init builds the reusable per-slot contexts (the layer-1 context pointer is
+// Init fills the reusable per-slot contexts (the layer-1 context pointer is
 // stable for the whole run) and initialises every process slot.
 func (ns *nodeScheduler) Init(ctx *simulator.Context) {
-	ns.ctxs = make([]Context, len(ns.procs))
-	for slot, ps := range ns.procs {
+	for slot := range ns.procs {
 		ns.ctxs[slot] = Context{cluster: ns.cluster, sched: ns, simctx: ctx, self: ns.cluster.PIDOf(ns.node, slot)}
-		ps.proc.Init(&ns.ctxs[slot])
+		ns.procs[slot].proc.Init(&ns.ctxs[slot])
 	}
 }
 
@@ -229,7 +250,7 @@ func (ns *nodeScheduler) Receive(ctx *simulator.Context, src mesh.NodeID, payloa
 func (ns *nodeScheduler) Tick(ctx *simulator.Context) {
 	for k := ns.backlog; k > 0; k-- {
 		slot := ns.pickSlot()
-		ps := ns.procs[slot]
+		ps := &ns.procs[slot]
 		entry, _ := ps.mailbox.Pop()
 		ns.backlog--
 		ns.activations++
@@ -241,8 +262,8 @@ func (ns *nodeScheduler) Tick(ctx *simulator.Context) {
 // each physical node over the run so far.
 func (c *Cluster) ActivationsPerNode() []int64 {
 	out := make([]int64, len(c.nodes))
-	for i, ns := range c.nodes {
-		out[i] = ns.activations
+	for i := range c.nodes {
+		out[i] = c.nodes[i].activations
 	}
 	return out
 }
@@ -305,7 +326,7 @@ func (c *Context) Send(dst PID, payload any) error {
 		}
 		// Local delivery: enqueue directly into the sibling mailbox; it
 		// will be activated on a later tick.
-		ns := c.cluster.nodes[dstNode]
+		ns := &c.cluster.nodes[dstNode]
 		ns.procs[dstSlot].mailbox.Push(inboxEntry{src: c.self, payload: payload})
 		ns.backlog++
 		return nil
@@ -325,30 +346,37 @@ type virtualTopology struct {
 func newVirtualTopology(phys mesh.Topology, procs int) *virtualTopology {
 	v := &virtualTopology{phys: phys, procs: procs}
 	size := phys.Size() * procs
+	total := 0
+	for node := 0; node < phys.Size(); node++ {
+		total += procs * (procs - 1 + procs*len(phys.Neighbours(mesh.NodeID(node))))
+	}
+	// Both kinds of list are segments of one slab each.
+	pids := make([]PID, 0, total)
+	ids := make([]mesh.NodeID, total)
 	v.nbrs = make([][]PID, size)
 	v.meshN = make([][]mesh.NodeID, size)
 	for pid := 0; pid < size; pid++ {
 		node := pid / procs
 		slot := pid % procs
-		var out []PID
+		start := len(pids)
 		// Sibling slots on the same physical node.
 		for s := 0; s < procs; s++ {
 			if s != slot {
-				out = append(out, PID(node*procs+s))
+				pids = append(pids, PID(node*procs+s))
 			}
 		}
 		// All slots of physically adjacent nodes.
 		for _, m := range phys.Neighbours(mesh.NodeID(node)) {
 			for s := 0; s < procs; s++ {
-				out = append(out, PID(int(m)*procs+s))
+				pids = append(pids, PID(int(m)*procs+s))
 			}
 		}
-		v.nbrs[pid] = out
-		ids := make([]mesh.NodeID, len(out))
-		for i, p := range out {
-			ids[i] = mesh.NodeID(p)
+		end := len(pids)
+		v.nbrs[pid] = pids[start:end:end]
+		for i, p := range v.nbrs[pid] {
+			ids[start+i] = mesh.NodeID(p)
 		}
-		v.meshN[pid] = ids
+		v.meshN[pid] = ids[start:end:end]
 	}
 	return v
 }
