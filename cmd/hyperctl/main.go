@@ -7,8 +7,8 @@
 //	submit  submit a job; -cnf FILE submits a DIMACS formula end-to-end,
 //	        -spec FILE submits a raw JobSpec JSON document, and
 //	        -portfolio rr,lbn,weighted races the job under several mapping
-//	        strategies (first terminal attempt wins; -portfolio auto uses
-//	        the server's learned ranking)
+//	        strategies (the fewest simulated steps wins, ties to the first
+//	        listed; -portfolio auto races rr,lbn,weighted)
 //	status  print one job (or all jobs with no argument)
 //	list    list jobs, optionally filtered by state
 //	wait    poll a job until it reaches a terminal state (backoff to 2s);
@@ -386,8 +386,8 @@ func wait(ctx context.Context, client *service.Client, args []string) error {
 func watchProgress(ctx context.Context, client *service.Client, id service.JobID) error {
 	lastLen := 0
 	err := client.Watch(ctx, id, func(p service.Progress) {
-		// For portfolio jobs the snapshot names the leading attempt's
-		// strategy (the winner's on the terminal snapshot).
+		// For portfolio jobs each snapshot names the attempt that
+		// published it (the winner's on the terminal snapshot).
 		strat := ""
 		if p.Strategy != "" {
 			strat = " [" + p.Strategy + "]"

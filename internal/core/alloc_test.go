@@ -65,3 +65,23 @@ func TestMachineBuildAllocBudget(t *testing.T) {
 		t.Errorf("New on a cached skeleton made %.0f allocations, budget %d", allocs, budget)
 	}
 }
+
+// TestRandomMapperAllocBudget pins what a small job costs under the random
+// mapper: fib(5) on torus:14x14 maps work on a handful of the 196 nodes, and
+// only those make their random source. Measured when the budget was set:
+// 474 allocations and 199 KB per run (round-robin: 477, 182 KB), against 858
+// and 1.24 MB when every node seeded a source at network initialisation.
+func TestRandomMapperAllocBudget(t *testing.T) {
+	const budget = 520
+	cfg := Config{Topology: mesh.MustParse("torus:14x14"), Mapper: mapping.NewRandom(), Task: apps.FibTask(), Seed: 1}
+	allocs := testing.AllocsPerRun(20, func() {
+		res, err := RunOnce(cfg, 5)
+		if err != nil || !res.OK {
+			t.Fatalf("fib(5): ok=%v err=%v", res.OK, err)
+		}
+	})
+	t.Logf("fib(5) under random made %.0f allocations", allocs)
+	if allocs > budget {
+		t.Errorf("fib(5) on torus:14x14 under random made %.0f allocations, budget %d", allocs, budget)
+	}
+}

@@ -94,8 +94,8 @@ func TestClusterSmoke(t *testing.T) {
 		if err != nil || race.State != service.StateDone {
 			t.Fatalf("race %+v (err %v), want done", race, err)
 		}
-		if race.Winner != "rr" && race.Winner != "lbn" {
-			t.Errorf("race winner %q, want rr or lbn", race.Winner)
+		if want := soloWinner(t, race.Spec); race.Winner != want {
+			t.Errorf("race winner %q, want %q, the fewest steps solo", race.Winner, want)
 		}
 		cancelled := 0
 		for _, a := range race.Attempts {

@@ -70,6 +70,30 @@ func TestDurabilityKillAndRestart(t *testing.T) {
 	}
 }
 
+// soloWinner is the strategy a portfolio race of spec must name: the entry
+// whose solo run, in-process, takes the fewest steps, the first listed on a
+// tie.
+func soloWinner(t *testing.T, spec service.JobSpec) string {
+	t.Helper()
+	best, bestSteps := "", int64(0)
+	for _, strat := range spec.Portfolio {
+		solo := spec
+		solo.Portfolio, solo.Mapper = nil, strat
+		c, err := solo.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := hypersolve.Run(c.Config, c.Arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if best == "" || res.Stats.Steps < bestSteps {
+			best, bestSteps = strat, res.Stats.Steps
+		}
+	}
+	return best
+}
+
 // diffSerial runs a finished job's spec in-process and describes the first
 // difference between that run and the result the daemon served ("" if none).
 func diffSerial(job service.Job) string {

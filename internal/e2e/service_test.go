@@ -119,8 +119,8 @@ func TestServiceSmoke(t *testing.T) {
 		if race.State != service.StateDone || race.Result == nil || race.Result.SAT == nil || race.Result.SAT.Status != "SAT" {
 			t.Fatalf("race job %+v, want done with a SAT verdict", race)
 		}
-		if race.Winner != "rr" && race.Winner != "lbn" && race.Winner != "weighted" {
-			t.Errorf("race winner %q, want one of rr, lbn, weighted", race.Winner)
+		if want := soloWinner(t, race.Spec); race.Winner != want {
+			t.Errorf("race winner %q, want %q, the fewest steps solo", race.Winner, want)
 		}
 		cancelled := 0
 		for _, a := range race.Attempts {

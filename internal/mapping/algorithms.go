@@ -122,20 +122,26 @@ func (lb *leastBusy) Choose(v View) int {
 }
 
 // NewRandom returns a mapper choosing a uniformly random neighbour from a
-// per-node deterministic stream.
+// per-node deterministic stream. The stream's source is made from the seed
+// on the node's first Choose: seeding costs ~5 KB, and most nodes of a
+// small job never map work.
 func NewRandom() Factory {
 	return func(self sched.PID, nbrs []sched.PID, seed int64) Algorithm {
-		return &randomMapper{rng: rand.New(rand.NewSource(seed))}
+		return &randomMapper{seed: seed}
 	}
 }
 
 type randomMapper struct {
-	rng *rand.Rand
+	seed int64
+	rng  *rand.Rand // nil until the first Choose
 }
 
 func (r *randomMapper) Name() string { return "random" }
 
 func (r *randomMapper) Choose(v View) int {
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.seed))
+	}
 	return r.rng.Intn(len(v.Neighbours))
 }
 

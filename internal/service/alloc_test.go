@@ -84,9 +84,9 @@ func TestObserverAddsNoAllocations(t *testing.T) {
 		name string
 		obs  simulator.Observer
 	}{
-		{"observed", NewProgressBroker().attemptObserver("", nil, nil)},
-		{"step counter", counted().attemptObserver("", nil, nil)},
-		{"trace annotation", counted().attemptObserver("", nil, annotate)},
+		{"observed", NewProgressBroker().attemptObserver("", nil, nil, nil)},
+		{"step counter", counted().attemptObserver("", nil, nil, nil)},
+		{"trace annotation", counted().attemptObserver("", nil, nil, annotate)},
 	} {
 		if got := floodAllocsPerRun(t, tc.obs); got > bare {
 			t.Errorf("%s: %d allocs/run, bare loop %d: the observer added allocations to the hot path",

@@ -407,14 +407,20 @@ func (c *Client) Watch(ctx context.Context, id JobID, fn func(Progress)) error {
 	return DecodeEvents(ctx, body, fn)
 }
 
+// maxEventBytes bounds one SSE event's data, summed over its data: lines
+// (and so each line too). A progress snapshot is a few hundred bytes.
+const maxEventBytes = 1 << 20
+
 // DecodeEvents consumes a raw SSE stream (as returned by OpenEvents),
 // invoking fn (which may be nil) for every decoded Progress snapshot in
 // order, with Watch's termination contract: nil after the terminal
-// snapshot, ErrStreamEnded if the stream closed without one. The cluster
-// router shares it so a failed-over stream decodes identically.
+// snapshot, ErrStreamEnded if the stream closed without one. An event whose
+// data passes maxEventBytes is an error, so a peer streaming data: lines
+// with no blank line cannot grow the reader's memory without bound. The
+// cluster router shares it so a failed-over stream decodes identically.
 func DecodeEvents(ctx context.Context, body io.Reader, fn func(Progress)) error {
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxEventBytes)
 	var data []byte
 	for sc.Scan() {
 		line := sc.Text()
@@ -437,7 +443,11 @@ func DecodeEvents(ctx context.Context, body io.Reader, fn func(Progress)) error 
 		case strings.HasPrefix(line, "data:"):
 			// Multi-line data concatenates per the SSE spec; a single
 			// leading space after the colon is not part of the payload.
-			data = append(data, strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " ")...)
+			payload := strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " ")
+			if len(data)+len(payload) > maxEventBytes {
+				return fmt.Errorf("service: progress event data exceeds %d bytes", maxEventBytes)
+			}
+			data = append(data, payload...)
 		default:
 			// event:/retry:/id: fields and comments carry nothing Watch
 			// needs: the terminal frame is recognised by its state.

@@ -216,6 +216,39 @@ func TestWatchStreamEnded(t *testing.T) {
 // TestReadJobSpecRejectsTrailingGarbage: the admission path accepts exactly
 // one JSON document; concatenated documents or trailing junk are a 400, on
 // success the spec round-trips intact.
+// endlessData streams "data: xxx…" lines and never a blank line.
+type endlessData struct{ line []byte }
+
+func (r endlessData) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		n += copy(p[n:], r.line)
+	}
+	return n, nil
+}
+
+// TestDecodeEventsBoundsAnEvent: data: lines with no blank line between
+// them are refused once their total passes maxEventBytes, instead of growing
+// the decoder's buffer for as long as the peer keeps streaming.
+func TestDecodeEventsBoundsAnEvent(t *testing.T) {
+	line := []byte("data: " + strings.Repeat("x", 1017) + "\n") // 1 KB a line
+	err := DecodeEvents(context.Background(), endlessData{line}, nil)
+	if err == nil || errors.Is(err, ErrStreamEnded) || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("DecodeEvents over endless data lines = %v, want the size bound's error", err)
+	}
+
+	// An event just inside the bound still decodes.
+	var frames []Progress
+	payload := `{"state":"done","error":"` + strings.Repeat("y", maxEventBytes-100) + `"}`
+	stream := "data: " + payload[:len(payload)/2] + "\ndata: " + payload[len(payload)/2:] + "\n\n"
+	if err := DecodeEvents(context.Background(), strings.NewReader(stream), func(p Progress) { frames = append(frames, p) }); err != nil {
+		t.Fatalf("DecodeEvents of a %d-byte event: %v", len(payload), err)
+	}
+	if len(frames) != 1 || frames[0].State != StateDone {
+		t.Fatalf("decoded %+v, want one done frame", frames)
+	}
+}
+
 func TestReadJobSpecRejectsTrailingGarbage(t *testing.T) {
 	srv, _ := newTestServer(t, Config{QueueDepth: 4, Workers: 1})
 	for _, body := range []string{

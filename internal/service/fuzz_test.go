@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -88,6 +90,50 @@ func FuzzParseJobID(f *testing.F) {
 		var decoded JobID
 		if err := json.Unmarshal(data, &decoded); err != nil || decoded != id {
 			t.Fatalf("%+v marshals to %s, which decodes to %+v, %v", id, data, decoded, err)
+		}
+	})
+}
+
+// FuzzDecodeEvents feeds arbitrary bytes to the SSE decoder that Watch,
+// hyperctl and the cluster router share. It never panics; it returns nil
+// exactly when the last frame it delivered is terminal, delivers no frame
+// after a terminal one, and the frames it delivers, written back out with
+// WriteEvent, decode to the same frames.
+func FuzzDecodeEvents(f *testing.F) {
+	for _, p := range []Progress{
+		{State: StateQueued},
+		{State: StateRunning, Step: 4096, Queued: 12, ElapsedMs: 250, StepsPerSec: 16384.5, Strategy: "lbn"},
+		{State: StateDone, Step: 17, Strategy: "lbn"},
+		{State: StateFailed, Step: 3, Error: "core: task panicked: no neighbour"},
+		{State: StateCancelled, Step: 1 << 20},
+	} {
+		var b bytes.Buffer
+		if err := WriteEvent(&b, p); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+	decode := func(stream []byte) ([]Progress, error) {
+		var frames []Progress
+		err := DecodeEvents(context.Background(), bytes.NewReader(stream), func(p Progress) { frames = append(frames, p) })
+		return frames, err
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		frames, err := decode(stream)
+		for i, p := range frames {
+			if p.State.Terminal() != (i == len(frames)-1 && err == nil) {
+				t.Fatalf("frame %d of %d is %+v with error %v: only a last frame may be terminal, and it ends the stream", i, len(frames), p, err)
+			}
+		}
+		var again bytes.Buffer
+		for _, p := range frames {
+			if err := WriteEvent(&again, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reframes, reerr := decode(again.Bytes())
+		if !reflect.DeepEqual(reframes, frames) || (reerr == nil) != (err == nil) {
+			t.Fatalf("frames %+v (err %v) written back decode as %+v (err %v)", frames, err, reframes, reerr)
 		}
 	})
 }

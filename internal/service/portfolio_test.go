@@ -1,12 +1,15 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"hypersolve/internal/core"
 	"hypersolve/internal/sat"
 	"hypersolve/internal/store"
 )
@@ -29,6 +32,63 @@ func satSpec(t *testing.T, suiteSeed int64) JobSpec {
 		Topology:     "torus:8x8",
 		Seed:         7,
 		RecordSeries: true,
+	}
+}
+
+// soloSteps runs spec serially under each strategy and returns each run's
+// Stats.Steps, in order.
+func soloSteps(t *testing.T, spec JobSpec, strategies ...string) []int64 {
+	t.Helper()
+	steps := make([]int64, len(strategies))
+	for i, strat := range strategies {
+		spec.Portfolio, spec.Mapper = nil, strat
+		built, err := spec.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		machine, err := core.New(built.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := machine.Run(built.Arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps[i] = res.Stats.Steps
+	}
+	return steps
+}
+
+// soloWinner is the strategy a race of strategies must name: the one whose
+// solo run takes the fewest steps, the first listed on a tie.
+func soloWinner(t *testing.T, spec JobSpec, strategies ...string) string {
+	t.Helper()
+	steps := soloSteps(t, spec, strategies...)
+	best := 0
+	for i := range steps {
+		if steps[i] < steps[best] {
+			best = i
+		}
+	}
+	return strategies[best]
+}
+
+// checkLedger asserts the attempt ledger of a done race: exactly one
+// attempt is done, marked the winner under the job's Winner, and every
+// other attempt is cancelled or failed.
+func checkLedger(t *testing.T, job Job) {
+	t.Helper()
+	winners := 0
+	for _, a := range job.Attempts {
+		switch {
+		case a.Winner && a.State == StateDone && a.Strategy == job.Winner:
+			winners++
+		case a.Winner || (a.State != StateCancelled && a.State != StateFailed):
+			t.Fatalf("attempt %+v in a race won by %q, want it cancelled or failed", a, job.Winner)
+		}
+	}
+	if winners != 1 {
+		t.Fatalf("%d winning attempts in %+v, want exactly 1", winners, job.Attempts)
 	}
 }
 
@@ -59,10 +119,10 @@ func TestPortfolioSpecValidation(t *testing.T) {
 	}
 }
 
-// TestPortfolioBitIdenticalToSoloWinner is the tentpole acceptance check: a
-// portfolio race's job result is bit-identical to a solo run of whichever
-// strategy won, and the attempt ledger records exactly one winner with every
-// loser cancelled.
+// TestPortfolioBitIdenticalToSoloWinner: a portfolio race's job result is
+// bit-identical to a solo run of the strategy with the fewest solo steps,
+// and the attempt ledger records exactly one winner with every loser
+// cancelled.
 func TestPortfolioBitIdenticalToSoloWinner(t *testing.T) {
 	spec := satSpec(t, 41)
 	spec.Portfolio = []string{"rr", "lbn", "weighted"}
@@ -73,8 +133,8 @@ func TestPortfolioBitIdenticalToSoloWinner(t *testing.T) {
 			t.Fatal(err)
 		}
 		done := waitState(t, s, job.ID.Seq, StateDone, 30*time.Second)
-		if done.Winner == "" {
-			t.Fatal("done portfolio job has no winner")
+		if want := soloWinner(t, spec, spec.Portfolio...); done.Winner != want {
+			t.Fatalf("race winner %q, want %q", done.Winner, want)
 		}
 		if len(done.Attempts) != 3 {
 			t.Fatalf("attempt ledger has %d entries, want 3: %+v", len(done.Attempts), done.Attempts)
@@ -106,6 +166,153 @@ func TestPortfolioBitIdenticalToSoloWinner(t *testing.T) {
 	})
 }
 
+// TestPortfolioWinnerIsDeterministic pins the race rule: the winner is the
+// successful attempt with the fewest simulated steps, a tie going to the
+// strategy listed first, so neither the worker count nor the host's
+// scheduling can change it. Every run names the same winner with a
+// DeepEqual result, and that result is a serial run of the winner's.
+func TestPortfolioWinnerIsDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		seed   int64
+		winner string
+	}{
+		{41, "lbn"},      // solo steps rr 19, lbn 17, weighted 17: the tie goes to lbn
+		{61, "weighted"}, // rr 30, lbn 24, weighted 22
+	} {
+		spec := satSpec(t, tc.seed)
+		if got := soloWinner(t, spec, "rr", "lbn", "weighted"); got != tc.winner {
+			t.Fatalf("seed %d: fewest solo steps under %q, want %q", tc.seed, got, tc.winner)
+		}
+		solo := spec
+		solo.Mapper = tc.winner
+		var first *JobResult
+		for _, portfolio := range [][]string{{"rr", "lbn", "weighted"}, {"auto"}} {
+			spec.Portfolio = portfolio
+			for _, workers := range []int{1, 2, 4} {
+				s := New(Config{QueueDepth: 4, Workers: workers})
+				for run := 0; run < 3; run++ {
+					job, err := s.Submit(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					done := waitState(t, s, job.ID.Seq, StateDone, 30*time.Second)
+					if done.Winner != tc.winner {
+						t.Fatalf("seed %d, portfolio %v, %d workers, run %d: winner %q, want %q",
+							tc.seed, portfolio, workers, run, done.Winner, tc.winner)
+					}
+					checkLedger(t, done)
+					if first == nil {
+						first = done.Result
+						matchSerial(t, solo, first)
+					} else if !reflect.DeepEqual(done.Result, first) {
+						t.Fatalf("seed %d, portfolio %v, %d workers, run %d: result differs from the first run",
+							tc.seed, portfolio, workers, run)
+					}
+				}
+				s.Close()
+			}
+		}
+	}
+}
+
+// TestRaceOutcomeIgnoresArrivalOrder feeds the same three attempt outcomes
+// to the race bookkeeping in all six arrival orders: every order names the
+// same winner and failure and leaves the losers the same ceilings.
+func TestRaceOutcomeIgnoresArrivalOrder(t *testing.T) {
+	type outcome struct {
+		steps int64
+		ok    bool
+	}
+	orders := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, tc := range []struct {
+		name         string
+		outcomes     [3]outcome
+		best, failed int
+	}{
+		{"tie goes to the first listed", [3]outcome{{19, true}, {17, true}, {17, true}}, 1, -1},
+		{"fewest steps", [3]outcome{{30, true}, {24, true}, {22, true}}, 2, -1},
+		{"a failure does not decide", [3]outcome{{0, false}, {30, true}, {24, true}}, 2, 0},
+		{"no success", [3]outcome{{0, false}, {0, false}, {0, false}}, -1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, order := range orders {
+				r := newRace(3)
+				for _, i := range order {
+					if o := tc.outcomes[i]; o.ok {
+						r.succeed(i, o.steps)
+					} else {
+						r.fail(i)
+					}
+				}
+				if r.best != tc.best || r.failed != tc.failed {
+					t.Fatalf("order %v: best %d, failed %d; want %d and %d", order, r.best, r.failed, tc.best, tc.failed)
+				}
+				for i := range r.ceilings {
+					want := int64(math.MaxInt64)
+					switch {
+					case tc.best < 0 || i == tc.best:
+						continue
+					case i < tc.best:
+						want = tc.outcomes[tc.best].steps
+					default:
+						want = tc.outcomes[tc.best].steps - 1
+					}
+					if got := r.ceilings[i].Load(); got != want {
+						t.Fatalf("order %v: attempt %d ceiling %d, want %d", order, i, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPortfolioLoserStopsAtItsCeiling: an attempt that starts with the
+// race's best already known at T steps stops itself at the first observer
+// check past its ceiling (T-1, listed after the best) instead of running
+// to completion. One worker runs the attempts one after the other, so the
+// ceiling is set before the loser starts; two workers set it from another
+// goroutine while the loser runs.
+func TestPortfolioLoserStopsAtItsCeiling(t *testing.T) {
+	spec := JobSpec{Kind: "fib", N: 10, Topology: "torus:4x4", ProcsPerNode: 4, Link: LinkSpec{LinkLatency: 1000}}
+	steps := soloSteps(t, spec, "rr", "random")
+	if steps[1]-steps[0] < 4*progressCheckSteps {
+		t.Fatalf("solo steps rr %d, random %d: want random slower by at least %d", steps[0], steps[1], 4*progressCheckSteps)
+	}
+	race := func(workers int, portfolio ...string) Job {
+		s := New(Config{QueueDepth: 4, Workers: workers})
+		defer s.Close()
+		spec := spec
+		spec.Portfolio = portfolio
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := waitState(t, s, job.ID.Seq, StateDone, 30*time.Second)
+		if done.Winner != "rr" {
+			t.Fatalf("race %v on %d workers won by %q, want rr", portfolio, workers, done.Winner)
+		}
+		checkLedger(t, done)
+		solo := spec
+		solo.Portfolio, solo.Mapper = nil, "rr"
+		matchSerial(t, solo, done.Result)
+		return done
+	}
+
+	done := race(1, "rr", "random")
+	loser, ceiling := done.Attempts[1], steps[0]-1
+	if loser.Steps <= ceiling || loser.Steps-ceiling > 2*progressCheckSteps {
+		t.Fatalf("loser %+v under ceiling %d: want stopped past it by at most %d steps", loser, ceiling, 2*progressCheckSteps)
+	}
+	race(2, "rr", "random")
+
+	// Listed first, the slower attempt completes before any best is known;
+	// the faster one then displaces it.
+	done = race(1, "random", "rr")
+	if loser := done.Attempts[0]; loser.Steps != steps[1] {
+		t.Fatalf("displaced attempt %+v, want its full %d solo steps recorded", loser, steps[1])
+	}
+}
+
 // TestPortfolioCancelSettlesAllAttempts: cancelling a racing job records the
 // job and every attempt cancelled, with no winner.
 func TestPortfolioCancelSettlesAllAttempts(t *testing.T) {
@@ -135,53 +342,26 @@ func TestPortfolioCancelSettlesAllAttempts(t *testing.T) {
 	})
 }
 
-// TestPortfolioAutoLearnsOrdering: with one worker, attempts run strictly in
-// launch order, so the first-launched strategy of a quick job always wins.
-// After a recorded win, a ["auto"] submission must launch the learned
-// strategy first — and the learned ranking must survive a restart, rebuilt
-// from the store's attempt ledgers.
-func TestPortfolioAutoLearnsOrdering(t *testing.T) {
-	dir := t.TempDir()
-	s1 := New(Config{QueueDepth: 4, Workers: 1, Store: openStore(t, dir)})
-
-	// Teach the service that "weighted" wins for kind sum. defaultPortfolio
-	// launches rr first, so without this win an auto race would pick rr.
-	teach := quickSpec()
-	teach.Portfolio = []string{"weighted", "lbn"}
-	job, err := s1.Submit(teach)
+// TestPortfolioDeadlineFailsRace: the job's deadline ends every attempt,
+// and with no attempt successful the job fails with the deadline's error.
+func TestPortfolioDeadlineFailsRace(t *testing.T) {
+	spec := slowSpec()
+	spec.Portfolio = []string{"rr", "lbn"}
+	spec.TimeoutMs = 50
+	s := New(Config{QueueDepth: 4, Workers: 2})
+	defer s.Close()
+	job, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := waitState(t, s1, job.ID.Seq, StateDone, 10*time.Second)
-	if done.Winner != "weighted" {
-		t.Fatalf("single-worker race winner = %q, want the first-launched %q", done.Winner, "weighted")
+	got := waitState(t, s, job.ID.Seq, StateFailed, 10*time.Second)
+	if !strings.Contains(got.Error, "deadline") || got.Winner != "" {
+		t.Fatalf("race = error %q, winner %q; want the deadline's error and no winner", got.Error, got.Winner)
 	}
-
-	auto := quickSpec()
-	auto.Portfolio = []string{"auto"}
-	job, err = s1.Submit(auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done = waitState(t, s1, job.ID.Seq, StateDone, 10*time.Second)
-	if done.Winner != "weighted" {
-		t.Fatalf("auto race winner = %q, want learned %q launched first", done.Winner, "weighted")
-	}
-	if len(done.Attempts) != 3 {
-		t.Fatalf(`auto expanded to %d attempts, want 3: %+v`, len(done.Attempts), done.Attempts)
-	}
-	s1.Close()
-
-	// Restart: the stats table is rebuilt from persisted attempt ledgers.
-	s2 := New(Config{QueueDepth: 4, Workers: 1, Store: openStore(t, dir)})
-	defer s2.Close()
-	job, err = s2.Submit(auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done = waitState(t, s2, job.ID.Seq, StateDone, 10*time.Second)
-	if done.Winner != "weighted" {
-		t.Fatalf("post-restart auto winner = %q, want %q from the rebuilt stats", done.Winner, "weighted")
+	for _, a := range got.Attempts {
+		if a.State != StateFailed && a.State != StateCancelled {
+			t.Fatalf("attempt %+v after the deadline, want failed or cancelled", a)
+		}
 	}
 }
 
@@ -219,9 +399,10 @@ func TestPortfolioRecoveryReRaces(t *testing.T) {
 	s := New(Config{QueueDepth: 4, Workers: 2, Store: openStore(t, dir)})
 	defer s.Close()
 	done := waitState(t, s, sj.ID, StateDone, 30*time.Second)
-	if done.Winner == "" {
-		t.Fatal("re-raced job has no winner")
+	if want := soloWinner(t, spec, spec.Portfolio...); done.Winner != want {
+		t.Fatalf("re-raced job won by %q, want %q", done.Winner, want)
 	}
+	checkLedger(t, done)
 	for _, a := range done.Attempts {
 		if !a.State.Terminal() {
 			t.Fatalf("re-raced ledger still carries a live attempt: %+v", a)
@@ -230,6 +411,58 @@ func TestPortfolioRecoveryReRaces(t *testing.T) {
 	if done.Result == nil || !done.Result.SAT.Verified {
 		t.Fatalf("re-raced result not verified: %+v", done.Result)
 	}
+}
+
+// TestPortfolioPromotionReRaces: a race its primary never got to run is
+// raced by the promoted standby, to the winner the step rule names.
+func TestPortfolioPromotionReRaces(t *testing.T) {
+	primary, psrv := startNode(t, NodeConfig{
+		Dir:     t.TempDir(),
+		Service: Config{QueueDepth: 8, Workers: 1},
+	})
+	_, ssrv := startNode(t, NodeConfig{
+		Dir:       t.TempDir(),
+		Service:   Config{QueueDepth: 8, Workers: 3},
+		Follow:    psrv.URL,
+		PullEvery: 10 * time.Millisecond,
+	})
+	pc := &Client{Base: psrv.URL}
+	sc := &Client{Base: ssrv.URL}
+	ctx := context.Background()
+
+	// Pin the primary's only worker so the race stays queued.
+	if _, err := pc.Submit(ctx, slowSpec()); err != nil {
+		t.Fatal(err)
+	}
+	spec := satSpec(t, 61)
+	spec.Portfolio = []string{"rr", "lbn", "weighted"}
+	job, err := pc.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pst, err := pc.ReplicationStatus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, sc, pst.LSN)
+	psrv.CloseClientConnections()
+	psrv.Close()
+	primary.Close()
+
+	if _, err := sc.Promote(ctx); err != nil {
+		t.Fatal(err)
+	}
+	done, err := sc.Wait(ctx, job.ID, 10*time.Millisecond)
+	if err != nil || done.State != StateDone {
+		t.Fatalf("re-raced job = %+v (%v), want done", done, err)
+	}
+	if done.Winner != "weighted" {
+		t.Fatalf("re-raced job won by %q, want weighted", done.Winner)
+	}
+	checkLedger(t, done)
+	solo := spec
+	solo.Portfolio, solo.Mapper = nil, "weighted"
+	matchSerial(t, solo, done.Result)
 }
 
 // TestSoloJobHasNoAttemptLedger pins the wire shape: solo jobs carry no

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hypersolve/internal/telemetry"
@@ -30,8 +32,9 @@ type Progress struct {
 	// run start for the first; zero on terminal snapshots).
 	StepsPerSec float64 `json:"steps_per_sec,omitempty"`
 	// Strategy is the mapping strategy behind this snapshot of a portfolio
-	// job: the leading attempt's while the race runs, the winner's on the
-	// terminal snapshot. Empty for solo jobs.
+	// job: while the race runs every attempt publishes frames tagged with
+	// its own; the terminal snapshot of a done race carries the winner's.
+	// Empty for solo jobs.
 	Strategy string `json:"strategy,omitempty"`
 	// Error is the failure reason on a terminal failed snapshot.
 	Error string `json:"error,omitempty"`
@@ -43,10 +46,10 @@ type Progress struct {
 const ProgressInterval = 250 * time.Millisecond
 
 // progressCheckSteps is how often (in layer-1 steps) the observer consults
-// the wall clock. A power of two keeps the per-step cost to one mask-and-
-// compare — the same trick as simulator.CancelSliceSteps — so an attached
-// observer with no subscribers adds no allocations and negligible time to
-// the hot path.
+// the wall clock and its attempt's step ceiling. A power of two keeps the
+// per-step cost to one mask-and-compare — the same trick as
+// simulator.CancelSliceSteps — so an attached observer with no subscribers
+// adds no allocations and negligible time to the hot path.
 const progressCheckSteps = 1024
 
 // maxSubscribers bounds the fan-out of one job's event stream; subscriptions
@@ -198,17 +201,16 @@ func (b *ProgressBroker) Subscribe() (<-chan Progress, func(), error) {
 // still costs its subscribers (and the solve loop) a handful of snapshots
 // per second.
 //
-// A solo job is a race with one attempt: strategy is empty and lead nil, so
-// every snapshot publishes unstamped. In a portfolio race frames carry the
-// attempt's strategy and are published only while the attempt leads (lead,
-// consulted on the throttled publish cadence). annotate, when non-nil,
-// receives each publish-cadence step count and queue depth — the service
-// aims it at the attempt's trace span, or at the run span when the job has
-// no attempt spans. Returned concretely so the attempt epilogue can read
-// CountedSteps.
-func (b *ProgressBroker) attemptObserver(strategy string, lead func(step int64) bool, annotate func(step int64, queued int)) *progressObserver {
+// Frames carry strategy, which is empty for a solo job. ceiling, when
+// non-nil, is the most steps the attempt may finish in and still win its
+// race (see race): at a check past it the observer calls stop, cancelling
+// the attempt's own context. annotate, when non-nil, receives each
+// publish-cadence step count and queue depth — the service aims it at the
+// attempt's trace span, or at the run span when the job has no attempt
+// spans. Returned concretely so the attempt epilogue can read CountedSteps.
+func (b *ProgressBroker) attemptObserver(strategy string, ceiling *atomic.Int64, stop context.CancelFunc, annotate func(step int64, queued int)) *progressObserver {
 	now := time.Now()
-	return &progressObserver{b: b, started: now, lastPub: now, strategy: strategy, lead: lead, annotate: annotate}
+	return &progressObserver{b: b, started: now, lastPub: now, strategy: strategy, ceiling: ceiling, stop: stop, annotate: annotate}
 }
 
 type progressObserver struct {
@@ -218,7 +220,8 @@ type progressObserver struct {
 	lastStep int64
 
 	strategy string
-	lead     func(step int64) bool
+	ceiling  *atomic.Int64
+	stop     context.CancelFunc
 	annotate func(step int64, queued int)
 }
 
@@ -232,21 +235,24 @@ func (o *progressObserver) AfterStep(step int64, queued int) {
 	if step&(progressCheckSteps-1) != 0 {
 		return
 	}
+	if o.ceiling != nil && step >= o.ceiling.Load() {
+		// AfterStep(step) means the run will end with more than step steps,
+		// so past its ceiling this attempt can no longer win.
+		o.stop()
+	}
 	now := time.Now()
 	since := now.Sub(o.lastPub)
 	if since < ProgressInterval {
 		return
 	}
-	if o.lead == nil || o.lead(step) {
-		o.b.Publish(Progress{
-			State:       StateRunning,
-			Step:        step,
-			Queued:      queued,
-			ElapsedMs:   now.Sub(o.started).Milliseconds(),
-			StepsPerSec: float64(step-o.lastStep) / since.Seconds(),
-			Strategy:    o.strategy,
-		})
-	}
+	o.b.Publish(Progress{
+		State:       StateRunning,
+		Step:        step,
+		Queued:      queued,
+		ElapsedMs:   now.Sub(o.started).Milliseconds(),
+		StepsPerSec: float64(step-o.lastStep) / since.Seconds(),
+		Strategy:    o.strategy,
+	})
 	o.b.steps.Add(step - o.lastStep)
 	if o.annotate != nil {
 		o.annotate(step, queued)

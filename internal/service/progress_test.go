@@ -159,7 +159,7 @@ func TestBrokerConcurrentPublishSubscribe(t *testing.T) {
 // progressCheckSteps cadence.
 func TestObserverThrottle(t *testing.T) {
 	b := NewProgressBroker()
-	obs := b.attemptObserver("", nil, nil)
+	obs := b.attemptObserver("", nil, nil, nil)
 	// Pretend the last publish is long past so the very next check fires.
 	obs.lastPub = time.Now().Add(-time.Hour)
 	ch, cancel, err := b.Subscribe()

@@ -186,8 +186,8 @@ func TestRecoveredHistorySurvivesJSONRoundTrip(t *testing.T) {
 // store's annotations were generic (../store/testdata/legacy — old journal
 // ops, old snapshot fields, a crash mid-compaction) recovers to exactly
 // what the commit that wrote it served from it: the job documents with
-// their race ledgers, the trace documents over HTTP, the learned win table,
-// and the job the crash caught running re-admitted under its own trace ID.
+// their race ledgers, the trace documents over HTTP, and the job the crash
+// caught running re-admitted under its own trace ID.
 func TestRecoveryOfLegacyDataDirectory(t *testing.T) {
 	const fixture = "../store/testdata/legacy"
 	dir := t.TempDir()
@@ -218,7 +218,6 @@ func TestRecoveryOfLegacyDataDirectory(t *testing.T) {
 	client := &Client{Base: srv.URL, HTTP: srv.Client()}
 	ctx := context.Background()
 
-	wins := map[string]map[string]int{}
 	races := 0
 	for _, p := range parent {
 		got, err := client.Get(ctx, p.Job.ID)
@@ -234,18 +233,10 @@ func TestRecoveryOfLegacyDataDirectory(t *testing.T) {
 			if len(p.Job.Attempts) != 3 {
 				t.Errorf("fixture race %s has %d attempts, want 3", p.Job.ID, len(p.Job.Attempts))
 			}
-			class := problemClass(p.Job.Spec)
-			if wins[class] == nil {
-				wins[class] = map[string]int{}
-			}
-			wins[class][p.Job.Winner]++
 		}
 	}
 	if len(parent) != 4 || races != 2 {
 		t.Fatalf("fixture holds %d finished jobs, %d of them races; want 4 and 2", len(parent), races)
-	}
-	if !reflect.DeepEqual(s.adapt.wins, wins) {
-		t.Errorf("win table rebuilt as %v, the ledgers say %v", s.adapt.wins, wins)
 	}
 
 	sj, _ := s.store.Get(5)

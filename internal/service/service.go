@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -99,18 +100,19 @@ type Job struct {
 
 // Attempt is one strategy's run inside a portfolio race: the job's spec
 // executed under this mapping strategy, in its own cancellation context.
-// Exactly one attempt of a finished race is terminal as done or failed
-// (the decider); the rest are recorded cancelled — including attempts
-// whose run happened to complete after the race was already decided, whose
-// results are discarded to keep the job's payload identical to a solo run
-// of the winner.
+// The race is decided by simulated steps: the successful attempt with the
+// fewest Steps wins, a tie going to the strategy listed first, and its
+// result becomes the job's, identical to a solo run of the winner. In a
+// done race exactly that attempt is done with Winner set; every other one
+// is failed, or cancelled — a loser that stopped itself once it passed the
+// winner's step count, or whose run completed in more steps.
 type Attempt struct {
 	Strategy   string    `json:"strategy"`
 	State      State     `json:"state"`
 	StartedAt  time.Time `json:"started_at,omitzero"`
 	FinishedAt time.Time `json:"finished_at,omitzero"`
 	// Steps is the layer-1 steps this attempt executed (zero for attempts
-	// cancelled before running or interrupted mid-slice).
+	// cancelled before running).
 	Steps int64  `json:"steps,omitempty"`
 	Error string `json:"error,omitempty"`
 	// Winner marks the attempt whose successful result became the job's.
@@ -204,13 +206,10 @@ type Service struct {
 	pending []workItem
 	queued  int
 	// runs holds each live (queued or running) job's in-flight state: the
-	// admission-time compilation, the resolved strategy list, the race's
-	// per-attempt bookkeeping, the progress broker and the span timeline.
-	// Entries are dropped when the job goes terminal.
-	runs map[int64]*jobRun
-	// adapt is the per-problem-class strategy-stats table biasing
-	// portfolio launch order (see adapt.go).
-	adapt  *strategyStats
+	// admission-time compilation, the race's per-attempt bookkeeping, the
+	// progress broker and the span timeline. Entries are dropped when the
+	// job goes terminal.
+	runs   map[int64]*jobRun
 	closed bool
 
 	// root is the ancestor context of every job run; Close cancels it so
@@ -246,15 +245,11 @@ func New(cfg Config) *Service {
 		cfg:   cfg,
 		store: st,
 		runs:  make(map[int64]*jobRun),
-		adapt: newStrategyStats(),
 		done:  make(chan struct{}),
 	}
 	s.registerMetrics()
 	s.wake = sync.NewCond(&s.mu)
 	s.root, s.cancelRoot = context.WithCancel(context.Background())
-	// Learned strategy rankings come back before recovery so a re-admitted
-	// "auto" portfolio races in the order the pre-crash wins taught.
-	s.rebuildAdapt()
 	s.recover()
 	go func() {
 		defer close(s.done)
@@ -387,23 +382,19 @@ func (s *Service) recover() {
 }
 
 // admitLocked installs a job's run state and enqueues its attempts: one
-// work item for a solo job, one per strategy for a portfolio race (the
-// launch order fixed here by the adaptive ranking). Callers hold s.mu (or,
-// in New, have not yet shared the service).
+// work item for a solo job, one per strategy, in spec order, for a
+// portfolio race. Callers hold s.mu (or, in New, have not yet shared the
+// service).
 func (s *Service) admitLocked(id int64, spec JobSpec, built *Compiled, tr *tracelog.Trace) *jobRun {
-	strategies := s.resolveStrategies(spec, built)
+	strategies := built.strategies
 	jr := &jobRun{
-		spec:       spec,
-		built:      built,
-		broker:     NewProgressBroker(),
-		trace:      tr,
-		strategies: strategies,
-		portfolio:  built.portfolio,
-		winner:     -1,
-		attempts:   make([]Attempt, len(strategies)),
-		cancels:    make([]context.CancelFunc, len(strategies)),
-		spans:      make([]int64, len(strategies)),
-		lead:       make([]int64, len(strategies)),
+		spec:     spec,
+		built:    built,
+		broker:   NewProgressBroker(),
+		trace:    tr,
+		race:     newRace(len(strategies)),
+		attempts: make([]Attempt, len(strategies)),
+		spans:    make([]int64, len(strategies)),
 	}
 	for i, strat := range strategies {
 		jr.attempts[i] = Attempt{Strategy: strat, State: StateQueued}
@@ -427,15 +418,12 @@ type workItem struct {
 	attempt int
 }
 
-// jobRun is the in-flight state of one admitted job: the compiled spec,
-// the resolved strategy list and the race's per-attempt bookkeeping. All
-// fields are guarded by Service.mu except lead, which attempt observers
-// update atomically off-lock on their publish cadence.
+// jobRun is the in-flight state of one admitted job: the compiled spec
+// and the race's per-attempt bookkeeping. All fields are guarded by
+// Service.mu except the race's ceilings (see race).
 type jobRun struct {
-	spec       JobSpec
-	built      *Compiled
-	strategies []string
-	portfolio  bool // persist the attempt ledger (len(strategies) may be 1)
+	spec  JobSpec
+	built *Compiled // its strategies are the attempts, in spec order
 
 	// broker fans the job's progress snapshots out to event subscribers;
 	// trace is its in-flight span timeline and queueSpan the open queue-wait
@@ -453,28 +441,60 @@ type jobRun struct {
 	runSpan int64
 
 	attempts []Attempt
-	cancels  []context.CancelFunc // per running attempt; nil otherwise
-	spans    []int64              // per-attempt trace span (0 = none)
-	lead     []int64              // per-attempt last observed step, atomic
-	settled  int                  // attempts in a terminal state
-	winner   int                  // deciding attempt's index, -1 until decided
-	winErr   error                // deciding attempt's error (nil = success)
-	winRes   *JobResult
+	spans    []int64 // per-attempt trace span (0 = none)
+	settled  int     // attempts in a terminal state
+	race     *race
+	bestRes  *JobResult // the race's best attempt's result
 }
 
-// leadFunc returns the leading-attempt predicate for attempt idx: publish
-// a progress frame only when this attempt's step count is at least every
-// other attempt's, so SSE subscribers see the race leader's strategy.
-// Called off-lock, on the observer's throttled publish cadence.
-func (jr *jobRun) leadFunc(idx int) func(step int64) bool {
-	return func(step int64) bool {
-		atomic.StoreInt64(&jr.lead[idx], step)
-		for k := range jr.lead {
-			if k != idx && atomic.LoadInt64(&jr.lead[k]) > step {
-				return false
-			}
+// race decides a job's attempts by simulated steps: the winner is the
+// successful attempt with the fewest Stats.Steps, a tie going to the one
+// listed first, so the outcome depends only on spec+seed and never on which
+// attempt a loaded host finishes first. A solo job is a race of one. The
+// fields are guarded by Service.mu; the ceilings are also read, atomically
+// and off-lock, by the attempts' observers.
+type race struct {
+	best   int   // index of the best successful attempt so far, -1 before any
+	steps  int64 // its Stats.Steps
+	failed int   // lowest index of a failed attempt, -1 before any
+	// ceilings[i] is the most steps attempt i may finish in and still win:
+	// with the best at T steps, T for an attempt listed before it and T-1
+	// for one listed after. An attempt past its ceiling stops itself.
+	ceilings []atomic.Int64
+}
+
+func newRace(n int) *race {
+	r := &race{best: -1, failed: -1, ceilings: make([]atomic.Int64, n)}
+	for i := range r.ceilings {
+		r.ceilings[i].Store(math.MaxInt64)
+	}
+	return r
+}
+
+// succeed records attempt idx's success at steps and returns the attempt
+// that can no longer win because of it: idx itself when the best so far
+// beats it, otherwise the best it displaces (-1 when there was none).
+func (r *race) succeed(idx int, steps int64) (loser int) {
+	if r.best >= 0 && (steps > r.steps || steps == r.steps && idx > r.best) {
+		return idx
+	}
+	loser, r.best, r.steps = r.best, idx, steps
+	for i := range r.ceilings {
+		switch {
+		case i < idx:
+			r.ceilings[i].Store(steps)
+		case i > idx:
+			r.ceilings[i].Store(steps - 1)
 		}
-		return true
+	}
+	return loser
+}
+
+// fail records attempt idx's failure: it does not decide the race, but
+// names the job's error when no attempt succeeds.
+func (r *race) fail(idx int) {
+	if r.failed < 0 || idx < r.failed {
+		r.failed = idx
 	}
 }
 
@@ -547,7 +567,7 @@ func (s *Service) SubmitTraced(spec JobSpec, tc tracelog.TraceContext) (Job, err
 	_ = s.store.Annotate(sj.ID, annotationTrace, tr.JSON())
 	// A portfolio race needs one worker per attempt to start concurrently;
 	// Signal would hand all its entries to a single woken worker's loop.
-	if len(jr.strategies) > 1 {
+	if len(built.strategies) > 1 {
 		s.wake.Broadcast()
 	} else {
 		s.wake.Signal()
@@ -751,6 +771,9 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
+	// Cancel first: a race whose last attempt settles below must end
+	// cancelled, not be decided without the attempts that never ran.
+	s.cancelRoot()
 	for _, it := range s.pending {
 		jr := s.runs[it.id]
 		if jr == nil {
@@ -766,13 +789,12 @@ func (s *Service) Close() {
 		}
 		// A running job's not-yet-dequeued attempt: no worker will pick it
 		// up now, so settle it here. The job's in-flight attempts are
-		// interrupted by the root cancellation below and settle in their
+		// interrupted by the root cancellation above and settle in their
 		// worker epilogues.
 		s.settleAttemptLocked(it.id, jr, it.attempt, StateCancelled, "", 0)
 	}
 	s.pending = nil
 	s.queued = 0
-	s.cancelRoot()
 	s.wake.Broadcast()
 	s.mu.Unlock()
 	<-s.done
@@ -783,7 +805,7 @@ func (s *Service) Close() {
 // attempt of a job to reach a worker transitions the job to running (store
 // record, run span, job-level context); every attempt then executes the
 // admission-compiled spec under its own strategy and child context, and
-// the first attempt to return without being cancelled decides the race.
+// the job finishes once every attempt has settled (see race).
 func (s *Service) runAttempt(it workItem) {
 	id, idx := it.id, it.attempt
 	s.mu.Lock()
@@ -793,9 +815,10 @@ func (s *Service) runAttempt(it workItem) {
 		s.mu.Unlock()
 		return
 	}
-	if jr.winner >= 0 || (jr.ctx != nil && jr.ctx.Err() != nil) {
-		// The race is already decided (or the job cancelled): record the
-		// attempt as a cancelled loser without occupying the worker.
+	if jr.ctx != nil && jr.ctx.Err() != nil {
+		// The job was cancelled or ran out of time: record the attempt
+		// cancelled without occupying the worker. An attempt that waited
+		// while another won still runs, under its ceiling: it may win yet.
 		s.settleAttemptLocked(id, jr, idx, StateCancelled, "", 0)
 		s.mu.Unlock()
 		return
@@ -818,28 +841,26 @@ func (s *Service) runAttempt(it workItem) {
 			jr.ctx, jr.cancel = context.WithCancel(s.root)
 		}
 	}
-	strat := jr.strategies[idx]
+	strat := jr.built.strategies[idx]
 	jr.attempts[idx].State = StateRunning
 	jr.attempts[idx].StartedAt = time.Now().UTC()
 	s.metrics.attemptsStarted.Inc()
 	actx, acancel := context.WithCancel(jr.ctx)
-	jr.cancels[idx] = acancel
 	// What a portfolio job adds to the shape of its output, and a mapper job
 	// does not: an attempt child span (which then takes the annotations and
-	// the step count instead of the run span), the strategy and lead gate on
-	// progress frames, and the journaled ledger.
+	// the step count instead of the run span), the strategy on progress
+	// frames, and the journaled ledger.
 	span, frameStrategy := jr.runSpan, ""
-	var lead func(step int64) bool
-	if jr.portfolio {
+	if jr.built.portfolio {
 		span = tr.StartChild("attempt", jr.runSpan)
 		tr.SetAttr(span, "strategy", strat)
 		jr.spans[idx] = span
-		frameStrategy, lead = strat, jr.leadFunc(idx)
+		frameStrategy = strat
 		s.persistAttemptsLocked(id, jr)
 	}
 	// Step annotations ride the observer's throttled publish cadence, never
 	// the per-step path.
-	obs := jr.broker.attemptObserver(frameStrategy, lead, func(step int64, queued int) {
+	obs := jr.broker.attemptObserver(frameStrategy, &jr.race.ceilings[idx], acancel, func(step int64, queued int) {
 		tr.Annotate(span, fmt.Sprintf("step %d, %d queued", step, queued))
 	})
 	s.mu.Unlock()
@@ -853,7 +874,6 @@ func (s *Service) runAttempt(it workItem) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	jr.cancels[idx] = nil
 	var steps int64
 	if res != nil {
 		steps = res.Stats.Steps
@@ -862,29 +882,26 @@ func (s *Service) runAttempt(it workItem) {
 		s.metrics.steps.Add(steps - obs.CountedSteps())
 	}
 	switch {
-	case jr.winner < 0 && runErr == nil:
-		jr.winner = idx
-		jr.winRes = res
-		jr.attempts[idx].Winner = true
-		if jr.portfolio {
-			tr.SetAttr(jr.spans[idx], "winner", true)
+	case runErr == nil:
+		loser := jr.race.succeed(idx, steps)
+		if loser == idx {
+			// Completed, but in more steps than the best: a loser.
+			s.settleAttemptLocked(id, jr, idx, StateCancelled, "", steps)
+			return
 		}
-		s.cancelLosersLocked(id, jr, idx)
+		jr.bestRes = res
+		if loser >= 0 {
+			s.demoteLocked(jr, loser)
+		}
 		s.settleAttemptLocked(id, jr, idx, StateDone, "", steps)
-	case jr.winner < 0 && !errors.Is(runErr, context.Canceled):
-		// A failing attempt decides the race as a failure. Machine errors
-		// and deadline expiry land here; the deadline cause set above names
-		// the budget.
-		jr.winner = idx
-		jr.winErr = runErr
-		s.cancelLosersLocked(id, jr, idx)
-		s.settleAttemptLocked(id, jr, idx, StateFailed, runErr.Error(), steps)
-	default:
-		// A race loser or a job-level cancellation. An attempt whose run
-		// completed after the race was already decided also lands here: its
-		// result is discarded — keeping the job's payload identical to a
-		// solo run of the winner — and the ledger records it cancelled.
+	case errors.Is(runErr, context.Canceled):
+		// Stopped past its ceiling, or the job was cancelled.
 		s.settleAttemptLocked(id, jr, idx, StateCancelled, "", steps)
+	default:
+		// A machine error or the job's deadline, whose cause set above names
+		// the budget.
+		jr.race.fail(idx)
+		s.settleAttemptLocked(id, jr, idx, StateFailed, runErr.Error(), steps)
 	}
 }
 
@@ -920,59 +937,52 @@ func (s *Service) settleAttemptLocked(id int64, jr *jobRun, idx int, state State
 	jr.settled++
 	if jr.settled == len(jr.attempts) {
 		s.finishRaceLocked(id, jr)
-	} else if jr.portfolio {
+	} else if jr.built.portfolio {
 		s.persistAttemptsLocked(id, jr)
 	}
 }
 
-// cancelLosersLocked stops every other attempt of a decided race: running
-// attempts have their contexts cancelled (their workers settle them within
-// one cancellation slice), and attempts still waiting in the admission
-// queue are removed and settled here. Callers hold s.mu.
-func (s *Service) cancelLosersLocked(id int64, jr *jobRun, winnerIdx int) {
-	for i, cancel := range jr.cancels {
-		if i != winnerIdx && cancel != nil {
-			cancel()
-		}
+// demoteLocked records as cancelled a done attempt that will not win:
+// another attempt finished in fewer steps, or the job was cancelled.
+// Callers hold s.mu.
+func (s *Service) demoteLocked(jr *jobRun, idx int) {
+	jr.attempts[idx].State = StateCancelled
+	s.metrics.attemptsCancelled.Inc()
+	if span := jr.spans[idx]; span != 0 {
+		jr.trace.SetAttr(span, "cancelled", true)
 	}
-	kept := s.pending[:0]
-	for _, it := range s.pending {
-		if it.id == id {
-			s.settleAttemptLocked(id, jr, it.attempt, StateCancelled, "", 0)
-			continue
-		}
-		kept = append(kept, it)
-	}
-	s.pending = kept
 }
 
-// finishRaceLocked finishes a job whose every attempt has settled:
-// persists the final attempt ledger, feeds the adaptive stats, and records
-// the terminal transition — done with the winner's result, failed with the
-// decider's error, cancelled when no attempt decided. Callers hold s.mu.
+// finishRaceLocked finishes a job whose every attempt has settled: done
+// with the best attempt's result; cancelled when the job's context was
+// cancelled (by Cancel or Close), whatever the attempts achieved; failed
+// with the lowest-index failed attempt's error when no attempt succeeded.
+// It persists the final attempt ledger first. Callers hold s.mu.
 func (s *Service) finishRaceLocked(id int64, jr *jobRun) {
-	if jr.cancel != nil {
-		// Release the job context (and its deadline timer, if any).
-		jr.cancel()
-	}
+	cancelled := errors.Is(jr.ctx.Err(), context.Canceled)
+	// Release the job context (and its deadline timer, if any).
+	jr.cancel()
 	jr.trace.EndSpan(jr.runSpan)
-	if jr.portfolio {
-		s.persistAttemptsLocked(id, jr)
-	}
-	switch {
-	case jr.winner >= 0 && jr.winErr == nil:
-		strat := ""
-		if jr.portfolio {
-			strat = jr.strategies[jr.winner]
-			s.adapt.Record(problemClass(jr.spec), strat)
+	state, errMsg, strat := StateCancelled, "", ""
+	var res *JobResult
+	switch best := jr.race.best; {
+	case best >= 0 && !cancelled:
+		state, res = StateDone, jr.bestRes
+		jr.attempts[best].Winner = true
+		if jr.built.portfolio {
+			strat = jr.built.strategies[best]
+			jr.trace.SetAttr(jr.spans[best], "winner", true)
 			s.portfolioWins(strat).Inc()
 		}
-		s.finishLocked(id, StateDone, "", strat, jr.winRes)
-	case jr.winner >= 0:
-		s.finishLocked(id, StateFailed, jr.winErr.Error(), "", nil)
-	default:
-		s.finishLocked(id, StateCancelled, "", "", nil)
+	case best >= 0:
+		s.demoteLocked(jr, best)
+	case !cancelled && jr.race.failed >= 0:
+		state, errMsg = StateFailed, jr.attempts[jr.race.failed].Error
 	}
+	if jr.built.portfolio {
+		s.persistAttemptsLocked(id, jr)
+	}
+	s.finishLocked(id, state, errMsg, strat, res)
 }
 
 // persistAttemptsLocked journals the race's current attempt ledger through
@@ -980,8 +990,8 @@ func (s *Service) finishRaceLocked(id int64, jr *jobRun) {
 // stays authoritative for this process. Callers hold s.mu.
 func (s *Service) persistAttemptsLocked(id int64, jr *jobRun) {
 	doc := attemptsDoc{Attempts: jr.attempts}
-	if jr.winner >= 0 && jr.winErr == nil {
-		doc.Winner = jr.strategies[jr.winner]
+	if best := jr.race.best; best >= 0 && jr.attempts[best].Winner {
+		doc.Winner = jr.built.strategies[best]
 	}
 	data, err := json.Marshal(doc)
 	if err != nil {
@@ -1004,7 +1014,8 @@ func execute(ctx context.Context, spec JobSpec, built *Compiled, strategy string
 	}
 	raw, err := machine.RunContext(ctx, built.Arg)
 	if err != nil {
-		return nil, err
+		// An interrupted run still reports how far it got.
+		return &JobResult{Stats: raw.Stats}, err
 	}
 	res := &JobResult{
 		OK:              raw.OK,

@@ -62,11 +62,12 @@ type JobSpec struct {
 	// with Portfolio.
 	Mapper string `json:"mapper,omitempty"`
 	// Portfolio races the same compiled spec under several mapping
-	// strategies concurrently: one attempt per entry, the first terminal
-	// attempt wins and the losers are cancelled. Entries are mapper specs
-	// (duplicates rejected); the single entry "auto" expands to the
-	// service's learned ranking over rr/lbn/weighted. Mutually exclusive
-	// with Mapper.
+	// strategies concurrently, one attempt per entry. The winner is the
+	// successful attempt with the fewest simulated steps, a tie going to the
+	// entry listed first, so the result depends only on spec+seed; the
+	// losers are cancelled. Entries are mapper specs (duplicates rejected);
+	// the single entry "auto" stands for rr, lbn, weighted in that order.
+	// Mutually exclusive with Mapper.
 	Portfolio []string `json:"portfolio,omitempty"`
 	// ProcsPerNode is the layer-2 oversubscription factor (default 1).
 	ProcsPerNode int `json:"procs_per_node,omitempty"`
@@ -122,7 +123,7 @@ type Compiled struct {
 	Formula *sat.Formula
 	// strategies lists the mapping strategies the job can run under, in
 	// spec order: the one mapper of a solo job, or the portfolio's entries
-	// ("auto" expanded); the service fixes the launch order at admission.
+	// ("auto" expanded), which is also the race's tie-break order.
 	// mappers holds each one's factory, for execute to install per attempt.
 	strategies []string
 	portfolio  bool
@@ -197,7 +198,7 @@ func (s JobSpec) Compile() (Compiled, error) {
 			if len(out.strategies) != 1 {
 				return out, fmt.Errorf(`service: portfolio "auto" must be the only entry`)
 			}
-			out.strategies = defaultPortfolio()
+			out.strategies = []string{"rr", "lbn", "weighted"}
 		}
 	}
 	out.mappers = make(map[string]mapping.Factory, len(out.strategies))
