@@ -21,12 +21,11 @@
 // merge, and dead backends degrade the cluster instead of failing it. With
 // -standbys, each backend pairs with a replica; the router fails reads over
 // to the standby the moment the primary stops answering and promotes it
-// after a grace period. Membership changes at runtime via
-// POST /v1/cluster/backends or by editing -route-config and sending SIGHUP:
+// after a grace period. Membership changes at runtime through
+// POST /v1/cluster/backends (hyperctl cluster add-backend|drain|undrain|remove):
 //
 //	hypersolved -addr :8090 -route http://127.0.0.1:8081,http://127.0.0.1:8082 \
 //	    -standbys http://127.0.0.1:8083,http://127.0.0.1:8084
-//	hypersolved -addr :8090 -route-config /etc/hypersolve/members.json
 //
 // API (see docs/API.md, internal/service and internal/cluster):
 //
@@ -59,17 +58,6 @@
 // durability lives in the backends' data directories, so -data-dir and
 // -route are mutually exclusive.
 //
-// The -route-config file is a JSON array of members, reloaded on SIGHUP:
-//
-//	[
-//	  {"primary": "http://127.0.0.1:8081", "standby": "http://127.0.0.1:8083"},
-//	  {"primary": "http://127.0.0.1:8082"}
-//	]
-//
-// A reload adds unknown primaries as new shards and drains shards whose
-// endpoints left the file; it never removes a shard outright (drain first,
-// then remove via the API once its jobs are no longer needed).
-//
 // Observability: the process logs through log/slog to stderr
 // (-log-level debug|info|warn|error, -log-format text|json, slog's text
 // and JSON handlers). Every request is access-logged, gets an
@@ -88,7 +76,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -132,8 +119,6 @@ func main() {
 			"router mode: comma-separated backend base URLs (e.g. http://b1:8080,http://b2:8080); shard i is backend i+1")
 		standbys = flag.String("standbys", "",
 			"router mode: comma-separated standby URLs paired positionally with -route (empty slots allowed)")
-		routeConfig = flag.String("route-config", "",
-			"router mode: JSON membership file ([{\"primary\": ..., \"standby\": ...}, ...]); reloaded on SIGHUP")
 		probeEvery = flag.Duration("probe-every", 2*time.Second,
 			"router mode: cadence of the backend health re-probe loop")
 		failAfter = flag.Int("fail-after", 3,
@@ -181,11 +166,10 @@ func main() {
 		go servePprof(*pprofAddr)
 	}
 	var err error
-	if *route != "" || *routeConfig != "" {
+	if *route != "" {
 		err = runRouter(*addr, routerOptions{
 			route:         *route,
 			standbys:      *standbys,
-			configFile:    *routeConfig,
 			probeEvery:    *probeEvery,
 			failAfter:     *failAfter,
 			promoteAfter:  *promoteAfter,
@@ -211,7 +195,7 @@ func runServe(addr string, queue, workers int, dataDir string, fsync bool, snaps
 		depth, pool := svc.Queue()
 		logger.Info("listening", "mode", "serve", "addr", addr,
 			"queue_depth", depth, "workers", pool, "version", version.String())
-		return serve(addr, service.NewHandler(svc), svc.Close, nil)
+		return serve(addr, service.NewHandler(svc), svc.Close)
 	}
 	// Durable daemons run as replication nodes: same solve service, plus
 	// the WAL feed standbys tail and the promote/demote control surface.
@@ -233,11 +217,11 @@ func runServe(addr string, queue, workers int, dataDir string, fsync bool, snaps
 		attrs = append(attrs, "following", follow)
 	}
 	logger.Info("listening", attrs...)
-	return serve(addr, node.Handler(), node.Close, nil)
+	return serve(addr, node.Handler(), node.Close)
 }
 
 type routerOptions struct {
-	route, standbys, configFile             string
+	route, standbys                         string
 	probeEvery, promoteAfter, submitTimeout time.Duration
 	failAfter                               int
 	dataDir                                 string
@@ -247,55 +231,24 @@ func runRouter(addr string, opt routerOptions) error {
 	if opt.dataDir != "" {
 		return errors.New("-route and -data-dir are mutually exclusive: a router holds no job state; give each backend its own -data-dir")
 	}
-	if opt.route != "" && opt.configFile != "" {
-		return errors.New("-route and -route-config are mutually exclusive: pick flags or the reloadable file")
-	}
 	cfg := cluster.Config{
 		ProbeEvery:    opt.probeEvery,
 		FailAfter:     opt.failAfter,
 		PromoteAfter:  opt.promoteAfter,
 		SubmitTimeout: opt.submitTimeout,
 		Logger:        logger,
+		Backends:      strings.Split(opt.route, ","),
 	}
-	if opt.configFile != "" {
-		members, err := readMembers(opt.configFile)
-		if err != nil {
-			return err
-		}
-		for _, m := range members {
-			cfg.Backends = append(cfg.Backends, m.Primary)
-			cfg.Standbys = append(cfg.Standbys, m.Standby)
-		}
-	} else {
-		cfg.Backends = strings.Split(opt.route, ",")
-		if opt.standbys != "" {
-			cfg.Standbys = strings.Split(opt.standbys, ",")
-		}
+	if opt.standbys != "" {
+		cfg.Standbys = strings.Split(opt.standbys, ",")
 	}
 	r, err := cluster.New(cfg)
 	if err != nil {
 		return err
 	}
-	var reload func()
-	if opt.configFile != "" {
-		reload = func() {
-			members, err := readMembers(opt.configFile)
-			if err != nil {
-				logger.Error("SIGHUP reload failed", "error", err)
-				return
-			}
-			added, drained, err := r.ApplyMembership(members)
-			if err != nil {
-				logger.Error("SIGHUP reload failed", "error", err)
-				return
-			}
-			logger.Info("membership reloaded", "file", opt.configFile, "shards", r.Shards(),
-				"added", added, "drained", drained)
-		}
-	}
 	logger.Info("routing", "mode", "router", "addr", addr,
 		"shards", r.Shards(), "version", version.String())
-	return serve(addr, cluster.NewHandler(r), r.Close, reload)
+	return serve(addr, cluster.NewHandler(r), r.Close)
 }
 
 // servePprof exposes net/http/pprof on its own private listener. The
@@ -316,31 +269,13 @@ func servePprof(addr string) {
 	}
 }
 
-// readMembers parses a -route-config file: a JSON array of
-// {"primary": url, "standby": url} members (standby optional).
-func readMembers(path string) ([]cluster.MemberSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading route config: %w", err)
-	}
-	var members []cluster.MemberSpec
-	if err := json.Unmarshal(data, &members); err != nil {
-		return nil, fmt.Errorf("parsing route config %s: %w", path, err)
-	}
-	if len(members) == 0 {
-		return nil, fmt.Errorf("route config %s lists no members", path)
-	}
-	return members, nil
-}
-
 // serve runs the HTTP loop shared by all modes: listen, and on
 // SIGINT/SIGTERM drain in-flight requests before closing the service
-// (node or router) behind the handler. A non-nil reload hook runs on
-// every SIGHUP (router membership refresh). Every request passes through
+// (node or router) behind the handler. Every request passes through
 // the tracelog middleware: X-Request-Id is stamped/echoed, the inbound
 // traceparent lands in the request context, and one access-log line is
 // emitted per request.
-func serve(addr string, handler http.Handler, closeBackend func(), reload func()) error {
+func serve(addr string, handler http.Handler, closeBackend func()) error {
 	srv := &http.Server{
 		Addr:              addr,
 		Handler:           tracelog.Middleware(logger, handler),
@@ -349,17 +284,6 @@ func serve(addr string, handler http.Handler, closeBackend func(), reload func()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if reload != nil {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		defer signal.Stop(hup)
-		go func() {
-			for range hup {
-				reload()
-			}
-		}()
-	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -320,6 +321,34 @@ func TestRouterAllBackendsDown(t *testing.T) {
 	}
 	if h.Status != "down" || h.Healthy != 0 {
 		t.Fatalf("cluster health = %+v, want down 0/2", h)
+	}
+}
+
+// TestEmptyFleetReportsDown: once its last shard is drained and removed,
+// the router can place nothing, so /v1/cluster must say "down" (not "ok")
+// and list its backends as an empty array, not null.
+func TestEmptyFleetReportsDown(t *testing.T) {
+	tc := newTestCluster(t, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, action := range []string{"drain", "remove"} {
+		if err := postJSON(t, tc.server.URL+"/v1/cluster/backends",
+			map[string]any{"action": action, "shard": 1}, nil); err != nil {
+			t.Fatalf("%s shard 1: %v", action, err)
+		}
+	}
+	if _, err := tc.client.Submit(ctx, quickSpec(1)); err == nil {
+		t.Fatal("submit to an empty fleet succeeded")
+	} else if status, ok := service.ErrorStatus(err); !ok || status != http.StatusServiceUnavailable {
+		t.Fatalf("submit to an empty fleet = %v, want 503", err)
+	}
+	var h map[string]json.RawMessage
+	if err := tc.client.GetJSON(ctx, "/v1/cluster", &h); err != nil {
+		t.Fatal(err)
+	}
+	if string(h["status"]) != `"down"` || string(h["shards"]) != "0" || string(h["backends"]) != "[]" {
+		t.Fatalf("empty fleet reports status %s, shards %s, backends %s; want \"down\", 0, []",
+			h["status"], h["shards"], h["backends"])
 	}
 }
 

@@ -506,37 +506,6 @@ func TestMembershipAddDrainRemove(t *testing.T) {
 	}
 }
 
-// TestApplyMembershipReload pins the SIGHUP path: a desired-state list adds
-// unknown primaries and drains absent ones, without touching matches.
-func TestApplyMembershipReload(t *testing.T) {
-	tc := newTestCluster(t, 2)
-	svc3 := service.New(service.Config{QueueDepth: 4, Workers: 1})
-	srv3 := httptest.NewServer(service.NewHandler(svc3))
-	t.Cleanup(func() { srv3.Close(); svc3.Close() })
-
-	added, drained, err := tc.router.ApplyMembership([]MemberSpec{
-		{Primary: tc.backends[0].URL}, // kept
-		{Primary: srv3.URL},           // new
-		// tc.backends[1] absent: drained
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(added) != 1 || added[0] != 3 {
-		t.Fatalf("added = %v, want [3]", added)
-	}
-	if len(drained) != 1 || drained[0] != 2 {
-		t.Fatalf("drained = %v, want [2]", drained)
-	}
-	// Idempotent: re-applying the same list changes nothing.
-	added, drained, err = tc.router.ApplyMembership([]MemberSpec{
-		{Primary: tc.backends[0].URL}, {Primary: srv3.URL},
-	})
-	if err != nil || len(added) != 0 || len(drained) != 0 {
-		t.Fatalf("re-apply = added %v drained %v (%v), want no-op", added, drained, err)
-	}
-}
-
 // postJSON posts a JSON body to a full URL and decodes the response,
 // turning non-2xx into the client's status-carrying error shape.
 func postJSON(t *testing.T, url string, body, out any) error {

@@ -277,7 +277,8 @@ type BackendHealth struct {
 // shard.
 type Health struct {
 	// Status is "ok" when every shard's active endpoint is reachable,
-	// "degraded" when some are, and "down" when none is.
+	// "degraded" when some are, and "down" when none is, which includes a
+	// fleet with no shards left: it can place nothing.
 	Status string `json:"status"`
 	// Shards is the configured shard count; Healthy of them answered.
 	Shards  int                   `json:"shards"`
@@ -301,7 +302,8 @@ func (r *Router) Health(ctx context.Context) Health {
 	reports, standbyReports := r.probe(ctx)
 	shards := r.shardList()
 
-	out := Health{Shards: len(shards), Jobs: make(map[service.State]int), Version: version.String()}
+	out := Health{Shards: len(shards), Jobs: make(map[service.State]int),
+		Backends: make([]BackendHealth, 0, len(shards)), Version: version.String()}
 	for i, sh := range shards {
 		sh.mu.Lock()
 		promoted, draining := sh.promoted, sh.draining
@@ -342,10 +344,10 @@ func (r *Router) Health(ctx context.Context) Health {
 		out.Backends = append(out.Backends, row)
 	}
 	switch out.Healthy {
-	case len(shards):
-		out.Status = "ok"
 	case 0:
 		out.Status = "down"
+	case len(shards):
+		out.Status = "ok"
 	default:
 		out.Status = "degraded"
 	}

@@ -139,62 +139,3 @@ func (r *Router) RemoveShard(id int) error {
 	r.cfg.Logger.Info("shard removed", "shard", id)
 	return nil
 }
-
-// MemberSpec is one shard in a membership config (the -route-config file
-// reloaded on SIGHUP).
-type MemberSpec struct {
-	Primary string `json:"primary"`
-	Standby string `json:"standby,omitempty"`
-}
-
-// ApplyMembership reconciles the fleet against a full desired member list
-// (the SIGHUP config-reload path): primaries present in specs but not in
-// the fleet are added (with their standbys); shards whose primary URL is
-// absent from specs are drained — not removed, so their jobs stay
-// readable until an operator explicitly retires them. Shards are matched
-// by primary URL (either role's URL matches a promoted shard). It returns
-// the added and drained shard IDs and logs nothing: the caller reports the
-// reload.
-func (r *Router) ApplyMembership(specs []MemberSpec) (added, drained []int, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	want := make(map[string]bool, len(specs))
-	for _, m := range specs {
-		want[strings.TrimSuffix(strings.TrimSpace(m.Primary), "/")] = true
-	}
-	// Drain shards no longer in the desired set.
-	for id, sh := range r.shards {
-		sh.mu.Lock()
-		present := want[sh.primary.base] || (sh.standby != nil && want[sh.standby.base])
-		if !present && !sh.draining {
-			sh.draining = true
-			drained = append(drained, id)
-		}
-		sh.mu.Unlock()
-	}
-	// Add new shards.
-	known := func(base string) bool {
-		base = strings.TrimSuffix(strings.TrimSpace(base), "/")
-		for _, sh := range r.shards {
-			if sh.primary.base == base || (sh.standby != nil && sh.standby.base == base) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, m := range specs {
-		if known(m.Primary) {
-			continue
-		}
-		id, aerr := r.addShardLocked(m.Primary, m.Standby)
-		if aerr != nil {
-			err = aerr
-			break
-		}
-		added = append(added, id)
-	}
-	r.rebuildRingLocked()
-	sort.Ints(added)
-	sort.Ints(drained)
-	return added, drained, err
-}

@@ -2,11 +2,6 @@ package e2e
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -142,63 +137,4 @@ func TestClusterSmoke(t *testing.T) {
 			t.Errorf("read on the dead shard: %v, want a 502", err)
 		}
 	})
-}
-
-// TestRouterReloadLogsOnce sends a router started from a -route-config file
-// one SIGHUP after a backend was added to the file: the reload must be
-// logged exactly once, by the record that names the file, the shard count
-// and the new shard.
-func TestRouterReloadLogsOnce(t *testing.T) {
-	if testing.Short() {
-		t.Skip("starts real daemons")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	b1, b2 := startDaemon(t, nil), startDaemon(t, nil)
-	members := filepath.Join(t.TempDir(), "members.json")
-	writeMembers := func(backends ...*daemon) {
-		var specs []cluster.MemberSpec
-		for _, b := range backends {
-			specs = append(specs, cluster.MemberSpec{Primary: b.Base})
-		}
-		data, err := json.Marshal(specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(members, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeMembers(b1)
-	var routerLog logBuffer
-	router := startDaemon(t, &routerLog, "-log-format", "json", "-log-level", "info", "-route-config", members)
-
-	writeMembers(b1, b2)
-	if err := router.cmd.Process.Signal(syscall.SIGHUP); err != nil {
-		t.Fatal(err)
-	}
-	isReload := func(rec map[string]any) bool { return rec["msg"] == "membership reloaded" }
-	rec := routerLog.awaitRecord(t, "membership reloaded with file", func(rec map[string]any) bool {
-		return isReload(rec) && rec["file"] == members
-	})
-	if added, _ := json.Marshal(rec["added"]); string(added) != "[2]" || rec["shards"] != 2.0 {
-		t.Errorf("reload record %v, want added [2] and 2 shards", rec)
-	}
-	routerLog.mu.Lock()
-	text := routerLog.buf.String()
-	routerLog.mu.Unlock()
-	reloads := 0
-	for _, line := range strings.Split(text, "\n") {
-		var r map[string]any
-		if json.Unmarshal([]byte(line), &r) == nil && isReload(r) {
-			reloads++
-		}
-	}
-	if reloads != 1 {
-		t.Errorf("%d membership reloaded records for one SIGHUP, want 1:\n%s", reloads, text)
-	}
-	var h cluster.Health
-	if err := router.GetJSON(ctx, "/v1/cluster", &h); err != nil || h.Healthy != 2 {
-		t.Errorf("cluster report %+v (err %v), want 2 healthy after the reload", h, err)
-	}
 }

@@ -260,3 +260,21 @@ func TestLogFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteConfigIsUnknown: a router's membership is set by -route and
+// -standbys at start and changed through POST /v1/cluster/backends. There is
+// no membership file, so -route-config is a usage error (exit status 2) like
+// any flag the daemon does not know.
+func TestRouteConfigIsUnknown(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the daemon")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, binary(t, "hypersolved"),
+		"-addr", "127.0.0.1:0", "-route-config", "x").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("hypersolved -route-config x: %v, output %q; want exit status 2", err, out)
+	}
+}

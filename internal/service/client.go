@@ -124,6 +124,25 @@ func ErrorStatus(err error) (int, bool) {
 	return 0, false
 }
 
+// maxErrorBody bounds how much of a non-2xx response body the client reads
+// into an error message.
+const maxErrorBody = 1 << 20
+
+// responseError turns a non-2xx response into an apiError. The message is
+// the body's {"error": ...} field when it has one, else the body itself,
+// read up to maxErrorBody bytes.
+func responseError(resp *http.Response) error {
+	data, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+	var e struct {
+		Error string `json:"error"`
+	}
+	msg := strings.TrimSpace(string(data))
+	if json.Unmarshal(data, &e) == nil && e.Error != "" {
+		msg = e.Error
+	}
+	return &apiError{StatusCode: resp.StatusCode, Message: msg}
+}
+
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -148,19 +167,12 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return responseError(resp)
+	}
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := strings.TrimSpace(string(data))
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return &apiError{StatusCode: resp.StatusCode, Message: msg}
 	}
 	if out == nil {
 		return nil
@@ -282,14 +294,10 @@ func (c *Client) RawMetrics(ctx context.Context) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, &apiError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(data))}
+		return nil, responseError(resp)
 	}
-	return data, nil
+	return io.ReadAll(resp.Body)
 }
 
 // waitMaxInterval caps Wait's backoff: however long a solve runs, the
@@ -372,16 +380,8 @@ func (c *Client) OpenEvents(ctx context.Context, id JobID) (io.ReadCloser, error
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := strings.TrimSpace(string(data))
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return nil, &apiError{StatusCode: resp.StatusCode, Message: msg}
+		defer resp.Body.Close()
+		return nil, responseError(resp)
 	}
 	return resp.Body, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -134,5 +135,49 @@ func TestWaitBacksOffOverHTTP(t *testing.T) {
 	}
 	if got := gets.Load(); got != 4 {
 		t.Fatalf("polls = %d, want 4", got)
+	}
+}
+
+// TestErrorResponsesDecodeAlike: every call that can meet a non-2xx response
+// (do's typed methods, RawMetrics, OpenEvents) turns it into the same
+// status-carrying error, takes the {"error": ...} field as the message when
+// there is one, and reads at most maxErrorBody bytes of any other body.
+func TestErrorResponsesDecodeAlike(t *testing.T) {
+	serve := func(status int, body string) *Client {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(status)
+			w.Write([]byte(body))
+		}))
+		t.Cleanup(srv.Close)
+		return &Client{Base: srv.URL}
+	}
+	jsonErr := serve(http.StatusNotFound, `{"error":"service: no such job"}`)
+	huge := serve(http.StatusBadGateway, strings.Repeat("x", 3*maxErrorBody))
+	ctx := context.Background()
+	calls := map[string]func(c *Client) error{
+		"do":         func(c *Client) error { _, err := c.Get(ctx, JobID{Seq: 1}); return err },
+		"RawMetrics": func(c *Client) error { _, err := c.RawMetrics(ctx); return err },
+		"OpenEvents": func(c *Client) error {
+			body, err := c.OpenEvents(ctx, JobID{Seq: 1})
+			if err == nil {
+				body.Close()
+			}
+			return err
+		},
+	}
+	for name, call := range calls {
+		t.Run(name, func(t *testing.T) {
+			var ae *apiError
+			if err := call(jsonErr); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound ||
+				ae.Message != "service: no such job" {
+				t.Errorf("JSON error body: %v, want a 404 carrying the error field", err)
+			}
+			if err := call(huge); !errors.As(err, &ae) {
+				t.Errorf("oversized error body: %v, want a status-carrying error", err)
+			} else if ae.StatusCode != http.StatusBadGateway || len(ae.Message) != maxErrorBody {
+				t.Errorf("oversized error body: status %d, message of %d bytes; want 502 and %d bytes",
+					ae.StatusCode, len(ae.Message), maxErrorBody)
+			}
+		})
 	}
 }
