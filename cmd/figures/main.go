@@ -10,10 +10,10 @@
 //	figures -fig 5                 # Figure 5 traces and heatmaps
 //	figures -fig 4 -csv            # machine-readable output
 //	figures -fig 4 -seed 7         # different benchmark suite
-//	figures -fig 4 -parallel 8     # fan simulations over 8 workers
 //
-// The -parallel flag only changes wall-clock time: sweep results are
-// bit-identical at every parallelism level (deterministic per-point seeds,
+// Simulations fan out over GOMAXPROCS workers (GOMAXPROCS=8 figures ...
+// runs eight at a time). The width only changes wall-clock time: sweep
+// results are bit-identical at every width (deterministic per-point seeds,
 // collection by point index).
 package main
 
@@ -28,12 +28,11 @@ import (
 
 func main() {
 	var (
-		fig      = flag.Int("fig", 4, "figure to regenerate: 4 or 5")
-		quick    = flag.Bool("quick", false, "reduced workload and sizes for a fast run")
-		csv      = flag.Bool("csv", false, "emit CSV instead of a text rendering")
-		seed     = flag.Int64("seed", 1, "benchmark suite seed")
-		side     = flag.Int("side", 14, "figure 5 torus side (14 = paper's 196 cores)")
-		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial); results are identical at any level")
+		fig   = flag.Int("fig", 4, "figure to regenerate: 4 or 5")
+		quick = flag.Bool("quick", false, "reduced workload and sizes for a fast run")
+		csv   = flag.Bool("csv", false, "emit CSV instead of a text rendering")
+		seed  = flag.Int64("seed", 1, "benchmark suite seed")
+		side  = flag.Int("side", 14, "figure 5 torus side (14 = paper's 196 cores)")
 	)
 	flag.Parse()
 
@@ -41,9 +40,9 @@ func main() {
 	var err error
 	switch *fig {
 	case 4:
-		err = runFigure4(*quick, *csv, *seed, *parallel)
+		err = runFigure4(*quick, *csv, *seed)
 	case 5:
-		err = runFigure5(*quick, *csv, *seed, *side, *parallel)
+		err = runFigure5(*quick, *csv, *seed, *side)
 	default:
 		err = fmt.Errorf("unknown figure %d (want 4 or 5)", *fig)
 	}
@@ -54,7 +53,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "elapsed: %v\n", time.Since(start).Round(time.Millisecond))
 }
 
-func runFigure4(quick, csv bool, seed int64, parallel int) error {
+func runFigure4(quick, csv bool, seed int64) error {
 	var cfg experiments.Figure4Config
 	var err error
 	if quick {
@@ -77,7 +76,6 @@ func runFigure4(quick, csv bool, seed int64, parallel int) error {
 			return err
 		}
 	}
-	cfg.Parallelism = parallel
 	points, err := experiments.Figure4(cfg)
 	if err != nil {
 		return err
@@ -90,7 +88,7 @@ func runFigure4(quick, csv bool, seed int64, parallel int) error {
 	return nil
 }
 
-func runFigure5(quick, csv bool, seed int64, side, parallel int) error {
+func runFigure5(quick, csv bool, seed int64, side int) error {
 	var w experiments.Workload
 	var err error
 	if quick {
@@ -102,10 +100,9 @@ func runFigure5(quick, csv bool, seed int64, side, parallel int) error {
 		return err
 	}
 	results, err := experiments.Figure5(experiments.Figure5Config{
-		Workload:    w,
-		Side:        side,
-		Seed:        seed,
-		Parallelism: parallel,
+		Workload: w,
+		Side:     side,
+		Seed:     seed,
 	})
 	if err != nil {
 		return err

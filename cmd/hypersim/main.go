@@ -9,7 +9,10 @@
 //	hypersim -topo hypercube:7 -mapper weighted:2 -task knapsack -n 14
 //	hypersim -topo torus:14x14 -mapper lbn -task sat -seed 7 -series -heatmap
 //	hypersim -topo full:256 -mapper ideal -task sat -cnf problem.cnf
-//	hypersim -topo torus:14x14 -mapper lbn -task sat -runs 8 -parallel 4
+//	hypersim -topo torus:14x14 -mapper lbn -task sat -runs 8
+//
+// -runs fans its replicates out over GOMAXPROCS workers; the output is the
+// same at every width.
 package main
 
 import (
@@ -84,7 +87,6 @@ func run(args []string, w io.Writer) error {
 	heatmap := fs.Bool("heatmap", false, "print the node activity heatmap")
 	linkQueues := fs.Bool("link-queues", false, "use per-link queues instead of per-node queues")
 	runs := fs.Int("runs", 1, "replicate the run this many times with seeds seed..seed+runs-1 and report a summary")
-	par := fs.Int("parallel", 0, "concurrent simulations when -runs > 1 (0 = GOMAXPROCS, 1 = serial)")
 	fs.Parse(args)
 
 	if *cnf != "" {
@@ -110,7 +112,6 @@ func run(args []string, w io.Writer) error {
 		return fmt.Sprintf("%s(%d) = %v", spec.Kind, spec.N, v)
 	}
 	cfg := c.Config
-	cfg.Parallelism = *par
 	if *runs > 1 {
 		return runReplicates(w, cfg, spec, c.Arg, check, *runs, *heatmap)
 	}
@@ -149,9 +150,9 @@ func run(args []string, w io.Writer) error {
 }
 
 // runReplicates executes the same workload runs times with seeds
-// cfg.Seed..cfg.Seed+runs-1, fanned out over cfg.Parallelism workers, and
-// reports per-run computation times plus a summary; results are identical at
-// every -parallel level. The -series and -heatmap flags apply to run 0.
+// cfg.Seed..cfg.Seed+runs-1, fanned out over GOMAXPROCS workers, and reports
+// per-run computation times plus a summary; results are identical at every
+// width. The -series and -heatmap flags apply to run 0.
 func runReplicates(w io.Writer, cfg hypersolve.Config, spec service.JobSpec, arg hypersolve.Value, check func(hypersolve.Value) string, runs int, heatmap bool) error {
 	baseSeed := cfg.Seed
 	args := make([]hypersolve.Value, runs)

@@ -19,8 +19,8 @@ func TestGolden(t *testing.T) {
 		"fib":        "-topo torus:6x6 -task fib -n 12",
 		"queens":     "-topo torus:6x6 -task queens -n 6",
 		"knapsack":   "-topo torus:6x6 -task knapsack -n 10 -seed 3",
-		"replicates": "-topo torus:6x6 -mapper ideal -task sat -runs 3 -parallel 2 -series -heatmap",
-		"ideal":      "-topo full:16 -mapper ideal -task fib -n 9 -runs 2 -parallel 1",
+		"replicates": "-topo torus:6x6 -mapper ideal -task sat -runs 3 -series -heatmap",
+		"ideal":      "-topo full:16 -mapper ideal -task fib -n 9 -runs 2",
 		"cnf":        "-topo torus:6x6 -task sat -cnf testdata/uf20.cnf -heuristic jw",
 		"extras":     "-topo torus:6x6 -mapper lbn -task sat -n 24 -seed 5 -procs 2 -link-queues -series -heatmap -max-steps 100000",
 	}

@@ -81,9 +81,9 @@ func NewMachine(cfg Config) (*Machine, error) { return core.New(cfg) }
 func Run(cfg Config, arg Value) (Result, error) { return core.RunOnce(cfg, arg) }
 
 // RunSuite simulates one machine per argument (run i uses seed cfg.Seed+i),
-// fanning independent runs over cfg.Parallelism worker goroutines. Results
-// are collected by argument index: the output is bit-identical at every
-// parallelism level.
+// fanning independent runs over runtime.GOMAXPROCS(0) worker goroutines, so
+// GOMAXPROCS sets the width. Results are collected by argument index: the
+// output is bit-identical at every width.
 func RunSuite(cfg Config, args []Value) ([]Result, error) { return core.RunSuite(cfg, args) }
 
 // ---------------------------------------------------------------------------

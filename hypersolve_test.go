@@ -161,8 +161,8 @@ func TestPublicAPIHeatmapAndSeries(t *testing.T) {
 		t.Error("missing queued series")
 	}
 	hm := machine.NodeHeatmap(res)
-	if hm.W != 6 || hm.H != 6 || hm.Total() == 0 {
-		t.Errorf("heatmap %dx%d total %v", hm.W, hm.H, hm.Total())
+	if hm.W != 6 || hm.H != 6 || hm.Max() == 0 {
+		t.Errorf("heatmap %dx%d max %v", hm.W, hm.H, hm.Max())
 	}
 }
 

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,11 +14,10 @@ import (
 // runTask executes a task on a simulated machine and returns the root value.
 func runTask(t *testing.T, topo mesh.Topology, mapper mapping.Factory, task recursion.Task, arg recursion.Value) recursion.Value {
 	t.Helper()
-	net, err := mapping.New(mapping.Config{
-		Physical: topo,
-		Mapper:   mapper,
-		Factory:  recursion.AppFactory(task),
-		Seed:     1,
+	net, err := mapping.NewSkeleton(topo, 1).New(mapping.Config{
+		Mapper:  mapper,
+		Factory: recursion.AppFactory(task),
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +25,7 @@ func runTask(t *testing.T, topo mesh.Topology, mapper mapping.Factory, task recu
 	if err := net.Trigger(0, arg); err != nil {
 		t.Fatal(err)
 	}
-	if stats := net.Run(); !stats.Quiescent {
+	if stats := net.RunContext(context.Background()); !stats.Quiescent {
 		t.Fatal("run did not quiesce")
 	}
 	v, ok := net.App(0).(*recursion.Runtime).RootResult()

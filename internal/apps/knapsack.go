@@ -14,17 +14,14 @@ type Item struct {
 
 // KnapsackProblem is the sub-problem payload of the branch-and-bound
 // knapsack solver: the item list (shared, never mutated), the next item to
-// decide, the remaining capacity and the value accumulated so far.
+// decide, the remaining capacity and the value accumulated so far. It
+// carries no incumbent: a hyperspace machine has no global state to keep
+// one fresh, so only the sequential tail (knapsackSeq) prunes against one.
 type KnapsackProblem struct {
 	Items    []Item // sorted by value density, descending
 	Index    int
 	Capacity int
 	Value    int
-	// Best is the value of the incumbent known when this sub-problem was
-	// spawned; branches whose optimistic bound cannot beat it are pruned.
-	// With no global state on a hyperspace machine the incumbent is only
-	// as fresh as the spawn time — a documented trade-off.
-	Best int
 }
 
 // NewKnapsack builds a root problem, sorting items by value density
@@ -56,9 +53,11 @@ func (p KnapsackProblem) Bound() float64 {
 }
 
 // KnapsackTask solves 0/1 knapsack by fork-join branch and bound: each
-// frame decides one item (include / exclude), prunes branches whose
-// fractional bound cannot beat the spawn-time incumbent, and reduces with
-// max. cutoff is the sequential grain size, as in QueensTask.
+// frame decides one item (include / exclude) and reduces with max. Above the
+// cutoff a frame prunes only a branch whose fractional bound is zero, one
+// where no remaining item can add value; at or below it, knapsackSeq prunes
+// against its live local incumbent. cutoff is the sequential grain size, as
+// in QueensTask.
 func KnapsackTask(cutoff int) recursion.Task {
 	return func(f *recursion.Frame, arg recursion.Value) recursion.Value {
 		p := arg.(KnapsackProblem)
@@ -68,38 +67,35 @@ func KnapsackTask(cutoff int) recursion.Task {
 		if len(p.Items)-p.Index <= cutoff {
 			return knapsackSeq(p)
 		}
-		if p.Bound() <= float64(p.Best) {
-			return p.Value // cannot beat the incumbent; stop branching
+		if p.Bound() <= 0 {
+			return p.Value // nothing left can add value; stop branching
 		}
 		it := p.Items[p.Index]
-		spawned := 0
 		if it.Weight <= p.Capacity {
 			include := p
 			include.Index++
 			include.Capacity -= it.Weight
 			include.Value += it.Value
 			f.CallHinted(include, float64(len(p.Items)-p.Index))
-			spawned++
 		}
 		exclude := p
 		exclude.Index++
 		f.CallHinted(exclude, float64(len(p.Items)-p.Index))
-		spawned++
 		best := p.Value
 		for _, v := range f.Sync() {
 			if got := v.(int); got > best {
 				best = got
 			}
 		}
-		_ = spawned
 		return best
 	}
 }
 
-// knapsackSeq finishes a sub-problem sequentially with the same
-// branch-and-bound rule (using a live local incumbent).
+// knapsackSeq finishes a sub-problem sequentially by branch and bound,
+// pruning every branch whose fractional bound cannot beat a live local
+// incumbent that starts at 0.
 func knapsackSeq(p KnapsackProblem) int {
-	best := p.Best
+	best := 0
 	var rec func(p KnapsackProblem)
 	rec = func(p KnapsackProblem) {
 		if p.Value > best {
@@ -120,10 +116,7 @@ func knapsackSeq(p KnapsackProblem) int {
 		exclude.Index++
 		rec(exclude)
 	}
-	rec(p)
-	if best < p.Value {
-		return p.Value
-	}
+	rec(p) // its first call raises best to p.Value
 	return best
 }
 

@@ -58,12 +58,6 @@ type Config struct {
 	// RecordSeries enables the per-step interconnect activity trace.
 	RecordSeries bool
 
-	// Parallelism bounds how many machines RunSuite simulates concurrently
-	// (a single Machine.Run is always single-threaded; the knob schedules
-	// independent runs, not one run's internals). Values <= 0 default to
-	// runtime.GOMAXPROCS(0); 1 recovers the serial loop.
-	Parallelism int
-
 	// Link carries the optional layer-1 link-model extensions (latency,
 	// bandwidth, bounded queues, loss + reliability). Its other fields
 	// (Topology, Factory, Observer, Seed, MaxSteps, RecordSeries) are
@@ -260,12 +254,12 @@ func RunOnce(cfg Config, arg recursion.Value) (Result, error) {
 }
 
 // RunSuite simulates one machine per argument, deriving run i's seed as
-// cfg.Seed + i and fanning the runs out over cfg.Parallelism workers.
-// Results are collected by argument index, so the output is bit-identical
-// at every parallelism level.
+// cfg.Seed + i and fanning the runs out over runtime.GOMAXPROCS(0) workers
+// (a single machine always runs on one goroutine). Results are collected by
+// argument index, so the output is bit-identical at every GOMAXPROCS.
 func RunSuite(cfg Config, args []recursion.Value) ([]Result, error) {
 	out := make([]Result, len(args))
-	err := parallel.ForEach(len(args), cfg.Parallelism, func(i int) error {
+	err := parallel.ForEach(len(args), 0, func(i int) error {
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)
 		res, err := RunOnce(c, args[i])

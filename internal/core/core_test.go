@@ -167,12 +167,15 @@ func TestNodeHeatmapAccumulates(t *testing.T) {
 	if hm.W != 4 || hm.H != 4 {
 		t.Fatalf("heatmap dims %dx%d", hm.W, hm.H)
 	}
-	var wantTotal float64
+	var total, wantTotal float64
+	for _, v := range hm.Cells {
+		total += v
+	}
 	for _, c := range res.ReceivedPerProcess {
 		wantTotal += float64(c)
 	}
-	if hm.Total() != wantTotal {
-		t.Errorf("heatmap total %v != received total %v", hm.Total(), wantTotal)
+	if total != wantTotal {
+		t.Errorf("heatmap total %v != received total %v", total, wantTotal)
 	}
 	if hm.Max() == 0 {
 		t.Error("heatmap is empty")

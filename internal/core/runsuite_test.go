@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hypersolve/internal/apps"
@@ -9,6 +10,12 @@ import (
 	"hypersolve/internal/mesh"
 	"hypersolve/internal/recursion"
 )
+
+// withProcs runs fn with GOMAXPROCS, RunSuite's worker count, set to p.
+func withProcs(p int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+	fn()
+}
 
 func suiteArgs(n int) []recursion.Value {
 	args := make([]recursion.Value, n)
@@ -42,14 +49,14 @@ func TestRunSuiteMatchesSerialRuns(t *testing.T) {
 			want = append(want, res)
 		}
 		for _, p := range []int{1, 4} {
-			c := cfg
-			c.Parallelism = p
-			got, err := RunSuite(c, args)
+			var got []Result
+			var err error
+			withProcs(p, func() { got, err = RunSuite(cfg, args) })
 			if err != nil {
-				t.Fatalf("parallelism %d: %v", p, err)
+				t.Fatalf("GOMAXPROCS %d: %v", p, err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("parallelism %d: suite results differ from per-run RunOnce", p)
+				t.Errorf("GOMAXPROCS %d: suite results differ from per-run RunOnce", p)
 			}
 		}
 	}
@@ -84,7 +91,7 @@ func TestSharedMapperValueRepeats(t *testing.T) {
 
 // TestRunSuiteSharedIdealMapperDeterminism runs the idealised mapper, one
 // factory value shared by every machine of the suite, at several
-// parallelism levels: the results must not depend on which machines run
+// GOMAXPROCS widths: the results must not depend on which machines run
 // concurrently. Run under -race this also proves the suite is free of
 // cross-machine data races.
 func TestRunSuiteSharedIdealMapperDeterminism(t *testing.T) {
@@ -99,19 +106,19 @@ func TestRunSuiteSharedIdealMapperDeterminism(t *testing.T) {
 		Seed:     1,
 	}
 	args := suiteArgs(8)
-	cfg.Parallelism = 1
-	serial, err := RunSuite(cfg, args)
+	var serial []Result
+	withProcs(1, func() { serial, err = RunSuite(cfg, args) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{4, 8} {
-		cfg.Parallelism = p
-		got, err := RunSuite(cfg, args)
+		var got []Result
+		withProcs(p, func() { got, err = RunSuite(cfg, args) })
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
+			t.Fatalf("GOMAXPROCS %d: %v", p, err)
 		}
 		if !reflect.DeepEqual(serial, got) {
-			t.Errorf("parallelism %d: ideal-mapper suite differs from serial", p)
+			t.Errorf("GOMAXPROCS %d: ideal-mapper suite differs from serial", p)
 		}
 	}
 }

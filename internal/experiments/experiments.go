@@ -70,11 +70,6 @@ type Figure4Config struct {
 	Workload Workload
 	Series   []Series
 	Seed     int64
-	// Parallelism bounds how many simulations run concurrently (each
-	// simulator instance is independent and single-threaded). Values <= 0
-	// default to runtime.GOMAXPROCS(0); 1 recovers the serial engine.
-	// Results are bit-identical at every parallelism level.
-	Parallelism int
 }
 
 // DefaultFigure4Series returns the five curves of the paper's Figure 4:
@@ -124,8 +119,8 @@ type Point struct {
 
 // Figure4 runs the sweep and returns one point per (series, size). The
 // sweep's (series, size, problem) runs are independent simulations; they are
-// fanned out over Config.Parallelism workers and collected by index, so the
-// returned points are bit-identical at every parallelism level.
+// fanned out over runtime.GOMAXPROCS(0) workers and collected by index, so
+// the returned points are bit-identical at every GOMAXPROCS.
 func Figure4(cfg Figure4Config) ([]Point, error) {
 	if len(cfg.Workload.Problems) == 0 {
 		return nil, fmt.Errorf("experiments: empty workload")
@@ -155,7 +150,7 @@ func Figure4(cfg Figure4Config) ([]Point, error) {
 		sat   bool
 	}
 	runs := make([]runOut, len(specs)*nprob)
-	err := parallel.ForEach(len(runs), cfg.Parallelism, func(k int) error {
+	err := parallel.ForEach(len(runs), 0, func(k int) error {
 		spec, i := specs[k/nprob], k%nprob
 		f := cfg.Workload.Problems[i]
 		res, err := core.RunOnce(core.Config{

@@ -112,7 +112,7 @@ func TestFigure5SmallRun(t *testing.T) {
 		if r.Heatmap.W != 8 || r.Heatmap.H != 8 {
 			t.Errorf("%s: heatmap %dx%d, want 8x8", r.Mapper, r.Heatmap.W, r.Heatmap.H)
 		}
-		if r.Heatmap.Total() == 0 {
+		if r.Heatmap.Max() == 0 {
 			t.Errorf("%s: empty heatmap", r.Mapper)
 		}
 		if r.PeakQueued <= 0 {

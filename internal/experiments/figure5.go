@@ -21,10 +21,6 @@ type Figure5Config struct {
 	// Side is the torus edge length (default 14, the paper's 196 cores).
 	Side int
 	Seed int64
-	// Parallelism bounds how many simulations run concurrently; <= 0
-	// defaults to runtime.GOMAXPROCS(0). Results are bit-identical at every
-	// parallelism level.
-	Parallelism int
 }
 
 // Figure5Result holds one mapper's unfolding data.
@@ -68,7 +64,7 @@ func Figure5(cfg Figure5Config) ([]Figure5Result, error) {
 		heatmap *metrics.Heatmap
 	}
 	runs := make([]runOut, len(mappers)*nprob)
-	err := parallel.ForEach(len(runs), cfg.Parallelism, func(k int) error {
+	err := parallel.ForEach(len(runs), 0, func(k int) error {
 		m, i := mappers[k/nprob], k%nprob
 		topo, err := mesh.NewTorus(side, side)
 		if err != nil {

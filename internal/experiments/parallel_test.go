@@ -6,26 +6,31 @@ import (
 	"testing"
 )
 
+// withProcs runs fn with GOMAXPROCS, the sweeps' worker count, set to p.
+func withProcs(p int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+	fn()
+}
+
 // TestFigure4ParallelDeterminism asserts the sweep engine's core contract:
 // fanning the (series, size, problem) runs over a worker pool produces
-// bit-identical points to the serial engine, at any parallelism level.
+// bit-identical points to the serial engine, at any GOMAXPROCS.
 func TestFigure4ParallelDeterminism(t *testing.T) {
 	levels := []int{runtime.GOMAXPROCS(0), 4, 13}
-	base := testConfig(t)
-	base.Parallelism = 1
-	serial, err := Figure4(base)
+	var serial []Point
+	var err error
+	withProcs(1, func() { serial, err = Figure4(testConfig(t)) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range levels {
-		cfg := testConfig(t)
-		cfg.Parallelism = p
-		got, err := Figure4(cfg)
+		var got []Point
+		withProcs(p, func() { got, err = Figure4(testConfig(t)) })
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
+			t.Fatalf("GOMAXPROCS %d: %v", p, err)
 		}
 		if !reflect.DeepEqual(serial, got) {
-			t.Errorf("parallelism %d: points differ from serial run\nserial:   %+v\nparallel: %+v", p, serial, got)
+			t.Errorf("GOMAXPROCS %d: points differ from serial run\nserial:   %+v\nparallel: %+v", p, serial, got)
 		}
 	}
 }
@@ -37,19 +42,20 @@ func TestFigure5ParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Figure5Config{Workload: w, Side: 8, Seed: 2, Parallelism: 1}
-	serial, err := Figure5(cfg)
+	cfg := Figure5Config{Workload: w, Side: 8, Seed: 2}
+	var serial []Figure5Result
+	withProcs(1, func() { serial, err = Figure5(cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{runtime.GOMAXPROCS(0), 6} {
-		cfg.Parallelism = p
-		got, err := Figure5(cfg)
+		var got []Figure5Result
+		withProcs(p, func() { got, err = Figure5(cfg) })
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
+			t.Fatalf("GOMAXPROCS %d: %v", p, err)
 		}
 		if !reflect.DeepEqual(serial, got) {
-			t.Errorf("parallelism %d: results differ from serial run", p)
+			t.Errorf("GOMAXPROCS %d: results differ from serial run", p)
 		}
 	}
 }
@@ -67,12 +73,13 @@ func TestSharedMapperAcrossSweeps(t *testing.T) {
 	// Just the fully-connected / ideal-mapper series, built once so both
 	// sweeps run on the same factory value.
 	series := DefaultFigure4Series(nil, nil, []int{16})[4:]
-	run := func() []Point {
-		pts, err := Figure4(Figure4Config{
-			Workload:    w,
-			Series:      series,
-			Seed:        1,
-			Parallelism: 1,
+	run := func() (pts []Point) {
+		withProcs(1, func() {
+			pts, err = Figure4(Figure4Config{
+				Workload: w,
+				Series:   series,
+				Seed:     1,
+			})
 		})
 		if err != nil {
 			t.Fatal(err)

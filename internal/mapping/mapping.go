@@ -110,12 +110,9 @@ type Algorithm interface {
 // machine seed and the node ID, keeping randomized mappers deterministic.
 type Factory func(self sched.PID, nbrs []sched.PID, seed int64) Algorithm
 
-// Config assembles a mapped cluster.
+// Config assembles a mapped cluster on a Skeleton, which fixes the physical
+// topology and the process slots per node.
 type Config struct {
-	// Physical is the hardware interconnect.
-	Physical mesh.Topology
-	// ProcsPerNode configures layer 2.
-	ProcsPerNode int
 	// Mapper builds the mapping algorithm for each node.
 	Mapper Factory
 	// Factory builds the layer-3 application for each process.
@@ -172,17 +169,9 @@ func NewSkeleton(phys mesh.Topology, procsPerNode int) *Skeleton {
 // Virtual returns the process-level topology of the skeleton.
 func (sk *Skeleton) Virtual() mesh.Topology { return sk.sched.Virtual() }
 
-// New builds the network.
-func New(cfg Config) (*Network, error) {
-	if cfg.Physical == nil {
-		return nil, fmt.Errorf("mapping: Config.Physical is nil")
-	}
-	return NewSkeleton(cfg.Physical, cfg.ProcsPerNode).New(cfg)
-}
-
-// New builds a network on the skeleton, as the package-level New does;
-// cfg.Physical and cfg.ProcsPerNode are the skeleton's. The skeleton is only
-// read.
+// New builds a network on the skeleton: one runtime per PID, whose
+// neighbour-aligned loads and outstanding weights are segments of two
+// machine-wide slabs. The skeleton is only read.
 func (sk *Skeleton) New(cfg Config) (*Network, error) {
 	if cfg.Mapper == nil {
 		return nil, fmt.Errorf("mapping: Config.Mapper is nil")
@@ -246,11 +235,8 @@ func (n *Network) Trigger(dst sched.PID, payload any) error {
 	return n.cluster.Inject(dst, n.envelope(envelope{Kind: Trigger, Payload: payload}))
 }
 
-// Run executes the simulation to quiescence.
-func (n *Network) Run() simulator.Stats { return n.cluster.Run() }
-
-// RunContext is Run with cooperative cancellation; see
-// simulator.RunContext for the slice-granular polling contract.
+// RunContext executes the simulation to quiescence (or until ctx is done);
+// see simulator.RunContext for the slice-granular polling contract.
 func (n *Network) RunContext(ctx context.Context) simulator.Stats { return n.cluster.RunContext(ctx) }
 
 // envelope is the layer-3 wire format. Envelopes travel as pointers so that

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -73,11 +74,10 @@ func (s *sumApp) Recv(ctx *Context, ticket Ticket, kind Kind, payload any) {
 
 func newSumNetwork(t *testing.T, topo mesh.Topology, mapper Factory) *Network {
 	t.Helper()
-	net, err := New(Config{
-		Physical: topo,
-		Mapper:   mapper,
-		Factory:  func(p sched.PID) App { return &sumApp{} },
-		Seed:     1,
+	net, err := NewSkeleton(topo, 1).New(Config{
+		Mapper:  mapper,
+		Factory: func(p sched.PID) App { return &sumApp{} },
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestListing2SumOnTorus(t *testing.T) {
 		if err := net.Trigger(0, 10); err != nil {
 			t.Fatal(err)
 		}
-		stats := net.Run()
+		stats := net.RunContext(context.Background())
 		if !stats.Quiescent {
 			t.Fatal("sum run did not quiesce")
 		}
@@ -111,7 +111,7 @@ func TestListing2SumVariousN(t *testing.T) {
 		if err := net.Trigger(0, n); err != nil {
 			t.Fatal(err)
 		}
-		net.Run()
+		net.RunContext(context.Background())
 		root := net.App(0).(*sumApp)
 		want := n * (n + 1) / 2
 		if !root.done || root.total != want {
@@ -139,9 +139,8 @@ func TestTicketsUniquePerSender(t *testing.T) {
 		}
 	})
 	sink := appFunc(func(ctx *Context, ticket Ticket, kind Kind, payload any) {})
-	net, err := New(Config{
-		Physical: mesh.MustFullyConnected(4),
-		Mapper:   NewRoundRobin(),
+	net, err := NewSkeleton(mesh.MustFullyConnected(4), 1).New(Config{
+		Mapper: NewRoundRobin(),
 		Factory: func(p sched.PID) App {
 			if p == 0 {
 				return app
@@ -155,7 +154,7 @@ func TestTicketsUniquePerSender(t *testing.T) {
 	if err := net.Trigger(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	net.Run()
+	net.RunContext(context.Background())
 	if len(seen) != 100 {
 		t.Fatalf("issued %d unique tickets, want 100", len(seen))
 	}
@@ -171,9 +170,8 @@ func (f appFunc) Recv(ctx *Context, ticket Ticket, kind Kind, payload any) {
 
 func TestReplyToUnknownTicketErrors(t *testing.T) {
 	var replyErr error
-	net, err := New(Config{
-		Physical: mesh.MustFullyConnected(2),
-		Mapper:   NewRoundRobin(),
+	net, err := NewSkeleton(mesh.MustFullyConnected(2), 1).New(Config{
+		Mapper: NewRoundRobin(),
 		Factory: func(p sched.PID) App {
 			return appFunc(func(ctx *Context, ticket Ticket, kind Kind, payload any) {
 				if kind == Trigger {
@@ -188,7 +186,7 @@ func TestReplyToUnknownTicketErrors(t *testing.T) {
 	if err := net.Trigger(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	net.Run()
+	net.RunContext(context.Background())
 	if replyErr == nil {
 		t.Error("expected unknown-ticket reply error")
 	}
@@ -212,9 +210,8 @@ func TestReplyTicketConsumedOnce(t *testing.T) {
 			}
 		}
 	})
-	net, err := New(Config{
-		Physical: mesh.MustFullyConnected(2),
-		Mapper:   NewRoundRobin(),
+	net, err := NewSkeleton(mesh.MustFullyConnected(2), 1).New(Config{
+		Mapper: NewRoundRobin(),
 		Factory: func(p sched.PID) App {
 			if p == 0 {
 				return root
@@ -228,7 +225,7 @@ func TestReplyTicketConsumedOnce(t *testing.T) {
 	if err := net.Trigger(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	net.Run()
+	net.RunContext(context.Background())
 	if second == nil {
 		t.Error("expected second reply to fail")
 	}
@@ -344,8 +341,7 @@ func TestOutstandingResetsOnFreshActivity(t *testing.T) {
 			}
 		}
 	})
-	net, err := New(Config{
-		Physical: mesh.MustFullyConnected(2),
+	net, err := NewSkeleton(mesh.MustFullyConnected(2), 1).New(Config{
 		Mapper: func(self sched.PID, nbrs []sched.PID, seed int64) Algorithm {
 			return probe
 		},
@@ -362,7 +358,7 @@ func TestOutstandingResetsOnFreshActivity(t *testing.T) {
 	if err := net.Trigger(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	net.Run()
+	net.RunContext(context.Background())
 	if len(view0.Outstanding) != 1 || view0.Outstanding[0] != 1 {
 		t.Errorf("outstanding after send = %v, want [1]", view0.Outstanding)
 	}
@@ -406,9 +402,8 @@ func TestActivityPiggybackUpdatesLoads(t *testing.T) {
 			}
 		}
 	})
-	net, err := New(Config{
-		Physical: mesh.MustFullyConnected(2),
-		Mapper:   NewRoundRobin(),
+	net, err := NewSkeleton(mesh.MustFullyConnected(2), 1).New(Config{
+		Mapper: NewRoundRobin(),
 		Factory: func(p sched.PID) App {
 			if p == 0 {
 				return root
@@ -422,7 +417,7 @@ func TestActivityPiggybackUpdatesLoads(t *testing.T) {
 	if err := net.Trigger(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	net.Run()
+	net.RunContext(context.Background())
 	if len(after.Loads) != 1 || after.Loads[0] != 1 {
 		t.Errorf("loads after reply = %v, want [1]", after.Loads)
 	}
@@ -464,7 +459,7 @@ func TestIdealCursorBelongsToTheMachine(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			net.Run()
+			net.RunContext(context.Background())
 		}()
 	}
 	wg.Wait()
@@ -509,12 +504,13 @@ func TestKindString(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	base := Config{Physical: mesh.MustRing(4)}
-	if _, err := New(base); err == nil {
+	sk := NewSkeleton(mesh.MustRing(4), 1)
+	var base Config
+	if _, err := sk.New(base); err == nil {
 		t.Error("expected error for missing mapper")
 	}
 	base.Mapper = NewRoundRobin()
-	if _, err := New(base); err == nil {
+	if _, err := sk.New(base); err == nil {
 		t.Error("expected error for missing factory")
 	}
 }
@@ -524,7 +520,7 @@ func TestReceivedPerProcess(t *testing.T) {
 	if err := net.Trigger(0, 8); err != nil {
 		t.Fatal(err)
 	}
-	net.Run()
+	net.RunContext(context.Background())
 	counts := net.ReceivedPerProcess()
 	var total int64
 	for _, c := range counts {
@@ -540,9 +536,8 @@ func TestReceivedPerProcess(t *testing.T) {
 // shown an envelope it has already unpacked panics on its kind.
 func TestRecycledEnvelopeIsPoisoned(t *testing.T) {
 	var got []any
-	net, err := New(Config{
-		Physical: mesh.MustRing(3),
-		Mapper:   NewRoundRobin(),
+	net, err := NewSkeleton(mesh.MustRing(3), 1).New(Config{
+		Mapper: NewRoundRobin(),
 		Factory: func(sched.PID) App {
 			return appFunc(func(ctx *Context, ticket Ticket, kind Kind, payload any) { got = append(got, payload) })
 		},

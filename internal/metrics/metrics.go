@@ -135,15 +135,6 @@ func (h *Heatmap) Max() float64 {
 	return max
 }
 
-// Total returns the sum of all cells.
-func (h *Heatmap) Total() float64 {
-	var t float64
-	for _, v := range h.Cells {
-		t += v
-	}
-	return t
-}
-
 // ImbalanceCV returns the coefficient of variation (std/mean) across cells:
 // a scalar measure of spatial load imbalance (0 = perfectly even).
 func (h *Heatmap) ImbalanceCV() float64 {

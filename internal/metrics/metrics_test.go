@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,8 +124,8 @@ func TestHeatmap(t *testing.T) {
 	if h.Max() != 10 {
 		t.Errorf("Max = %v", h.Max())
 	}
-	if h.Total() != 11 {
-		t.Errorf("Total = %v", h.Total())
+	if !slices.Equal(h.Cells, []float64{1, 0, 0, 0, 0, 10}) {
+		t.Errorf("Cells = %v", h.Cells)
 	}
 	out := h.Render()
 	if lines := strings.Count(out, "\n"); lines != 2 {

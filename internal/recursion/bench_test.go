@@ -1,6 +1,7 @@
 package recursion
 
 import (
+	"context"
 	"testing"
 
 	"hypersolve/internal/mapping"
@@ -17,10 +18,9 @@ func BenchmarkFrameOverhead(b *testing.B) {
 	b.ReportAllocs()
 	var frames, coroutines int64
 	for i := 0; i < b.N; i++ {
-		net, err := mapping.New(mapping.Config{
-			Physical: mesh.MustTorus(8, 8),
-			Mapper:   mapping.NewRoundRobin(),
-			Factory:  AppFactory(fibTask),
+		net, err := mapping.NewSkeleton(mesh.MustTorus(8, 8), 1).New(mapping.Config{
+			Mapper:  mapping.NewRoundRobin(),
+			Factory: AppFactory(fibTask),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -28,7 +28,7 @@ func BenchmarkFrameOverhead(b *testing.B) {
 		if err := net.Trigger(0, 14); err != nil {
 			b.Fatal(err)
 		}
-		if stats := net.Run(); !stats.Quiescent {
+		if stats := net.RunContext(context.Background()); !stats.Quiescent {
 			b.Fatal("no quiescence")
 		}
 		started, _ := totalFrames(net)

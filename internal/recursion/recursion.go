@@ -345,17 +345,6 @@ func (rt *Runtime) FramesStarted() int64 { return rt.framesStarted }
 // hosted the root frame and it has completed.
 func (rt *Runtime) RootResult() (Value, bool) { return rt.rootResult, rt.rootDone }
 
-// LiveFrames returns the number of unfinished frames, for leak diagnostics.
-func (rt *Runtime) LiveFrames() int {
-	n := 0
-	for _, f := range rt.frames {
-		if f.w != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // startFrame assigns a task invocation to a worker and drives it to its
 // first park point.
 func (rt *Runtime) startFrame(ctx *mapping.Context, arg Value, parent mapping.Ticket, isRoot bool) {

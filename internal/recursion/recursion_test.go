@@ -1,6 +1,7 @@
 package recursion
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -15,11 +16,10 @@ import (
 // newNet assembles the full layer 1-4 stack for a task.
 func newNet(t *testing.T, topo mesh.Topology, mapper mapping.Factory, task Task) *mapping.Network {
 	t.Helper()
-	net, err := mapping.New(mapping.Config{
-		Physical: topo,
-		Mapper:   mapper,
-		Factory:  AppFactory(task),
-		Seed:     1,
+	net, err := mapping.NewSkeleton(topo, 1).New(mapping.Config{
+		Mapper:  mapper,
+		Factory: AppFactory(task),
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func runRoot(t *testing.T, net *mapping.Network, arg Value) (Value, bool) {
 	if err := net.Trigger(0, arg); err != nil {
 		t.Fatal(err)
 	}
-	stats := net.Run()
+	stats := net.RunContext(context.Background())
 	if !stats.Quiescent {
 		t.Fatal("run did not quiesce")
 	}
@@ -125,10 +125,9 @@ func TestFibForkJoin(t *testing.T) {
 func TestPropertySumMatchesClosedForm(t *testing.T) {
 	f := func(raw uint8) bool {
 		n := int(raw % 40)
-		net, err := mapping.New(mapping.Config{
-			Physical: mesh.MustTorus(5, 5),
-			Mapper:   mapping.NewLeastBusy(),
-			Factory:  AppFactory(sumTask),
+		net, err := mapping.NewSkeleton(mesh.MustTorus(5, 5), 1).New(mapping.Config{
+			Mapper:  mapping.NewLeastBusy(),
+			Factory: AppFactory(sumTask),
 		})
 		if err != nil {
 			return false
@@ -136,7 +135,7 @@ func TestPropertySumMatchesClosedForm(t *testing.T) {
 		if err := net.Trigger(0, n); err != nil {
 			return false
 		}
-		if stats := net.Run(); !stats.Quiescent {
+		if stats := net.RunContext(context.Background()); !stats.Quiescent {
 			return false
 		}
 		got, ok := net.App(0).(*Runtime).RootResult()
@@ -318,11 +317,10 @@ func TestCancelDoesNotChangeVerdicts(t *testing.T) {
 // timing; the late reply must be absorbed without changing the result.
 func TestCancelRaceWithInFlightReply(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		net, err := mapping.New(mapping.Config{
-			Physical: mesh.MustTorus(4, 4),
-			Mapper:   mapping.NewRandom(),
-			Factory:  AppFactory(chooseChainTask(1)),
-			Seed:     seed,
+		net, err := mapping.NewSkeleton(mesh.MustTorus(4, 4), 1).New(mapping.Config{
+			Mapper:  mapping.NewRandom(),
+			Factory: AppFactory(chooseChainTask(1)),
+			Seed:    seed,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -494,11 +492,10 @@ func TestAbortReleasesFrames(t *testing.T) {
 	task := func(f *Frame, arg Value) Value {
 		return f.CallSync(arg)
 	}
-	net, err := mapping.New(mapping.Config{
-		Physical: mesh.MustTorus(4, 4),
-		Mapper:   mapping.NewRoundRobin(),
-		Factory:  AppFactory(task),
-		Sim:      simulator.Config{MaxSteps: 60},
+	net, err := mapping.NewSkeleton(mesh.MustTorus(4, 4), 1).New(mapping.Config{
+		Mapper:  mapping.NewRoundRobin(),
+		Factory: AppFactory(task),
+		Sim:     simulator.Config{MaxSteps: 60},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +503,7 @@ func TestAbortReleasesFrames(t *testing.T) {
 	if err := net.Trigger(0, "work"); err != nil {
 		t.Fatal(err)
 	}
-	stats := net.Run()
+	stats := net.RunContext(context.Background())
 	if stats.Quiescent {
 		t.Fatal("infinite chain unexpectedly quiesced")
 	}

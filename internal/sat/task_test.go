@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -14,11 +15,10 @@ import (
 // and returns the root outcome.
 func solveOnMesh(t *testing.T, f Formula, topo mesh.Topology, mapper mapping.Factory, h Heuristic) Outcome {
 	t.Helper()
-	net, err := mapping.New(mapping.Config{
-		Physical: topo,
-		Mapper:   mapper,
-		Factory:  recursion.AppFactory(Task(h)),
-		Seed:     1,
+	net, err := mapping.NewSkeleton(topo, 1).New(mapping.Config{
+		Mapper:  mapper,
+		Factory: recursion.AppFactory(Task(h)),
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func solveOnMesh(t *testing.T, f Formula, topo mesh.Topology, mapper mapping.Fac
 	if err := net.Trigger(0, NewProblem(f)); err != nil {
 		t.Fatal(err)
 	}
-	stats := net.Run()
+	stats := net.RunContext(context.Background())
 	if !stats.Quiescent {
 		t.Fatal("distributed solve did not quiesce")
 	}
@@ -143,10 +143,9 @@ func TestDistributedWorkSpreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := mapping.New(mapping.Config{
-		Physical: mesh.MustTorus(6, 6),
-		Mapper:   mapping.NewRoundRobin(),
-		Factory:  recursion.AppFactory(Task(FirstUnassigned)),
+	net, err := mapping.NewSkeleton(mesh.MustTorus(6, 6), 1).New(mapping.Config{
+		Mapper:  mapping.NewRoundRobin(),
+		Factory: recursion.AppFactory(Task(FirstUnassigned)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +153,7 @@ func TestDistributedWorkSpreads(t *testing.T) {
 	if err := net.Trigger(0, NewProblem(suite[0])); err != nil {
 		t.Fatal(err)
 	}
-	if stats := net.Run(); !stats.Quiescent {
+	if stats := net.RunContext(context.Background()); !stats.Quiescent {
 		t.Fatal("did not quiesce")
 	}
 	busy := 0

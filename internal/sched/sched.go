@@ -43,13 +43,9 @@ type Process interface {
 // ProcessFactory builds the process for one PID.
 type ProcessFactory func(p PID) Process
 
-// Config assembles a scheduled cluster on top of a physical topology.
+// Config assembles a scheduled cluster on a Skeleton, which fixes the
+// physical topology and the process slots per node.
 type Config struct {
-	// Physical is the hardware interconnect.
-	Physical mesh.Topology
-	// ProcsPerNode is the number of process slots per core. Values below 1
-	// default to 1.
-	ProcsPerNode int
 	// Factory builds each process.
 	Factory ProcessFactory
 	// Sim carries layer-1 options through to the simulator.
@@ -90,18 +86,9 @@ func NewSkeleton(phys mesh.Topology, procsPerNode int) *Skeleton {
 // Virtual returns the PID-level topology of the skeleton.
 func (sk *Skeleton) Virtual() mesh.Topology { return sk.virtual }
 
-// New builds the cluster: a virtual topology of PIDs and one nodeScheduler
-// handler per physical node.
-func New(cfg Config) (*Cluster, error) {
-	if cfg.Physical == nil {
-		return nil, fmt.Errorf("sched: Config.Physical is nil")
-	}
-	return NewSkeleton(cfg.Physical, cfg.ProcsPerNode).New(cfg)
-}
-
-// New builds a cluster on the skeleton, as the package-level New does;
-// cfg.Physical and cfg.ProcsPerNode are the skeleton's. The skeleton is only
-// read.
+// New builds a cluster on the skeleton: one nodeScheduler handler per
+// physical node, whose process slots and contexts are segments of two
+// machine-wide slabs. The skeleton is only read.
 func (sk *Skeleton) New(cfg Config) (*Cluster, error) {
 	if cfg.Factory == nil {
 		return nil, fmt.Errorf("sched: Config.Factory is nil")
@@ -135,13 +122,6 @@ func (sk *Skeleton) New(cfg Config) (*Cluster, error) {
 // Virtual returns the PID-level topology the upper layers schedule over.
 func (c *Cluster) Virtual() mesh.Topology { return c.virtual }
 
-// Process returns the process instance behind a PID, letting callers extract
-// results after a run.
-func (c *Cluster) Process(p PID) Process {
-	node, slot := c.split(p)
-	return c.nodes[node].procs[slot].proc
-}
-
 // Inject queues an external trigger message for a PID before the run starts.
 func (c *Cluster) Inject(dst PID, payload any) error {
 	node, slot := c.split(dst)
@@ -151,11 +131,9 @@ func (c *Cluster) Inject(dst PID, payload any) error {
 	return c.sim.Inject(mesh.NodeID(node), c.envelope(envelope{SrcPID: NonePID, DstSlot: slot, Payload: payload}))
 }
 
-// Run executes the simulation to quiescence and returns layer-1 statistics.
-func (c *Cluster) Run() simulator.Stats { return c.sim.Run() }
-
-// RunContext is Run with cooperative cancellation; see
-// simulator.RunContext for the slice-granular polling contract.
+// RunContext executes the simulation to quiescence (or until ctx is done)
+// and returns layer-1 statistics; see simulator.RunContext for the
+// slice-granular polling contract.
 func (c *Cluster) RunContext(ctx context.Context) simulator.Stats { return c.sim.RunContext(ctx) }
 
 // PIDOf maps (physical node, slot) to a PID.
@@ -294,15 +272,6 @@ type Context struct {
 	simctx  *simulator.Context
 	self    PID
 }
-
-// Self returns the process's PID.
-func (c *Context) Self() PID { return c.self }
-
-// Node returns the physical node hosting the process.
-func (c *Context) Node() mesh.NodeID { return c.sched.node }
-
-// Slot returns the process slot index within its node.
-func (c *Context) Slot() int { return int(c.self) % c.cluster.procs }
 
 // Step returns the current simulation step.
 func (c *Context) Step() int64 { return c.simctx.Step() }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -33,9 +34,7 @@ func (e *echoProc) Receive(ctx *Context, src PID, payload any) {
 
 func newEchoCluster(t *testing.T, topo mesh.Topology, procs int, wire func(PID) PID) *Cluster {
 	t.Helper()
-	c, err := New(Config{
-		Physical:     topo,
-		ProcsPerNode: procs,
+	c, err := NewSkeleton(topo, procs).New(Config{
 		Factory: func(p PID) Process {
 			fw := PID(-1)
 			if wire != nil {
@@ -118,7 +117,7 @@ func TestInterNodeDelivery(t *testing.T) {
 	if err := c.Inject(0, "hello"); err != nil {
 		t.Fatal(err)
 	}
-	stats := c.Run()
+	stats := c.RunContext(context.Background())
 	if !stats.Quiescent {
 		t.Fatal("run did not quiesce")
 	}
@@ -144,7 +143,7 @@ func TestIntraNodeDelivery(t *testing.T) {
 	if err := c.Inject(0, 42); err != nil {
 		t.Fatal(err)
 	}
-	stats := c.Run()
+	stats := c.RunContext(context.Background())
 	if !stats.Quiescent {
 		t.Fatal("run did not quiesce")
 	}
@@ -161,9 +160,7 @@ func TestIntraNodeDelivery(t *testing.T) {
 func TestSelfSendRejected(t *testing.T) {
 	topo := mesh.MustRing(4)
 	var errSeen error
-	c, err := New(Config{
-		Physical:     topo,
-		ProcsPerNode: 2,
+	c, err := NewSkeleton(topo, 2).New(Config{
 		Factory: func(p PID) Process {
 			return procFunc(func(ctx *Context, src PID, payload any) {
 				errSeen = ctx.Send(ctx.Self(), payload)
@@ -176,7 +173,7 @@ func TestSelfSendRejected(t *testing.T) {
 	if err := c.Inject(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	c.Run()
+	c.RunContext(context.Background())
 	if errSeen == nil {
 		t.Error("expected self-send rejection")
 	}
@@ -194,10 +191,8 @@ func (f procFunc) Receive(ctx *Context, src PID, payload any) { f(ctx, src, payl
 func TestActivationBudgetTwoRunsInOneStep(t *testing.T) {
 	topo := mesh.MustFullyConnected(2)
 	var steps []int64
-	c, err := New(Config{
-		Physical:     topo,
-		ProcsPerNode: 2,
-		Sim:          simulator.Config{DeliverPerStep: 2},
+	c, err := NewSkeleton(topo, 2).New(Config{
+		Sim: simulator.Config{DeliverPerStep: 2},
 		Factory: func(p PID) Process {
 			return procFunc(func(ctx *Context, src PID, payload any) {
 				if ctx.Node() == 0 {
@@ -215,7 +210,7 @@ func TestActivationBudgetTwoRunsInOneStep(t *testing.T) {
 	if err := c.Inject(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	c.Run()
+	c.RunContext(context.Background())
 	if len(steps) != 2 {
 		t.Fatalf("activations = %d, want 2", len(steps))
 	}
@@ -231,10 +226,8 @@ func TestRoundRobinFairness(t *testing.T) {
 	topo := mesh.MustFullyConnected(2)
 	var order []int
 	var steps []int64
-	c, err := New(Config{
-		Physical:     topo,
-		ProcsPerNode: 3,
-		Sim:          simulator.Config{DeliverPerStep: 6},
+	c, err := NewSkeleton(topo, 3).New(Config{
+		Sim: simulator.Config{DeliverPerStep: 6},
 		Factory: func(p PID) Process {
 			return procFunc(func(ctx *Context, src PID, payload any) {
 				if ctx.Node() == 0 {
@@ -252,7 +245,7 @@ func TestRoundRobinFairness(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Run()
+	c.RunContext(context.Background())
 	want := []int{0, 1, 2, 0, 1, 2}
 	if !slices.Equal(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
@@ -275,7 +268,7 @@ func TestActivationsPerNodeCounts(t *testing.T) {
 	if err := c.Inject(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	c.Run()
+	c.RunContext(context.Background())
 	acts := c.ActivationsPerNode()
 	if acts[0] != 2 { // trigger + sibling message
 		t.Errorf("node 0 activations = %d, want 2", acts[0])
@@ -288,10 +281,7 @@ func TestActivationsPerNodeCounts(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("expected error for nil physical topology")
-	}
-	if _, err := New(Config{Physical: mesh.MustRing(4)}); err == nil {
+	if _, err := NewSkeleton(mesh.MustRing(4), 1).New(Config{}); err == nil {
 		t.Error("expected error for nil factory")
 	}
 }
@@ -302,9 +292,7 @@ func TestMultiHopChain(t *testing.T) {
 	n := 8
 	topo := mesh.MustRing(n)
 	hops := 0
-	c, err := New(Config{
-		Physical:     topo,
-		ProcsPerNode: 1,
+	c, err := NewSkeleton(topo, 1).New(Config{
 		Factory: func(p PID) Process {
 			return procFunc(func(ctx *Context, src PID, payload any) {
 				hops++
@@ -323,7 +311,7 @@ func TestMultiHopChain(t *testing.T) {
 	if err := c.Inject(0, 2*n); err != nil {
 		t.Fatal(err)
 	}
-	stats := c.Run()
+	stats := c.RunContext(context.Background())
 	if !stats.Quiescent {
 		t.Fatal("chain did not quiesce")
 	}
@@ -387,11 +375,9 @@ func TestRelayAllocsIndependentOfLength(t *testing.T) {
 	}
 	relay := func(hops int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			c, err := New(Config{
-				Physical:     mesh.MustTorus(4, 4),
-				ProcsPerNode: 2,
-				Factory:      func(PID) Process { return &relayProc{} },
-				Sim:          simulator.Config{MaxSteps: 1 << 20},
+			c, err := NewSkeleton(mesh.MustTorus(4, 4), 2).New(Config{
+				Factory: func(PID) Process { return &relayProc{} },
+				Sim:     simulator.Config{MaxSteps: 1 << 20},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -399,7 +385,7 @@ func TestRelayAllocsIndependentOfLength(t *testing.T) {
 			if err := c.Inject(0, &relayToken{left: hops}); err != nil {
 				t.Fatal(err)
 			}
-			if stats := c.Run(); !stats.Quiescent {
+			if stats := c.RunContext(context.Background()); !stats.Quiescent {
 				t.Fatalf("relay of %d hops did not quiesce", hops)
 			}
 			var acts int64

@@ -15,8 +15,6 @@ import (
 	"time"
 
 	"hypersolve/internal/tracelog"
-
-	"hypersolve/internal/telemetry"
 )
 
 // Client talks to a hypersolved server. The zero value is not usable; set
@@ -30,24 +28,6 @@ type Client struct {
 	// (queue full). The zero value selects the defaults; set
 	// Retry.MaxAttempts to 1 to surface 429s immediately.
 	Retry Retry
-	// Telemetry, when set, receives the client-side resilience counters:
-	// hypersolve_client_submit_retries_total (429 backoff resubmits),
-	// hypersolve_client_wait_retries_total (transient poll failures ridden
-	// out by Wait) and hypersolve_client_backoff_seconds_total. Nil skips
-	// all accounting.
-	Telemetry *telemetry.Registry
-}
-
-func (c *Client) counter(name, help string) *telemetry.Counter {
-	return c.Telemetry.Counter(name, help) // nil registry → nil no-op counter
-}
-
-func (c *Client) backoffAccount(d time.Duration) {
-	if c.Telemetry == nil {
-		return
-	}
-	c.Telemetry.Gauge("hypersolve_client_backoff_seconds_total",
-		"Cumulative time this client spent sleeping between retries.").Add(d.Seconds())
 }
 
 // Retry is Submit's backoff policy for queue-full (HTTP 429) rejections:
@@ -192,13 +172,10 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (Job, error) {
 		if err == nil || !IsOverloaded(err) || attempt >= attempts {
 			return job, err
 		}
-		c.counter("hypersolve_client_submit_retries_total",
-			"Submissions retried after a queue-full (429) rejection.").Inc()
 		sleep := delay/2 + time.Duration(rand.Int64N(int64(delay/2)+1))
 		if err := sleepCtx(ctx, sleep); err != nil {
 			return Job{}, err
 		}
-		c.backoffAccount(sleep)
 		if delay *= 2; delay > maxDelay {
 			delay = maxDelay
 		}
@@ -345,8 +322,6 @@ func (c *Client) Wait(ctx context.Context, id JobID, initial time.Duration) (Job
 			if failures++; failures >= waitMaxGetFailures {
 				return job, fmt.Errorf("service: wait gave up after %d consecutive poll failures: %w", failures, err)
 			}
-			c.counter("hypersolve_client_wait_retries_total",
-				"Transient poll failures ridden out inside Wait.").Inc()
 		} else {
 			failures = 0
 			if job.State.Terminal() {

@@ -79,8 +79,6 @@ type NodeConfig struct {
 	// PullEvery is the standby's tail cadence once caught up (<= 0
 	// defaults to 250ms); a lagging standby pulls continuously.
 	PullEvery time.Duration
-	// HTTP is the transport for feed pulls; nil means http.DefaultClient.
-	HTTP *http.Client
 	// Logger receives role transitions and the periodic lag report as
 	// structured records; nil discards them.
 	Logger *slog.Logger
@@ -222,7 +220,7 @@ func (n *Node) stopPuller() {
 // trying (it may be promoted any moment, which cancels the loop).
 func (n *Node) pullLoop(ctx context.Context, follow string, reset bool) {
 	defer close(n.pullDone)
-	client := &Client{Base: follow, HTTP: n.cfg.HTTP}
+	client := &Client{Base: follow}
 	first := true
 	for {
 		var from int64

@@ -157,12 +157,10 @@ type Config struct {
 	// Workers is the number of long-lived solve workers. Values <= 0
 	// default to runtime.GOMAXPROCS(0).
 	Workers int
-	// History bounds how many terminal jobs the default in-memory store
-	// retains (<= 0 defaults to 4096). Ignored when Store is set: a
-	// provided backend owns its own retention policy.
-	History int
-	// Store is the persistence backend. Nil selects a fresh in-memory
-	// store (history dies with the process); a store.File backend makes
+	// Store is the persistence backend, and owns the retention policy for
+	// terminal jobs. Nil selects a fresh in-memory store keeping
+	// store.DefaultHistory of them (history dies with the process); a
+	// store.File backend makes
 	// the service durable — on startup, jobs the previous process left
 	// queued or running are re-admitted and run again.
 	Store store.Store
@@ -231,15 +229,12 @@ func New(cfg Config) *Service {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.History <= 0 {
-		cfg.History = 4096
-	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
 	st := cfg.Store
 	if st == nil {
-		st = store.NewMemory(cfg.History)
+		st = store.NewMemory(store.DefaultHistory)
 	}
 	s := &Service{
 		cfg:   cfg,

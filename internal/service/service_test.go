@@ -45,13 +45,21 @@ func quickSpec() JobSpec {
 // subtest; Close is idempotent, so tests that close explicitly still
 // compose with the deferred cleanup.
 func backends(t *testing.T, cfg Config, fn func(t *testing.T, s *Service)) {
+	backendsKeeping(t, cfg, 0, fn)
+}
+
+// backendsKeeping is backends on stores that keep history terminal jobs
+// (<= 0 selects store.DefaultHistory).
+func backendsKeeping(t *testing.T, cfg Config, history int, fn func(t *testing.T, s *Service)) {
 	t.Run("memory", func(t *testing.T) {
-		s := New(cfg)
+		c := cfg
+		c.Store = store.NewMemory(history)
+		s := New(c)
 		defer s.Close()
 		fn(t, s)
 	})
 	t.Run("file", func(t *testing.T) {
-		st, err := store.Open(store.FileConfig{Dir: t.TempDir(), History: cfg.History})
+		st, err := store.Open(store.FileConfig{Dir: t.TempDir(), History: history})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,10 +476,10 @@ func TestCancelQueuedFreesSlot(t *testing.T) {
 	})
 }
 
-// TestHistoryEviction checks that terminal jobs beyond the History bound
-// are evicted oldest-first while queued/running jobs are untouched.
+// TestHistoryEviction checks that terminal jobs beyond the store's history
+// bound are evicted oldest-first while queued/running jobs are untouched.
 func TestHistoryEviction(t *testing.T) {
-	backends(t, Config{QueueDepth: 8, Workers: 1, History: 2}, func(t *testing.T, s *Service) {
+	backendsKeeping(t, Config{QueueDepth: 8, Workers: 1}, 2, func(t *testing.T, s *Service) {
 		var ids []int64
 		for i := 0; i < 4; i++ {
 			job, err := s.Submit(quickSpec())
