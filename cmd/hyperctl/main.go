@@ -5,7 +5,8 @@
 // Subcommands:
 //
 //	submit  submit a job; -cnf FILE submits a DIMACS formula end-to-end,
-//	        -spec FILE submits a raw JobSpec JSON document, and
+//	        -spec FILE submits a raw JobSpec JSON document (with -cnf the
+//	        only spec flag it takes; any other is a usage error), and
 //	        -portfolio rr,lbn,weighted races the job under several mapping
 //	        strategies (the fewest simulated steps wins, ties to the first
 //	        listed; -portfolio auto races rr,lbn,weighted)
@@ -180,7 +181,7 @@ func submit(ctx context.Context, client *service.Client, args []string) error {
 		kind      = fs.String("kind", "sat", "workload: sat, queens, knapsack, sum, fib, unbalanced")
 		n         = fs.Int("n", 0, "task parameter (see JobSpec.N)")
 		cnfPath   = fs.String("cnf", "", "DIMACS file to submit (kind sat)")
-		specPath  = fs.String("spec", "", "JobSpec JSON file to submit (replaces the other spec flags; -cnf still overrides its CNF field)")
+		specPath  = fs.String("spec", "", "JobSpec JSON file to submit (refuses the other spec flags; -cnf still overrides its CNF field)")
 		heuristic = fs.String("heuristic", "", "sat branching heuristic: first, freq, jw, dlis")
 		topo      = fs.String("topo", "", "topology spec (default torus:14x14)")
 		mapper    = fs.String("mapper", "", "mapper spec (default rr)")
@@ -195,6 +196,16 @@ func submit(ctx context.Context, client *service.Client, args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *specPath != "" {
+		// The file is the whole spec: a spec flag beside it would be
+		// dropped, so it is a usage error, as a flag the set does not know.
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "spec" && f.Name != "cnf" && f.Name != "wait" {
+				fmt.Fprintf(os.Stderr, "hyperctl submit: -%s is ignored with -spec: the file sets the whole spec (only -cnf overrides its CNF field)\n", f.Name)
+				os.Exit(2)
+			}
+		})
 	}
 	spec := service.JobSpec{
 		Kind:         *kind,

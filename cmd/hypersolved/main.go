@@ -58,6 +58,10 @@
 // durability lives in the backends' data directories, so -data-dir and
 // -route are mutually exclusive.
 //
+// A flag that the chosen mode would ignore (-fsync without -data-dir,
+// -queue on a router, ...) is a usage error, exit status 2, so that no one
+// believes it took effect.
+//
 // Observability: the process logs through log/slog to stderr
 // (-log-level debug|info|warn|error, -log-format text|json, slog's text
 // and JSON handlers). Every request is access-logged, gets an
@@ -105,7 +109,7 @@ var logger *slog.Logger
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		queue         = flag.Int("queue", 64, "admission queue depth (jobs beyond it are rejected with 429)")
+		queue         = flag.Int("queue", service.DefaultQueueDepth, "admission queue depth (jobs beyond it are rejected with 429)")
 		workers       = flag.Int("workers", 0, "solve workers (0 = GOMAXPROCS)")
 		dataDir       = flag.String("data-dir", "", "durable job store directory (empty = in-memory; history dies with the process)")
 		fsync         = flag.Bool("fsync", false, "fsync the journal after every record (survives power loss, much slower)")
@@ -113,19 +117,19 @@ func main() {
 			"journal records between snapshot compactions")
 		follow = flag.String("follow", "",
 			"standby mode: tail this primary's replication feed (requires -data-dir)")
-		pullEvery = flag.Duration("pull-every", 250*time.Millisecond,
+		pullEvery = flag.Duration("pull-every", service.DefaultPullEvery,
 			"standby mode: feed tail cadence once caught up (a lagging standby pulls continuously)")
 		route = flag.String("route", "",
 			"router mode: comma-separated backend base URLs (e.g. http://b1:8080,http://b2:8080); shard i is backend i+1")
 		standbys = flag.String("standbys", "",
 			"router mode: comma-separated standby URLs paired positionally with -route (empty slots allowed)")
-		probeEvery = flag.Duration("probe-every", 2*time.Second,
+		probeEvery = flag.Duration("probe-every", cluster.DefaultProbeEvery,
 			"router mode: cadence of the backend health re-probe loop")
-		failAfter = flag.Int("fail-after", 3,
+		failAfter = flag.Int("fail-after", cluster.DefaultFailAfter,
 			"router mode: consecutive failed probes before a backend counts as down")
-		promoteAfter = flag.Duration("promote-after", 10*time.Second,
+		promoteAfter = flag.Duration("promote-after", cluster.DefaultPromoteAfter,
 			"router mode: grace period a primary stays down before its standby is promoted")
-		submitTimeout = flag.Duration("submit-timeout", 15*time.Second,
+		submitTimeout = flag.Duration("submit-timeout", cluster.DefaultSubmitTimeout,
 			"router mode: per-backend bound on one submission attempt during the ring walk")
 		logLevel = flag.String("log-level", "info",
 			"minimum log severity: debug, info, warn or error")
@@ -139,6 +143,12 @@ func main() {
 	if *showVersion {
 		fmt.Println("hypersolved", version.String())
 		return
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkMode(set, *route != "", *dataDir != "", *follow != ""); err != nil {
+		fmt.Fprintln(os.Stderr, "hypersolved:", err)
+		os.Exit(2)
 	}
 	// A job's garbage (machine build, solve, result encoding) dwarfs what
 	// the daemon keeps between jobs, so at the default GOGC=100 the
@@ -167,15 +177,18 @@ func main() {
 	}
 	var err error
 	if *route != "" {
-		err = runRouter(*addr, routerOptions{
-			route:         *route,
-			standbys:      *standbys,
-			probeEvery:    *probeEvery,
-			failAfter:     *failAfter,
-			promoteAfter:  *promoteAfter,
-			submitTimeout: *submitTimeout,
-			dataDir:       *dataDir,
-		})
+		cfg := cluster.Config{
+			Backends:      strings.Split(*route, ","),
+			ProbeEvery:    *probeEvery,
+			FailAfter:     *failAfter,
+			PromoteAfter:  *promoteAfter,
+			SubmitTimeout: *submitTimeout,
+			Logger:        logger,
+		}
+		if *standbys != "" {
+			cfg.Standbys = strings.Split(*standbys, ",")
+		}
+		err = runRouter(*addr, cfg)
 	} else {
 		err = runServe(*addr, *queue, *workers, *dataDir, *fsync, *snapshotEvery, *follow, *pullEvery)
 	}
@@ -185,12 +198,38 @@ func main() {
 	}
 }
 
+// checkMode refuses a set flag that the chosen mode would ignore: router
+// mode is -route, a durable daemon has -data-dir and a standby -follow.
+func checkMode(set map[string]bool, router, durable, standby bool) error {
+	for _, rule := range []struct {
+		applies bool
+		flags   []string
+		why     string
+	}{
+		{router, []string{"queue", "workers", "data-dir", "fsync", "snapshot-every", "follow", "pull-every"},
+			"a router (-route) holds no job state and runs no solves; give each backend its own"},
+		{!router, []string{"standbys", "probe-every", "fail-after", "promote-after", "submit-timeout"},
+			"it configures router mode, which needs -route"},
+		{!durable, []string{"fsync", "snapshot-every", "follow"},
+			"it needs -data-dir: without one the job store is in memory"},
+		{!standby, []string{"pull-every"},
+			"it configures standby mode, which needs -follow"},
+	} {
+		if !rule.applies {
+			continue
+		}
+		for _, name := range rule.flags {
+			if set[name] {
+				return fmt.Errorf("-%s is ignored in this mode: %s", name, rule.why)
+			}
+		}
+	}
+	return nil
+}
+
 func runServe(addr string, queue, workers int, dataDir string, fsync bool, snapshotEvery int, follow string, pullEvery time.Duration) error {
 	cfg := service.Config{QueueDepth: queue, Workers: workers}
 	if dataDir == "" {
-		if follow != "" {
-			return errors.New("-follow requires -data-dir: a standby replicates into a durable store")
-		}
 		svc := service.New(cfg)
 		depth, pool := svc.Queue()
 		logger.Info("listening", "mode", "serve", "addr", addr,
@@ -220,28 +259,7 @@ func runServe(addr string, queue, workers int, dataDir string, fsync bool, snaps
 	return serve(addr, node.Handler(), node.Close)
 }
 
-type routerOptions struct {
-	route, standbys                         string
-	probeEvery, promoteAfter, submitTimeout time.Duration
-	failAfter                               int
-	dataDir                                 string
-}
-
-func runRouter(addr string, opt routerOptions) error {
-	if opt.dataDir != "" {
-		return errors.New("-route and -data-dir are mutually exclusive: a router holds no job state; give each backend its own -data-dir")
-	}
-	cfg := cluster.Config{
-		ProbeEvery:    opt.probeEvery,
-		FailAfter:     opt.failAfter,
-		PromoteAfter:  opt.promoteAfter,
-		SubmitTimeout: opt.submitTimeout,
-		Logger:        logger,
-		Backends:      strings.Split(opt.route, ","),
-	}
-	if opt.standbys != "" {
-		cfg.Standbys = strings.Split(opt.standbys, ",")
-	}
+func runRouter(addr string, cfg cluster.Config) error {
 	r, err := cluster.New(cfg)
 	if err != nil {
 		return err

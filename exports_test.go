@@ -1,6 +1,7 @@
 package hypersolve_test
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -16,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -28,10 +30,12 @@ import (
 // reach belongs in that package's export_test.go, or nowhere.
 //
 // The names checked are package-level functions, types, variables and
-// constants, and the methods of named types. Struct fields and the methods
-// an interface type declares are not checked: encoding/json and keyless
-// composite literals reach fields without a reference the type checker
-// records, and an interface's methods are reached through its implementations.
+// constants, and the methods of named types. Struct fields are not checked
+// here: encoding/json and keyless composite literals reach fields without a
+// reference the type checker records, so TestEveryFieldIsSet checks that
+// each field is written instead, and TestSettableSurface pins the ones an
+// operator or caller sets. The methods an interface type declares are not
+// checked either: they are reached through its implementations.
 //
 // Interface rule: a method is not flagged when its receiver type, or a
 // pointer to it, implements an interface that has a method of the same name.
@@ -40,16 +44,10 @@ import (
 // interface dispatch (fmt.Stringer, http.Handler, io.Writer, ...) calls such
 // a method without naming it.
 func TestNoTestOnlyExports(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module and the benchmark module")
-	}
+	l := loadedModule(t)
 	// allow lists exported names kept without such a reference, one reason
 	// each, keyed as the failure message prints them.
 	allow := map[string]string{}
-
-	start := time.Now()
-	l := loadModule(t)
-	t.Logf("type-checked %d packages, %d times with their test variants, in %v", len(l.pkgs), l.checked, time.Since(start).Round(time.Millisecond))
 
 	var ifaces []*types.Interface
 	addIfaces := func(scope *types.Scope) {
@@ -121,6 +119,25 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// module is the type-checked module, loaded once per test binary and shared
+// by every gate that reads it.
+var module = sync.OnceValues(loadModule)
+
+// loadedModule returns the type-checked module, skipping the calling gate
+// under -short.
+func loadedModule(t *testing.T) *moduleLoader {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module and the benchmark module")
+	}
+	l, err := module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("type-checked %d packages, %d times with their test variants, in %v", len(l.pkgs), l.checked, l.elapsed.Round(time.Millisecond))
+	return l
+}
+
 // moduleLoader type-checks every package of the module and of the nested
 // benchmark module from source, once each, and then each package's tests the
 // way the go command builds them: its files with its in-package tests, and
@@ -128,7 +145,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 // under test are checked again against that variant. Standard-library
 // imports come from the compiler's export data.
 type moduleLoader struct {
-	t    *testing.T
 	fset *token.FileSet
 	dirs map[string]*dirFiles // by import path
 	pkgs map[string]*modulePkg
@@ -138,6 +154,8 @@ type moduleLoader struct {
 	// not a test of the object's own package.
 	reached map[types.Object]bool
 	checked int
+	elapsed time.Duration
+	errs    []error
 }
 
 // dirFiles are the parsed files of one directory.
@@ -153,9 +171,9 @@ type modulePkg struct {
 	info  *types.Info
 }
 
-func loadModule(t *testing.T) *moduleLoader {
+func loadModule() (*moduleLoader, error) {
+	start := time.Now()
 	l := &moduleLoader{
-		t:       t,
 		fset:    token.NewFileSet(),
 		dirs:    map[string]*dirFiles{},
 		pkgs:    map[string]*modulePkg{},
@@ -206,9 +224,11 @@ func loadModule(t *testing.T) *moduleLoader {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	l.gc = stdImporter(t, l.fset, stdPaths)
+	if l.gc, err = stdImporter(l.fset, stdPaths); err != nil {
+		return nil, err
+	}
 
 	paths := make([]string, 0, len(l.dirs))
 	for ip := range l.dirs {
@@ -243,7 +263,8 @@ func loadModule(t *testing.T) *moduleLoader {
 			l.check(ip+"_test", df.xTests, ip, imp)
 		}
 	}
-	return l
+	l.elapsed = time.Since(start)
+	return l, errors.Join(l.errs...)
 }
 
 func isModulePath(ip string) bool { return ip == "hypersolve" || strings.HasPrefix(ip, "hypersolve/") }
@@ -277,12 +298,13 @@ func (l *moduleLoader) load(ip string) *modulePkg {
 	if p := l.pkgs[ip]; p != nil {
 		return p
 	}
-	df := l.dirs[ip]
-	if df == nil || len(df.files) == 0 {
-		l.t.Fatalf("import %q: no such package in the module", ip)
-	}
 	p := &modulePkg{path: ip}
-	p.types, p.info = l.check(ip, df.files, ip, l.importCanonical)
+	if df := l.dirs[ip]; df == nil || len(df.files) == 0 {
+		l.errs = append(l.errs, fmt.Errorf("import %q: no such package in the module", ip))
+		p.types, p.info = types.NewPackage(ip, path.Base(ip)), &types.Info{}
+	} else {
+		p.types, p.info = l.check(ip, df.files, ip, l.importCanonical)
+	}
 	l.pkgs[ip] = p
 	return p
 }
@@ -293,10 +315,15 @@ func (l *moduleLoader) load(ip string) *modulePkg {
 // are not recorded.
 func (l *moduleLoader) check(path string, files []*ast.File, owner string, imp importerFunc) (*types.Package, *types.Info) {
 	l.checked++
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	conf := types.Config{
 		Importer: imp,
-		Error:    func(err error) { l.t.Errorf("type-checking %s: %v", path, err) },
+		Error:    func(err error) { l.errs = append(l.errs, fmt.Errorf("type-checking %s: %v", path, err)) },
 	}
 	pkg, _ := conf.Check(path, l.fset, files, info)
 	for id, obj := range info.Uses {
@@ -356,14 +383,14 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // stdImporter reads standard-library packages from the compiler's export
 // data, which one `go list -export` call locates (building it into the build
 // cache when it is not there yet).
-func stdImporter(t *testing.T, fset *token.FileSet, paths map[string]bool) types.Importer {
+func stdImporter(fset *token.FileSet, paths map[string]bool) (types.Importer, error) {
 	args := []string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}
 	for p := range paths {
 		args = append(args, p)
 	}
 	out, err := exec.Command("go", args...).Output()
 	if err != nil {
-		t.Fatalf("go list -export: %v", err)
+		return nil, fmt.Errorf("go list -export: %v", err)
 	}
 	export := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
@@ -377,5 +404,5 @@ func stdImporter(t *testing.T, fset *token.FileSet, paths map[string]bool) types
 			return nil, fmt.Errorf("no export data for %q", ip)
 		}
 		return os.Open(file)
-	})
+	}), nil
 }

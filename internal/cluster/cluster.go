@@ -67,37 +67,42 @@ type Config struct {
 	// primary when its primary stays down past PromoteAfter.
 	Standbys []string
 	// ProbeEvery is the cadence of the background health re-probe loop
-	// (<= 0 selects 2s). Each endpoint's probe is jittered within the tick
-	// so a large fleet is not hit by a synchronized probe wave. Degraded
-	// backends also recover on any successful proxied call, so the loop
-	// only bounds how long an idle router takes to notice a backend coming
-	// back — and how fast failover fires.
+	// (<= 0 selects DefaultProbeEvery). Each endpoint's probe is jittered
+	// within the tick so a large fleet is not hit by a synchronized probe
+	// wave. Degraded backends also recover on any successful proxied call,
+	// so the loop only bounds how long an idle router takes to notice a
+	// backend coming back — and how fast failover fires.
 	ProbeEvery time.Duration
-	// ProbeTimeout bounds each per-backend health probe, independent of
-	// any caller's context (<= 0 selects 1s).
-	ProbeTimeout time.Duration
 	// FailAfter is how many consecutive failed probes mark a primary down
-	// for failover purposes (<= 0 selects 3). Routing degrades on the
-	// first failure either way; FailAfter only gates promotion.
+	// for failover purposes (<= 0 selects DefaultFailAfter). Routing
+	// degrades on the first failure either way; FailAfter only gates
+	// promotion.
 	FailAfter int
 	// PromoteAfter is how long a primary must stay down (after FailAfter
-	// probes) before its standby is promoted (<= 0 selects 10s). The grace
-	// period is the router's protection against promoting through a
-	// transient partition.
+	// probes) before its standby is promoted (<= 0 selects
+	// DefaultPromoteAfter). The grace period is the router's protection
+	// against promoting through a transient partition.
 	PromoteAfter time.Duration
 	// SubmitTimeout bounds each per-backend submission attempt, so one
 	// hung backend cannot stall admission past the ring walk (<= 0
-	// selects 15s).
+	// selects DefaultSubmitTimeout).
 	SubmitTimeout time.Duration
 	// Logger receives failover and membership transitions as structured
 	// records; nil discards them.
 	Logger *slog.Logger
-	// Telemetry receives the router's own metrics (failovers, promotions,
-	// spillovers, proxied streams, per-backend health). Nil allocates a
-	// private registry. GET /metrics merges this with the backends'
-	// scrapes.
-	Telemetry *telemetry.Registry
 }
+
+// The defaults New applies to a zero Config field.
+const (
+	DefaultProbeEvery    = 2 * time.Second
+	DefaultFailAfter     = 3
+	DefaultPromoteAfter  = 10 * time.Second
+	DefaultSubmitTimeout = 15 * time.Second
+)
+
+// probeTimeout bounds each per-backend health probe and metrics scrape,
+// independent of any caller's context.
+const probeTimeout = time.Second
 
 // routerMetrics bundles the counters bumped on the routing paths.
 type routerMetrics struct {
@@ -172,6 +177,10 @@ type Router struct {
 	stopped sync.Once
 	done    chan struct{}
 
+	// reg holds the router's own metrics (failovers, promotions,
+	// spillovers, proxied streams, per-backend health); GET /metrics
+	// merges it with the backends' scrapes.
+	reg     *telemetry.Registry
 	metrics routerMetrics
 }
 
@@ -187,22 +196,16 @@ func New(cfg Config) (*Router, error) {
 		return nil, errors.New("cluster: more standbys than backends")
 	}
 	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = 2 * time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
+		cfg.ProbeEvery = DefaultProbeEvery
 	}
 	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 3
+		cfg.FailAfter = DefaultFailAfter
 	}
 	if cfg.PromoteAfter <= 0 {
-		cfg.PromoteAfter = 10 * time.Second
+		cfg.PromoteAfter = DefaultPromoteAfter
 	}
 	if cfg.SubmitTimeout <= 0 {
-		cfg.SubmitTimeout = 15 * time.Second
-	}
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.NewRegistry()
+		cfg.SubmitTimeout = DefaultSubmitTimeout
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
@@ -212,6 +215,7 @@ func New(cfg Config) (*Router, error) {
 		shards: make(map[int]*shard),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
+		reg:    telemetry.NewRegistry(),
 	}
 	r.registerMetrics()
 	for i, base := range cfg.Backends {
@@ -232,7 +236,7 @@ func New(cfg Config) (*Router, error) {
 // membership churn; the per-backend up gauges are bound per endpoint in
 // addShardLocked and removed with their shard.
 func (r *Router) registerMetrics() {
-	reg := r.cfg.Telemetry
+	reg := r.reg
 	r.metrics = routerMetrics{
 		promotions: reg.Counter("hypersolve_cluster_promotions_total",
 			"Standby promotions performed by the router's failover machine."),
@@ -258,7 +262,7 @@ func (r *Router) registerMetrics() {
 
 // upGauge binds the per-backend reachability series for one endpoint.
 func (r *Router) upGauge(shardID int, base string) *telemetry.Gauge {
-	return r.cfg.Telemetry.Gauge("hypersolve_cluster_backend_up",
+	return r.reg.Gauge("hypersolve_cluster_backend_up",
 		"Per-backend reachability as seen by the router (1 healthy, 0 degraded).",
 		telemetry.Label{Key: "shard", Value: strconv.Itoa(shardID)},
 		telemetry.Label{Key: "url", Value: base})

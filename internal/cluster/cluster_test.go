@@ -298,6 +298,79 @@ func TestRouterDegradedBackend(t *testing.T) {
 	}
 }
 
+// TestRouterSubmitTimeout: a backend that accepts connections but never
+// answers a submission costs one SubmitTimeout, not the caller's whole
+// deadline. The job lands on the next shard of the ring, the spillover is
+// counted, and the hung endpoint is degraded for placement.
+func TestRouterSubmitTimeout(t *testing.T) {
+	svc := service.New(service.Config{QueueDepth: 16, Workers: 1})
+	good := httptest.NewServer(service.NewHandler(svc))
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method == http.MethodPost && req.URL.Path == "/v1/jobs" {
+			select {
+			case <-req.Context().Done():
+			case <-release:
+			}
+			return
+		}
+		http.NotFound(w, req)
+	}))
+	const timeout = 250 * time.Millisecond
+	// The probe loop must not run during the test: only the submission
+	// may change the hung endpoint's health.
+	r, err := New(Config{Backends: []string{hung.URL, good.URL}, ProbeEvery: time.Hour, SubmitTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		r.Close()
+		close(release)
+		hung.Close()
+		good.Close()
+		svc.Close()
+	})
+
+	// A spec whose home shard is the hung one.
+	spec := quickSpec(0)
+	for ; ; spec.Seed++ {
+		data, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.ring.sequence(data)[0] == 1 {
+			break
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	job, err := r.Submit(ctx, spec)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("submit past a hung shard: %v", err)
+	}
+	if job.ID.Shard != 2 {
+		t.Errorf("job landed on shard %d, want the next shard, 2", job.ID.Shard)
+	}
+	if elapsed < timeout || elapsed > timeout+2*time.Second {
+		t.Errorf("submit took %v, want one submit timeout (%v) and a quick placement", elapsed, timeout)
+	}
+	var text strings.Builder
+	if err := r.reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"hypersolve_cluster_submit_spillovers_total 1\n",
+		`hypersolve_cluster_backend_up{shard="1",url="` + hung.URL + `"} 0` + "\n",
+		`hypersolve_cluster_backend_up{shard="2",url="` + good.URL + `"} 1` + "\n",
+	} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("router metrics lack %q:\n%s", want, text.String())
+		}
+	}
+}
+
 // TestRouterAllBackendsDown: a fleet-wide outage yields 503s, not hangs or
 // panics, and /v1/cluster reports status "down".
 func TestRouterAllBackendsDown(t *testing.T) {

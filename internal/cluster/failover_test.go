@@ -154,7 +154,6 @@ func TestFailoverEndToEnd(t *testing.T) {
 		Backends:      []string{rs.primarySrv.URL, srv2.URL},
 		Standbys:      []string{rs.standbySrv.URL},
 		ProbeEvery:    20 * time.Millisecond,
-		ProbeTimeout:  500 * time.Millisecond,
 		FailAfter:     2,
 		PromoteAfter:  50 * time.Millisecond,
 		SubmitTimeout: 5 * time.Second,
@@ -301,7 +300,6 @@ func TestFailoverReRacesPortfolio(t *testing.T) {
 		Backends:      []string{rs.primarySrv.URL},
 		Standbys:      []string{rs.standbySrv.URL},
 		ProbeEvery:    20 * time.Millisecond,
-		ProbeTimeout:  500 * time.Millisecond,
 		FailAfter:     2,
 		PromoteAfter:  50 * time.Millisecond,
 		SubmitTimeout: 5 * time.Second,

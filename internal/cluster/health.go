@@ -96,7 +96,7 @@ func (r *Router) probeLoop() {
 
 // probeJittered probes every endpoint in the fleet, each delayed by a small
 // random jitter so the fleet never sees a synchronized probe wave, each
-// bounded by ProbeTimeout on a background context — a cancelled or slow
+// bounded by probeTimeout on a background context — a cancelled or slow
 // caller elsewhere cannot starve health detection.
 func (r *Router) probeJittered() {
 	maxJitter := r.cfg.ProbeEvery / 5
@@ -122,7 +122,7 @@ func (r *Router) probeJittered() {
 					case <-time.After(time.Duration(rand.Int64N(int64(maxJitter)))):
 					}
 				}
-				ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
+				ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 				defer cancel()
 				if _, err := ep.client.Health(ctx); err != nil {
 					ep.probeFailed(err, r.cfg.FailAfter)
@@ -159,7 +159,7 @@ func (r *Router) reconcile() {
 			if !primary.downFor(r.cfg.FailAfter, r.cfg.PromoteAfter) || !standby.isHealthy() {
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			res, err := standby.client.Promote(ctx)
 			cancel()
 			if err != nil {
@@ -180,7 +180,7 @@ func (r *Router) reconcile() {
 			if !oldPrimary.isHealthy() {
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			_, err := oldPrimary.client.Demote(ctx, newPrimary.base)
 			cancel()
 			if err != nil {
@@ -200,7 +200,7 @@ func (r *Router) reconcile() {
 }
 
 // probe checks every endpoint's /healthz concurrently (each attempt bounded
-// by ProbeTimeout), updating the degraded flags, and returns both the active
+// by probeTimeout), updating the degraded flags, and returns both the active
 // and alternate endpoints' reports per shard (zero Health where unreachable
 // or unreplicated), keyed by position in shardList. The alternate's report
 // carries the standby's replication lag. When the parent context is
@@ -216,7 +216,7 @@ func (r *Router) probe(parent context.Context) (active, standby []service.Health
 		probeOne := func(ep *endpoint, record *service.Health) {
 			defer wg.Done()
 			*record, _, _ = call(parent, ep, func(c *service.Client) (service.Health, error) {
-				ctx, cancel := context.WithTimeout(parent, r.cfg.ProbeTimeout)
+				ctx, cancel := context.WithTimeout(parent, probeTimeout)
 				defer cancel()
 				h, err := c.Health(ctx)
 				if err != nil {
@@ -294,7 +294,7 @@ type Health struct {
 	Version string `json:"version,omitempty"`
 }
 
-// Health probes every endpoint live (bounded by ProbeTimeout each) and
+// Health probes every endpoint live (bounded by probeTimeout each) and
 // reports per-shard reachability, roles, queue depth and aggregated job
 // counts. The probe updates the routing health state, so reading
 // /v1/cluster also heals backends that have come back.

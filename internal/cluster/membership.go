@@ -129,7 +129,7 @@ func (r *Router) RemoveShard(id int) error {
 	sh.mu.Lock()
 	for _, ep := range []*endpoint{sh.primary, sh.standby} {
 		if ep != nil {
-			r.cfg.Telemetry.Remove("hypersolve_cluster_backend_up",
+			r.reg.Remove("hypersolve_cluster_backend_up",
 				telemetry.Label{Key: "shard", Value: strconv.Itoa(sh.id)},
 				telemetry.Label{Key: "url", Value: ep.base})
 		}

@@ -10,7 +10,7 @@ import (
 
 // Metrics assembles the fleet-wide scrape: the router's own registry plus
 // every healthy endpoint's /metrics, fetched concurrently (each bounded by
-// ProbeTimeout), with each backend series relabeled by shard, role and
+// probeTimeout), with each backend series relabeled by shard, role and
 // backend URL before the merge — the listing path's fan-out/merge applied
 // to the metrics plane. Unreachable endpoints are skipped (and counted in
 // hypersolve_cluster_scrape_errors_total when a fetch fails outright), so a
@@ -24,7 +24,7 @@ func (r *Router) Metrics(ctx context.Context) []telemetry.Family {
 	for i, sh := range shards {
 		scrapeOne := func(slot int, shardID int, ep *endpoint, role string) {
 			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, r.cfg.ProbeTimeout)
+			cctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			raw, err := ep.client.RawMetrics(cctx)
 			if err != nil {
@@ -51,7 +51,7 @@ func (r *Router) Metrics(ctx context.Context) []telemetry.Family {
 		}
 	}
 	wg.Wait()
-	groups := [][]telemetry.Family{r.cfg.Telemetry.Families()}
+	groups := [][]telemetry.Family{r.reg.Families()}
 	for _, fams := range scraped {
 		if fams != nil {
 			groups = append(groups, fams)

@@ -261,20 +261,39 @@ func TestLogFlags(t *testing.T) {
 	}
 }
 
-// TestRouteConfigIsUnknown: a router's membership is set by -route and
-// -standbys at start and changed through POST /v1/cluster/backends. There is
-// no membership file, so -route-config is a usage error (exit status 2) like
-// any flag the daemon does not know.
-func TestRouteConfigIsUnknown(t *testing.T) {
+// TestUsageErrors: a flag that a command does not know, or that the chosen
+// mode would ignore, is a usage error (exit status 2) that names the flag,
+// before anything listens or is sent. A router's membership is set by -route
+// and -standbys at start and changed through POST /v1/cluster/backends;
+// there is no membership file, so -route-config is unknown.
+func TestUsageErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the daemon")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	out, err := exec.CommandContext(ctx, binary(t, "hypersolved"),
-		"-addr", "127.0.0.1:0", "-route-config", "x").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Errorf("hypersolved -route-config x: %v, output %q; want exit status 2", err, out)
+	spec := writeFile(t, "spec.json", `{"kind":"queens","n":6}`)
+	for _, tc := range []struct {
+		cmd, flag string
+		args      []string
+	}{
+		{"hypersolved", "-route-config", []string{"-route-config", "x"}},
+		{"hypersolved", "-fsync", []string{"-fsync"}},
+		{"hypersolved", "-snapshot-every", []string{"-snapshot-every", "16"}},
+		{"hypersolved", "-pull-every", []string{"-data-dir", t.TempDir(), "-pull-every", "1s"}},
+		{"hypersolved", "-workers", []string{"-route", "http://127.0.0.1:1", "-workers", "2"}},
+		{"hypersolved", "-data-dir", []string{"-route", "http://127.0.0.1:1", "-data-dir", t.TempDir()}},
+		{"hypersolved", "-submit-timeout", []string{"-submit-timeout", "1s"}},
+		{"hyperctl", "-kind", []string{"submit", "-spec", spec, "-kind", "sat"}},
+	} {
+		args := append([]string{"-addr", "127.0.0.1:0"}, tc.args...)
+		if tc.cmd == "hyperctl" {
+			args[1] = "http://127.0.0.1:1"
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, binary(t, tc.cmd), args...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.flag) {
+			t.Errorf("%s %v: %v, output %q; want exit status 2 naming %s", tc.cmd, args, err, out, tc.flag)
+		}
 	}
 }

@@ -20,7 +20,7 @@ func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Client) {
 		srv.Close()
 		svc.Close()
 	})
-	return srv, &Client{Base: srv.URL, HTTP: srv.Client()}
+	return srv, &Client{Base: srv.URL}
 }
 
 // TestHTTPEndToEnd drives the full service loop over real HTTP: submit a
@@ -95,12 +95,11 @@ func TestHTTPEndToEnd(t *testing.T) {
 }
 
 // TestHTTPBackpressure checks the 429 contract: submissions beyond the
-// queue depth are rejected and recognisable via IsOverloaded. Retrying is
-// disabled — the blocking job never finishes, so the default backoff would
-// only delay the guaranteed 429.
+// queue depth are rejected and recognisable via IsOverloaded. The last
+// submission makes one attempt — the blocking job never finishes, so
+// Submit's backoff would only delay the guaranteed 429.
 func TestHTTPBackpressure(t *testing.T) {
 	_, client := newTestServer(t, Config{QueueDepth: 1, Workers: 1})
-	client.Retry = Retry{MaxAttempts: 1}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -122,7 +121,7 @@ func TestHTTPBackpressure(t *testing.T) {
 	if _, err := client.Submit(ctx, quickSpec()); err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.Submit(ctx, quickSpec())
+	_, err = client.submit(ctx, quickSpec(), retryPolicy{attempts: 1})
 	if !IsOverloaded(err) {
 		t.Fatalf("over-depth submit returned %v, want a 429 overload error", err)
 	}

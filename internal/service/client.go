@@ -17,61 +17,28 @@ import (
 	"hypersolve/internal/tracelog"
 )
 
-// Client talks to a hypersolved server. The zero value is not usable; set
-// Base to the server's root URL (e.g. "http://localhost:8080").
+// Client talks to a hypersolved server through http.DefaultClient. The zero
+// value is not usable; set Base to the server's root URL (e.g.
+// "http://localhost:8080").
 type Client struct {
 	// Base is the server root URL, without a trailing slash.
 	Base string
-	// HTTP is the transport; nil means http.DefaultClient.
-	HTTP *http.Client
-	// Retry shapes Submit's backoff when the server rejects with 429
-	// (queue full). The zero value selects the defaults; set
-	// Retry.MaxAttempts to 1 to surface 429s immediately.
-	Retry Retry
 }
 
-// Retry is Submit's backoff policy for queue-full (HTTP 429) rejections:
-// capped exponential delays with full jitter, so a batch of clients bounced
-// by the same full queue does not re-converge on the same instant.
-type Retry struct {
-	// MaxAttempts caps total submission attempts, the first included.
-	// 0 selects the default 8; 1 (or less) disables retrying.
-	MaxAttempts int
-	// BaseDelay seeds the exponential backoff (default 50ms); each retry
-	// doubles it up to MaxDelay (default 2s). The actual sleep is drawn
-	// uniformly from [delay/2, delay].
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
+// retryPolicy is a backoff policy for queue-full (HTTP 429) rejections:
+// capped exponential delays with jitter, so a batch of clients bounced by
+// the same full queue does not re-converge on the same instant.
+type retryPolicy struct {
+	// attempts caps total submission attempts, the first included.
+	attempts int
+	// base seeds the exponential backoff; each retry doubles it up to max.
+	// The actual sleep is drawn uniformly from [delay/2, delay].
+	base, max time.Duration
 }
 
-func (r Retry) norm() (attempts int, base, max time.Duration) {
-	attempts = r.MaxAttempts
-	if attempts == 0 {
-		attempts = 8
-	}
-	if attempts < 1 {
-		attempts = 1
-	}
-	base = r.BaseDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	max = r.MaxDelay
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	if max < base {
-		max = base
-	}
-	return attempts, base, max
-}
-
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
+// submitRetry is Submit's policy: 8 attempts, delays from 50ms doubling to
+// at most 2s.
+var submitRetry = retryPolicy{attempts: 8, base: 50 * time.Millisecond, max: 2 * time.Second}
 
 // apiError is a non-2xx response decoded into an error. StatusCode lets
 // callers distinguish overload (429) from bad specs (400).
@@ -142,7 +109,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if tc, ok := tracelog.FromContext(ctx); ok {
 		req.Header.Set("traceparent", tc.Traceparent())
 	}
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -162,22 +129,26 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 
 // Submit enqueues a job and returns its accepted record. Queue-full
 // rejections (HTTP 429) are retried with jittered exponential backoff per
-// the client's Retry policy; any other error — and a 429 that survives the
-// final attempt — is returned as-is. Cancelling ctx aborts the backoff.
+// submitRetry; any other error — and a 429 that survives the final attempt —
+// is returned as-is. Cancelling ctx aborts the backoff.
 func (c *Client) Submit(ctx context.Context, spec JobSpec) (Job, error) {
-	attempts, delay, maxDelay := c.Retry.norm()
+	return c.submit(ctx, spec, submitRetry)
+}
+
+func (c *Client) submit(ctx context.Context, spec JobSpec, retry retryPolicy) (Job, error) {
+	delay := retry.base
 	for attempt := 1; ; attempt++ {
 		var job Job
 		err := c.do(ctx, http.MethodPost, "/v1/jobs", spec, &job)
-		if err == nil || !IsOverloaded(err) || attempt >= attempts {
+		if err == nil || !IsOverloaded(err) || attempt >= retry.attempts {
 			return job, err
 		}
 		sleep := delay/2 + time.Duration(rand.Int64N(int64(delay/2)+1))
 		if err := sleepCtx(ctx, sleep); err != nil {
 			return Job{}, err
 		}
-		if delay *= 2; delay > maxDelay {
-			delay = maxDelay
+		if delay *= 2; delay > retry.max {
+			delay = retry.max
 		}
 	}
 }
@@ -266,7 +237,7 @@ func (c *Client) RawMetrics(ctx context.Context) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +321,7 @@ func (c *Client) OpenEvents(ctx context.Context, id JobID) (io.ReadCloser, error
 	if tc, ok := tracelog.FromContext(ctx); ok {
 		req.Header.Set("traceparent", tc.Traceparent())
 	}
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

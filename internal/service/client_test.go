@@ -36,8 +36,8 @@ func overloadedServer(t *testing.T, reject int) (*httptest.Server, *atomic.Int64
 
 func TestSubmitRetriesOn429(t *testing.T) {
 	srv, posts := overloadedServer(t, 2)
-	c := &Client{Base: srv.URL, Retry: Retry{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}}
-	job, err := c.Submit(context.Background(), quickSpec())
+	c := &Client{Base: srv.URL}
+	job, err := c.submit(context.Background(), quickSpec(), retryPolicy{attempts: 5, base: time.Millisecond, max: 4 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Submit after transient 429s: %v", err)
 	}
@@ -51,24 +51,13 @@ func TestSubmitRetriesOn429(t *testing.T) {
 
 func TestSubmitRetryGivesUpAfterMaxAttempts(t *testing.T) {
 	srv, posts := overloadedServer(t, 1000)
-	c := &Client{Base: srv.URL, Retry: Retry{MaxAttempts: 3, BaseDelay: time.Millisecond}}
-	_, err := c.Submit(context.Background(), quickSpec())
+	c := &Client{Base: srv.URL}
+	_, err := c.submit(context.Background(), quickSpec(), retryPolicy{attempts: 3, base: time.Millisecond, max: time.Millisecond})
 	if !IsOverloaded(err) {
 		t.Fatalf("exhausted retries returned %v, want overload error", err)
 	}
 	if got := posts.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want exactly MaxAttempts=3", got)
-	}
-}
-
-func TestSubmitRetryDisabled(t *testing.T) {
-	srv, posts := overloadedServer(t, 1000)
-	c := &Client{Base: srv.URL, Retry: Retry{MaxAttempts: 1}}
-	if _, err := c.Submit(context.Background(), quickSpec()); !IsOverloaded(err) {
-		t.Fatalf("got %v, want immediate overload error", err)
-	}
-	if got := posts.Load(); got != 1 {
-		t.Fatalf("attempts = %d, want 1", got)
+		t.Fatalf("attempts = %d, want exactly the policy's 3", got)
 	}
 }
 
@@ -76,11 +65,11 @@ func TestSubmitRetryHonoursContext(t *testing.T) {
 	srv, _ := overloadedServer(t, 1000)
 	// A long backoff against a cancelled context must return promptly with
 	// the context's error, not sleep out the delay.
-	c := &Client{Base: srv.URL, Retry: Retry{MaxAttempts: 8, BaseDelay: time.Hour}}
+	c := &Client{Base: srv.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Submit(ctx, quickSpec())
+	_, err := c.submit(ctx, quickSpec(), retryPolicy{attempts: 8, base: time.Hour, max: time.Hour})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context deadline", err)
 	}

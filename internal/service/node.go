@@ -64,6 +64,10 @@ type Node struct {
 	closed     bool
 }
 
+// DefaultPullEvery is the standby tail cadence NewNode applies to a zero
+// NodeConfig.PullEvery.
+const DefaultPullEvery = 250 * time.Millisecond
+
 // NodeConfig configures one shard member.
 type NodeConfig struct {
 	// Dir is the durable store directory (required: replication is
@@ -77,7 +81,7 @@ type NodeConfig struct {
 	// given primary's replication feed. Empty starts it as a primary.
 	Follow string
 	// PullEvery is the standby's tail cadence once caught up (<= 0
-	// defaults to 250ms); a lagging standby pulls continuously.
+	// defaults to DefaultPullEvery); a lagging standby pulls continuously.
 	PullEvery time.Duration
 	// Logger receives role transitions and the periodic lag report as
 	// structured records; nil discards them.
@@ -114,7 +118,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, errors.New("service: node requires a store directory")
 	}
 	if cfg.PullEvery <= 0 {
-		cfg.PullEvery = 250 * time.Millisecond
+		cfg.PullEvery = DefaultPullEvery
 	}
 	if cfg.Service.Telemetry == nil {
 		cfg.Service.Telemetry = telemetry.NewRegistry()

@@ -215,7 +215,7 @@ func TestRecoveryOfLegacyDataDirectory(t *testing.T) {
 	s := New(Config{QueueDepth: 8, Workers: 1, Store: openStore(t, dir)})
 	srv := httptest.NewServer(NewHandler(s))
 	defer func() { srv.Close(); s.Close() }()
-	client := &Client{Base: srv.URL, HTTP: srv.Client()}
+	client := &Client{Base: srv.URL}
 	ctx := context.Background()
 
 	races := 0

@@ -149,10 +149,15 @@ var (
 	ErrStore = errors.New("service: store failure")
 )
 
+// DefaultQueueDepth is the admission queue bound New applies to a zero
+// Config.QueueDepth.
+const DefaultQueueDepth = 64
+
 // Config sizes the service.
 type Config struct {
 	// QueueDepth bounds how many jobs may wait for a worker; submissions
-	// beyond it are rejected with ErrQueueFull. Values <= 0 default to 64.
+	// beyond it are rejected with ErrQueueFull. Values <= 0 default to
+	// DefaultQueueDepth.
 	QueueDepth int
 	// Workers is the number of long-lived solve workers. Values <= 0
 	// default to runtime.GOMAXPROCS(0).
@@ -224,7 +229,7 @@ type Service struct {
 // order before the workers start.
 func New(cfg Config) *Service {
 	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
+		cfg.QueueDepth = DefaultQueueDepth
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
