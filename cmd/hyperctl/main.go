@@ -34,6 +34,9 @@
 // are retried with jittered exponential backoff, so batch drivers degrade
 // gracefully under overload.
 //
+// hyperctl exits 2 on a usage error: an unknown flag, subcommand or cluster
+// verb, or a missing or malformed argument. Any other failure exits 1.
+//
 // Examples:
 //
 //	hyperctl submit -kind sat -cnf uf20.cnf -topo torus:14x14 -mapper lbn -wait
@@ -55,6 +58,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -85,9 +89,20 @@ func main() {
 	client := &service.Client{Base: *addr}
 	if err := dispatch(client, flag.Arg(0), flag.Args()[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "hyperctl:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
+
+// usageError is a command line that names no runnable request: main exits 2
+// on it, as package flag does on an unknown flag, and 1 on any other error.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+func usagef(format string, args ...any) error { return usageError(fmt.Sprintf(format, args...)) }
 
 func usage() {
 	fmt.Fprintf(os.Stderr, "usage: hyperctl [-addr URL] {submit|status|list|wait|cancel|trace|health|cluster|replication} [flags]\n")
@@ -124,7 +139,7 @@ func dispatch(client *service.Client, cmd string, args []string) error {
 		}
 		return printJSON(st)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want submit|status|list|wait|cancel|trace|health|cluster|replication)", cmd)
+		return usagef("unknown subcommand %q (want submit|status|list|wait|cancel|trace|health|cluster|replication)", cmd)
 	}
 }
 
@@ -149,7 +164,7 @@ func clusterCmd(ctx context.Context, client *service.Client, args []string) erro
 			return err
 		}
 		if *primary == "" {
-			return fmt.Errorf("usage: hyperctl cluster add-backend -primary URL [-standby URL]")
+			return usagef("usage: hyperctl cluster add-backend -primary URL [-standby URL]")
 		}
 		body["action"] = "add"
 		body["primary"] = *primary
@@ -158,15 +173,15 @@ func clusterCmd(ctx context.Context, client *service.Client, args []string) erro
 		}
 	case "drain", "undrain", "remove":
 		if len(rest) != 1 {
-			return fmt.Errorf("usage: hyperctl cluster %s <shard>", verb)
+			return usagef("usage: hyperctl cluster %s <shard>", verb)
 		}
 		shard, err := strconv.Atoi(rest[0])
 		if err != nil {
-			return fmt.Errorf("shard must be a number: %w", err)
+			return usagef("usage: hyperctl cluster %s <shard>: shard must be a number, not %q", verb, rest[0])
 		}
 		body["shard"] = shard
 	default:
-		return fmt.Errorf("unknown cluster verb %q (want add-backend|drain|undrain|remove, or no verb for the report)", verb)
+		return usagef("unknown cluster verb %q (want add-backend|drain|undrain|remove, or no verb for the report)", verb)
 	}
 	var out json.RawMessage
 	if err := client.PostJSON(ctx, "/v1/cluster/backends", body, &out); err != nil {
@@ -352,7 +367,7 @@ func wait(ctx context.Context, client *service.Client, args []string) error {
 		idArg = fs.Arg(0)
 	case idArg != "" && fs.NArg() == 0:
 	default:
-		return fmt.Errorf("usage: hyperctl wait <id> [-poll D] [-timeout D] [-progress]")
+		return usagef("usage: hyperctl wait <id> [-poll D] [-timeout D] [-progress]")
 	}
 	id, err := parseID(idArg)
 	if err != nil {
@@ -425,7 +440,7 @@ func watchProgress(ctx context.Context, client *service.Client, id service.JobID
 
 func cancel(ctx context.Context, client *service.Client, args []string) error {
 	if len(args) != 1 {
-		return fmt.Errorf("usage: hyperctl cancel <id>")
+		return usagef("usage: hyperctl cancel <id>")
 	}
 	id, err := parseID(args[0])
 	if err != nil {
@@ -458,7 +473,7 @@ func trace(ctx context.Context, client *service.Client, args []string) error {
 		idArg = fs.Arg(0)
 	case idArg != "" && fs.NArg() == 0:
 	default:
-		return fmt.Errorf("usage: hyperctl trace <id> [-json]")
+		return usagef("usage: hyperctl trace <id> [-json]")
 	}
 	id, err := parseID(idArg)
 	if err != nil {
@@ -579,8 +594,13 @@ func fmtMs(d time.Duration) string {
 // parseID accepts both wire forms transparently: a bare sequence number
 // when talking to a single daemon, or a shard-prefixed cluster ID like
 // "s2-17" when talking to a router.
+// parseID reads a job ID argument; a malformed one is a usage error.
 func parseID(s string) (service.JobID, error) {
-	return service.ParseJobID(s)
+	id, err := service.ParseJobID(s)
+	if err != nil {
+		return id, usageError(err.Error())
+	}
+	return id, nil
 }
 
 func printJSON(v any) error {

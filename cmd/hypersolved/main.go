@@ -84,6 +84,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -228,35 +229,34 @@ func checkMode(set map[string]bool, router, durable, standby bool) error {
 }
 
 func runServe(addr string, queue, workers int, dataDir string, fsync bool, snapshotEvery int, follow string, pullEvery time.Duration) error {
-	cfg := service.Config{QueueDepth: queue, Workers: workers}
 	if dataDir == "" {
-		svc := service.New(cfg)
+		svc := service.New(service.Config{QueueDepth: queue, Workers: workers})
 		depth, pool := svc.Queue()
-		logger.Info("listening", "mode", "serve", "addr", addr,
+		return serve(addr, service.NewHandler(svc), svc.Close, "listening", "mode", "serve",
 			"queue_depth", depth, "workers", pool, "version", version.String())
-		return serve(addr, service.NewHandler(svc), svc.Close)
 	}
 	// Durable daemons run as replication nodes: same solve service, plus
 	// the WAL feed standbys tail and the promote/demote control surface.
 	node, err := service.NewNode(service.NodeConfig{
-		Dir:       dataDir,
-		Store:     store.FileConfig{Fsync: fsync, SnapshotEvery: snapshotEvery},
-		Service:   cfg,
-		Follow:    follow,
-		PullEvery: pullEvery,
-		Logger:    logger,
+		Dir:           dataDir,
+		Fsync:         fsync,
+		SnapshotEvery: snapshotEvery,
+		QueueDepth:    queue,
+		Workers:       workers,
+		Follow:        follow,
+		PullEvery:     pullEvery,
+		Logger:        logger,
 	})
 	if err != nil {
 		return err
 	}
 	st := node.Status()
-	attrs := []any{"mode", "durable", "addr", addr, "role", st.Role, "store", dataDir,
+	attrs := []any{"mode", "durable", "role", st.Role, "store", dataDir,
 		"epoch", st.Epoch, "lsn", st.LSN, "version", version.String()}
 	if follow != "" {
 		attrs = append(attrs, "following", follow)
 	}
-	logger.Info("listening", attrs...)
-	return serve(addr, node.Handler(), node.Close)
+	return serve(addr, node.Handler(), node.Close, "listening", attrs...)
 }
 
 func runRouter(addr string, cfg cluster.Config) error {
@@ -264,9 +264,8 @@ func runRouter(addr string, cfg cluster.Config) error {
 	if err != nil {
 		return err
 	}
-	logger.Info("routing", "mode", "router", "addr", addr,
+	return serve(addr, cluster.NewHandler(r), r.Close, "routing", "mode", "router",
 		"shards", r.Shards(), "version", version.String())
-	return serve(addr, cluster.NewHandler(r), r.Close)
 }
 
 // servePprof exposes net/http/pprof on its own private listener. The
@@ -287,15 +286,21 @@ func servePprof(addr string) {
 	}
 }
 
-// serve runs the HTTP loop shared by all modes: listen, and on
-// SIGINT/SIGTERM drain in-flight requests before closing the service
-// (node or router) behind the handler. Every request passes through
-// the tracelog middleware: X-Request-Id is stamped/echoed, the inbound
-// traceparent lands in the request context, and one access-log line is
-// emitted per request.
-func serve(addr string, handler http.Handler, closeBackend func()) error {
+// serve runs the HTTP loop shared by all modes: listen on addr, log msg
+// with the address actually bound (so -addr 127.0.0.1:0 reports its port)
+// and attrs, and on SIGINT/SIGTERM drain in-flight requests before closing
+// the service (node or router) behind the handler. Every request passes
+// through the tracelog middleware: X-Request-Id is stamped/echoed, the
+// inbound traceparent lands in the request context, and one access-log line
+// is emitted per request.
+func serve(addr string, handler http.Handler, closeBackend func(), msg string, attrs ...any) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		closeBackend()
+		return err
+	}
+	logger.Info(msg, append([]any{"addr", ln.Addr().String()}, attrs...)...)
 	srv := &http.Server{
-		Addr:              addr,
 		Handler:           tracelog.Middleware(logger, handler),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -304,7 +309,7 @@ func serve(addr string, handler http.Handler, closeBackend func()) error {
 	defer stop()
 
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 
 	select {
 	case err := <-errc:
@@ -315,7 +320,7 @@ func serve(addr string, handler http.Handler, closeBackend func()) error {
 	logger.Info("shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	err := srv.Shutdown(shutdownCtx)
+	err = srv.Shutdown(shutdownCtx)
 	closeBackend()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err

@@ -1,8 +1,11 @@
 // Knapsack example: fork-join branch and bound with cross-layer hints. Each
 // subcall carries the sub-problem's remaining item count as a mapping hint;
-// the hint-aware weighted mapper uses it to even out placement (the paper's
-// Section III-B3 cross-layer optimization), while the plain mappers ignore
-// it. The result is validated against a dynamic-programming oracle.
+// the weighted mapper adds the hints of the work it sent a neighbour to that
+// neighbour's last heard load (the paper's Section III-B3 cross-layer
+// optimization), while the plain mappers ignore them. On this instance the
+// hints do not pay: round-robin finishes first (512 steps, against 584 and
+// 783 for weighted alpha 1 and 4). Every result is validated against a
+// dynamic-programming oracle.
 //
 //	go run ./examples/knapsack
 package main

@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	hypersolve "hypersolve"
 )
@@ -60,7 +61,11 @@ func main() {
 		fmt.Printf("computation time: %d steps, messages: %d\n",
 			res.ComputationTime, res.Stats.TotalSent)
 		hm := machine.NodeHeatmap(res)
-		fmt.Printf("node activity (load imbalance CV %.2f):\n%s\n",
-			hm.ImbalanceCV(), hm.Render())
+		fmt.Printf("node activity (load imbalance CV %.2f):\n", hm.ImbalanceCV())
+		// Each row is framed so that idle cells at its end stay visible.
+		for _, row := range strings.Split(strings.TrimSuffix(hm.Render(), "\n"), "\n") {
+			fmt.Printf("|%s|\n", row)
+		}
+		fmt.Println()
 	}
 }

@@ -243,9 +243,10 @@ func KnapsackDP(items []KnapsackItem, capacity int) int { return apps.KnapsackDP
 // SimulatorStats are the raw layer-1 run statistics.
 type SimulatorStats = simulator.Stats
 
-// LinkConfig carries the optional layer-1 link-model extensions (latency,
-// bandwidth, bounded queues, loss + reliability); set it as Config.Link.
-type LinkConfig = simulator.Config
+// LinkConfig is the layer-1 link model: the queue discipline and the
+// optional extensions (latency, bandwidth, bounded queues, loss +
+// reliability). Set it as Config.Link; its zero value is the paper's machine.
+type LinkConfig = simulator.LinkConfig
 
 // Queue disciplines for LinkConfig.QueueModel: one inbox per node (the
 // paper-reproduction default) or one queue per directed link (ablation).

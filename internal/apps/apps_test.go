@@ -9,16 +9,13 @@ import (
 	"hypersolve/internal/mapping"
 	"hypersolve/internal/mesh"
 	"hypersolve/internal/recursion"
+	"hypersolve/internal/simulator"
 )
 
 // runTask executes a task on a simulated machine and returns the root value.
 func runTask(t *testing.T, topo mesh.Topology, mapper mapping.Factory, task recursion.Task, arg recursion.Value) recursion.Value {
 	t.Helper()
-	net, err := mapping.NewSkeleton(topo, 1).New(mapping.Config{
-		Mapper:  mapper,
-		Factory: recursion.AppFactory(task),
-		Seed:    1,
-	})
+	net, err := mapping.NewSkeleton(topo, 1).New(mapper, recursion.AppFactory(task), simulator.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,11 +44,9 @@ func (tr *Traversal) VisitStep() int64 { return tr.step }
 // RunTraversal floods the topology from the given start node and returns
 // the visit step of every node plus the run statistics.
 func RunTraversal(topo mesh.Topology, start mesh.NodeID, maxSteps int64) ([]int64, simulator.Stats, error) {
-	sim, err := simulator.New(simulator.Config{
-		Topology: topo,
-		MaxSteps: maxSteps,
-		Factory:  func(mesh.NodeID) simulator.Handler { return &Traversal{} },
-	})
+	sim, err := simulator.NewSkeleton(topo).New(
+		func(mesh.NodeID) simulator.Handler { return &Traversal{} },
+		simulator.Config{MaxSteps: maxSteps})
 	if err != nil {
 		return nil, simulator.Stats{}, err
 	}

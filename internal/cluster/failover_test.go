@@ -55,8 +55,9 @@ func newReplicatedShard(t *testing.T, workers int) *replicatedShard {
 	t.Helper()
 	rs := &replicatedShard{}
 	p, err := service.NewNode(service.NodeConfig{
-		Dir:     t.TempDir(),
-		Service: service.Config{QueueDepth: 16, Workers: workers},
+		Dir:        t.TempDir(),
+		QueueDepth: 16,
+		Workers:    workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,10 +66,11 @@ func newReplicatedShard(t *testing.T, workers int) *replicatedShard {
 	rs.primaryKill = &killSwitch{h: p.Handler()}
 	rs.primarySrv = httptest.NewServer(rs.primaryKill)
 	s, err := service.NewNode(service.NodeConfig{
-		Dir:       t.TempDir(),
-		Service:   service.Config{QueueDepth: 16, Workers: workers},
-		Follow:    rs.primarySrv.URL,
-		PullEvery: 10 * time.Millisecond,
+		Dir:        t.TempDir(),
+		QueueDepth: 16,
+		Workers:    workers,
+		Follow:     rs.primarySrv.URL,
+		PullEvery:  10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

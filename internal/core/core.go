@@ -30,7 +30,10 @@ import (
 
 // Config selects one implementation per layer, mirroring the paper's vision
 // of assembling applications from a repertoire of per-layer modules
-// (Section VII).
+// (Section VII). Each field is set here and only here: New passes Topology
+// and ProcsPerNode to the skeleton, Mapper and Task to layers 3 and 4, and
+// Link, Seed, MaxSteps, RecordSeries and Observer as one simulator.Config
+// that reaches layer 1 unchanged (Seed also seeds the mappers).
 type Config struct {
 	// Topology is the layer-1 interconnect (required).
 	Topology mesh.Topology
@@ -58,11 +61,10 @@ type Config struct {
 	// RecordSeries enables the per-step interconnect activity trace.
 	RecordSeries bool
 
-	// Link carries the optional layer-1 link-model extensions (latency,
-	// bandwidth, bounded queues, loss + reliability). Its other fields
-	// (Topology, Factory, Observer, Seed, MaxSteps, RecordSeries) are
-	// ignored: the fields above set them.
-	Link simulator.Config
+	// Link is the layer-1 link model: the queue discipline and the
+	// optional extensions (latency, bandwidth, bounded queues, loss +
+	// reliability). Its zero value is the paper's machine.
+	Link simulator.LinkConfig
 }
 
 // Result is the outcome of one Machine run.
@@ -123,16 +125,12 @@ func (cfg Config) validate() error {
 // newMachine builds the run state of a validated configuration on sk, which
 // it only reads.
 func newMachine(cfg Config, sk *mapping.Skeleton) (*Machine, error) {
-	simCfg := cfg.Link
-	simCfg.Observer = cfg.Observer
-	simCfg.Seed = cfg.Seed
-	simCfg.MaxSteps = cfg.MaxSteps
-	simCfg.RecordSeries = cfg.RecordSeries
-	net, err := sk.New(mapping.Config{
-		Mapper:  cfg.Mapper,
-		Factory: recursion.AppFactory(cfg.Task),
-		Seed:    cfg.Seed,
-		Sim:     simCfg,
+	net, err := sk.New(cfg.Mapper, recursion.AppFactory(cfg.Task), simulator.Config{
+		LinkConfig:   cfg.Link,
+		MaxSteps:     cfg.MaxSteps,
+		Seed:         cfg.Seed,
+		RecordSeries: cfg.RecordSeries,
+		Observer:     cfg.Observer,
 	})
 	if err != nil {
 		return nil, err

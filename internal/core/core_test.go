@@ -243,7 +243,7 @@ func slowConfig() Config {
 		Topology: mesh.MustRing(4),
 		Mapper:   mapping.NewRoundRobin(),
 		Task:     apps.SumTask(),
-		Link:     simulator.Config{LinkLatency: 5_000_000},
+		Link:     simulator.LinkConfig{LinkLatency: 5_000_000},
 		MaxSteps: 1 << 40,
 		Observer: noopObserver{},
 	}

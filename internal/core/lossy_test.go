@@ -55,7 +55,7 @@ func TestLossyReliableLinksDeliverEveryEnvelopeOnce(t *testing.T) {
 				Mapper:   mapping.NewRoundRobin(),
 				Task:     tc.task,
 				Seed:     1,
-				Link:     simulator.Config{QueueModel: tc.model, LinkLatency: 3, LossRate: 0.2, Reliable: true},
+				Link:     simulator.LinkConfig{QueueModel: tc.model, LinkLatency: 3, LossRate: 0.2, Reliable: true},
 			}, tc.arg)
 			if err != nil {
 				t.Fatal(err)

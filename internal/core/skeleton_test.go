@@ -24,7 +24,7 @@ type shareRow struct {
 	spec   string
 	fresh  func() mesh.Topology
 	procs  int
-	link   simulator.Config
+	link   simulator.LinkConfig
 	mapper string
 	task   func() (recursion.Task, recursion.Value)
 }
@@ -88,7 +88,7 @@ func shareRows(t testing.TB) []shareRow {
 		for _, tk := range tasks {
 			rows = append(rows, shareRow{
 				name: tk.name + "/" + tp.spec, spec: tp.spec, fresh: tp.fresh, procs: tp.procs,
-				link: simulator.Config{LinkLatency: tp.latency}, mapper: tk.mapper, task: tk.task,
+				link: simulator.LinkConfig{LinkLatency: tp.latency}, mapper: tk.mapper, task: tk.task,
 			})
 		}
 	}
@@ -99,9 +99,9 @@ func shareRows(t testing.TB) []shareRow {
 				return sat.Task(sat.FirstUnassigned), sat.NewProblem(suite[0])
 			}},
 		shareRow{name: "link-queues/torus:6x6x6", spec: topos[3].spec, fresh: topos[3].fresh, mapper: "rr", task: fib,
-			link: simulator.Config{QueueModel: simulator.LinkQueues, QueueCap: 2}},
+			link: simulator.LinkConfig{QueueModel: simulator.LinkQueues, QueueCap: 2}},
 		shareRow{name: "lossy-reliable/torus:14x14", spec: torus14.spec, fresh: torus14.fresh, mapper: "random", task: fib,
-			link: simulator.Config{LossRate: 0.05, Reliable: true}},
+			link: simulator.LinkConfig{LossRate: 0.05, Reliable: true}},
 	)
 }
 
@@ -158,7 +158,7 @@ func (c cancelAt) AfterStep(step int64, _ int) {
 func interlude(t *testing.T, cfg Config) {
 	t.Helper()
 	other := cfg
-	other.Task, other.Mapper, other.Seed, other.Link = apps.SumTask(), mapping.NewStaggeredRoundRobin(), cfg.Seed+1, simulator.Config{}
+	other.Task, other.Mapper, other.Seed, other.Link = apps.SumTask(), mapping.NewStaggeredRoundRobin(), cfg.Seed+1, simulator.LinkConfig{}
 	if o := runMachine(context.Background(), other, nil, 30); o.Err != nil || o.Res.Value != 465 {
 		t.Fatalf("the interlude's sum(30) = %v, err %v", o.Res.Value, o.Err)
 	}
@@ -172,7 +172,7 @@ func interlude(t *testing.T, cfg Config) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cancelled := cfg
-	cancelled.Task, cancelled.Link = apps.SumTask(), simulator.Config{LinkLatency: 50}
+	cancelled.Task, cancelled.Link = apps.SumTask(), simulator.LinkConfig{LinkLatency: 50}
 	cancelled.Observer = cancelAt{step: 10, cancel: cancel}
 	if o := runMachine(ctx, cancelled, nil, 300); o.Err == nil || !o.Res.Stats.Interrupted {
 		t.Fatalf("the cancelled run was not interrupted: err %v, %+v", o.Err, o.Res.Stats)

@@ -24,13 +24,11 @@ func TestClusterSmoke(t *testing.T) {
 	defer cancel()
 	logs := map[int]*logBuffer{1: {}, 2: {}}
 	backend := func(shard int) *daemon {
-		return startDaemon(t, logs[shard], "-log-format", "json", "-log-level", "info",
-			"-queue", "16", "-workers", "1", "-data-dir", t.TempDir())
+		return startDaemon(t, logs[shard], "-queue", "16", "-workers", "1", "-data-dir", t.TempDir())
 	}
 	shard1, shard2 := backend(1), backend(2)
 	var routerLog logBuffer
-	router := startDaemon(t, &routerLog, "-log-format", "json", "-log-level", "info",
-		"-route", shard1.Base+","+shard2.Base)
+	router := startDaemon(t, &routerLog, "-route", shard1.Base+","+shard2.Base)
 	cnf := uf20CNF(t)
 
 	// The spec hash must spread six seeds over both shards.

@@ -10,8 +10,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -73,30 +71,34 @@ type daemon struct {
 	cmd *exec.Cmd
 }
 
-// startDaemon launches hypersolved on a free loopback port with the given
-// flags and waits until it answers /healthz. Its stderr goes to stderr, or
-// to the test binary's own when stderr is nil. The process is killed when
+// startDaemon launches hypersolved on a loopback port of its own choosing
+// with the given flags, reads the address it bound from its listening (or
+// routing) log record and waits until it answers /healthz. The daemon logs
+// JSON at info into stderr; when stderr is nil, into a buffer of its own
+// that goes to the test log if the case fails. The process is killed when
 // the test ends unless the case already stopped it.
-func startDaemon(t *testing.T, stderr io.Writer, flags ...string) *daemon {
+func startDaemon(t *testing.T, stderr *logBuffer, flags ...string) *daemon {
 	t.Helper()
-	bin := binary(t, "hypersolved")
-	// Reserve a port by binding it, then hand it to the daemon.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	cmd := exec.Command(bin, append([]string{"-addr", addr, "-log-level", "warn"}, flags...)...)
-	cmd.Stderr = stderr
 	if stderr == nil {
-		cmd.Stderr = os.Stderr
+		stderr = &logBuffer{}
+		t.Cleanup(func() {
+			if t.Failed() {
+				t.Logf("hypersolved %v log:\n%s", flags, stderr.String())
+			}
+		})
 	}
+	cmd := exec.Command(binary(t, "hypersolved"),
+		append([]string{"-addr", "127.0.0.1:0", "-log-format", "json", "-log-level", "info"}, flags...)...)
+	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{Client: &service.Client{Base: "http://" + addr}, cmd: cmd}
+	d := &daemon{cmd: cmd}
 	t.Cleanup(d.kill)
+	rec := stderr.awaitRecord(t, "listening or routing", func(rec map[string]any) bool {
+		return rec["msg"] == "listening" || rec["msg"] == "routing"
+	})
+	d.Client = &service.Client{Base: fmt.Sprintf("http://%v", rec["addr"])}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for {
@@ -105,7 +107,7 @@ func startDaemon(t *testing.T, stderr io.Writer, flags ...string) *daemon {
 		}
 		select {
 		case <-ctx.Done():
-			t.Fatalf("hypersolved on %s never became healthy", addr)
+			t.Fatalf("hypersolved on %s never became healthy", d.Base)
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
@@ -146,15 +148,19 @@ func (b *logBuffer) Write(p []byte) (int, error) {
 	return b.buf.Write(p)
 }
 
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // awaitRecord waits for a JSON log line for which match holds and returns
 // it decoded, failing the test after five seconds without one.
 func (b *logBuffer) awaitRecord(t *testing.T, what string, match func(rec map[string]any) bool) map[string]any {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		b.mu.Lock()
-		text := b.buf.String()
-		b.mu.Unlock()
+		text := b.String()
 		for _, line := range strings.Split(text, "\n") {
 			var rec map[string]any
 			if json.Unmarshal([]byte(line), &rec) == nil && match(rec) {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -236,17 +237,22 @@ func TestServiceSmoke(t *testing.T) {
 }
 
 // TestLogFlags checks -log-format and -log-level at the binary: JSON at
-// info writes a parseable listening record, and a value neither flag knows
-// is a usage error (exit status 2) before anything listens.
+// info (as startDaemon passes them) writes a parseable listening record
+// that names the bound address, and a value neither flag knows is a usage
+// error (exit status 2) before anything listens.
 func TestLogFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts real daemons")
 	}
 	var stderr logBuffer
-	startDaemon(t, &stderr, "-log-format", "json", "-log-level", "info")
+	startDaemon(t, &stderr)
 	rec := stderr.awaitRecord(t, "listening", func(rec map[string]any) bool { return rec["msg"] == "listening" })
 	if rec["level"] != "INFO" || rec["mode"] != "serve" || !strings.HasPrefix(fmt.Sprint(rec["version"]), stampedVersion+" (") {
 		t.Errorf("listening record %v, want level INFO, mode serve and the stamped version", rec)
+	}
+	// The daemon was started on port 0: the record names the port it bound.
+	if _, port, err := net.SplitHostPort(fmt.Sprint(rec["addr"])); err != nil || port == "0" {
+		t.Errorf("listening record addr %v, want the bound address, not port 0", rec["addr"])
 	}
 
 	for _, flags := range [][]string{{"-log-level", "loud"}, {"-log-format", "xml"}} {
@@ -263,7 +269,8 @@ func TestLogFlags(t *testing.T) {
 
 // TestUsageErrors: a flag that a command does not know, or that the chosen
 // mode would ignore, is a usage error (exit status 2) that names the flag,
-// before anything listens or is sent. A router's membership is set by -route
+// before anything listens or is sent; so is a hyperctl command line that
+// names no request (a missing or malformed argument, an unknown verb). A router's membership is set by -route
 // and -standbys at start and changed through POST /v1/cluster/backends;
 // there is no membership file, so -route-config is unknown.
 func TestUsageErrors(t *testing.T) {
@@ -272,8 +279,8 @@ func TestUsageErrors(t *testing.T) {
 	}
 	spec := writeFile(t, "spec.json", `{"kind":"queens","n":6}`)
 	for _, tc := range []struct {
-		cmd, flag string
-		args      []string
+		cmd, names string
+		args       []string
 	}{
 		{"hypersolved", "-route-config", []string{"-route-config", "x"}},
 		{"hypersolved", "-fsync", []string{"-fsync"}},
@@ -283,6 +290,16 @@ func TestUsageErrors(t *testing.T) {
 		{"hypersolved", "-data-dir", []string{"-route", "http://127.0.0.1:1", "-data-dir", t.TempDir()}},
 		{"hypersolved", "-submit-timeout", []string{"-submit-timeout", "1s"}},
 		{"hyperctl", "-kind", []string{"submit", "-spec", spec, "-kind", "sat"}},
+		{"hyperctl", "-primary", []string{"cluster", "add-backend"}},
+		{"hyperctl", "cluster drain <shard>", []string{"cluster", "drain"}},
+		{"hyperctl", "shard must be a number", []string{"cluster", "undrain", "x"}},
+		{"hyperctl", "cluster remove <shard>", []string{"cluster", "remove", "1", "2"}},
+		{"hyperctl", `unknown cluster verb "grow"`, []string{"cluster", "grow"}},
+		{"hyperctl", `unknown subcommand "frobnicate"`, []string{"frobnicate"}},
+		{"hyperctl", "hyperctl wait <id>", []string{"wait"}},
+		{"hyperctl", "hyperctl cancel <id>", []string{"cancel", "1", "2"}},
+		{"hyperctl", "hyperctl trace <id>", []string{"trace"}},
+		{"hyperctl", `bad job id "x"`, []string{"status", "x"}},
 	} {
 		args := append([]string{"-addr", "127.0.0.1:0"}, tc.args...)
 		if tc.cmd == "hyperctl" {
@@ -292,8 +309,8 @@ func TestUsageErrors(t *testing.T) {
 		out, err := exec.CommandContext(ctx, binary(t, tc.cmd), args...).CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.flag) {
-			t.Errorf("%s %v: %v, output %q; want exit status 2 naming %s", tc.cmd, args, err, out, tc.flag)
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.names) {
+			t.Errorf("%s %v: %v, output %q; want exit status 2 naming %s", tc.cmd, args, err, out, tc.names)
 		}
 	}
 }

@@ -110,19 +110,6 @@ type Algorithm interface {
 // machine seed and the node ID, keeping randomized mappers deterministic.
 type Factory func(self sched.PID, nbrs []sched.PID, seed int64) Algorithm
 
-// Config assembles a mapped cluster on a Skeleton, which fixes the physical
-// topology and the process slots per node.
-type Config struct {
-	// Mapper builds the mapping algorithm for each node.
-	Mapper Factory
-	// Factory builds the layer-3 application for each process.
-	Factory AppFactory
-	// Seed drives mapper randomness.
-	Seed int64
-	// Sim carries layer-1 options.
-	Sim simulator.Config
-}
-
 // Network is a simulated machine with layers 1-3 installed.
 type Network struct {
 	cluster *sched.Cluster
@@ -169,40 +156,39 @@ func NewSkeleton(phys mesh.Topology, procsPerNode int) *Skeleton {
 // Virtual returns the process-level topology of the skeleton.
 func (sk *Skeleton) Virtual() mesh.Topology { return sk.sched.Virtual() }
 
-// New builds a network on the skeleton: one runtime per PID, whose
+// New builds a network on the skeleton that runs the applications factory
+// builds, placing their work with the algorithms mapper builds, under sim;
+// sim.Seed also seeds the mappers. It makes one runtime per PID, whose
 // neighbour-aligned loads and outstanding weights are segments of two
 // machine-wide slabs. The skeleton is only read.
-func (sk *Skeleton) New(cfg Config) (*Network, error) {
-	if cfg.Mapper == nil {
-		return nil, fmt.Errorf("mapping: Config.Mapper is nil")
+func (sk *Skeleton) New(mapper Factory, factory AppFactory, sim simulator.Config) (*Network, error) {
+	if mapper == nil {
+		return nil, fmt.Errorf("mapping: mapper factory is nil")
 	}
-	if cfg.Factory == nil {
-		return nil, fmt.Errorf("mapping: Config.Factory is nil")
+	if factory == nil {
+		return nil, fmt.Errorf("mapping: app factory is nil")
 	}
 	n := &Network{runtimes: make([]runtime, len(sk.nbrIndex))}
 	links := sk.off[len(sk.nbrIndex)]
 	loads, outstanding := make([]int64, links), make([]float64, links)
-	cluster, err := sk.sched.New(sched.Config{
-		Sim: cfg.Sim,
-		Factory: func(p sched.PID) sched.Process {
-			lo, hi := sk.off[p], sk.off[p+1]
-			rt := &n.runtimes[p]
-			*rt = runtime{
-				net:           n,
-				self:          p,
-				app:           cfg.Factory(p),
-				nbrIndex:      sk.nbrIndex[p],
-				loads:         loads[lo:hi:hi],
-				outstanding:   outstanding[lo:hi:hi],
-				mapperSeed:    cfg.Seed,
-				mapperFactory: cfg.Mapper,
-			}
-			if rt.app == nil {
-				panic(fmt.Sprintf("mapping: app factory returned nil for pid %d", p))
-			}
-			return rt
-		},
-	})
+	cluster, err := sk.sched.New(func(p sched.PID) sched.Process {
+		lo, hi := sk.off[p], sk.off[p+1]
+		rt := &n.runtimes[p]
+		*rt = runtime{
+			net:           n,
+			self:          p,
+			app:           factory(p),
+			nbrIndex:      sk.nbrIndex[p],
+			loads:         loads[lo:hi:hi],
+			outstanding:   outstanding[lo:hi:hi],
+			mapperSeed:    sim.Seed,
+			mapperFactory: mapper,
+		}
+		if rt.app == nil {
+			panic(fmt.Sprintf("mapping: app factory returned nil for pid %d", p))
+		}
+		return rt
+	}, sim)
 	if err != nil {
 		return nil, err
 	}

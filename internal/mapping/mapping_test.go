@@ -7,6 +7,7 @@ import (
 
 	"hypersolve/internal/mesh"
 	"hypersolve/internal/sched"
+	"hypersolve/internal/simulator"
 )
 
 // sumApp is the paper's Listing 2: a message-passing implementation of
@@ -74,11 +75,7 @@ func (s *sumApp) Recv(ctx *Context, ticket Ticket, kind Kind, payload any) {
 
 func newSumNetwork(t *testing.T, topo mesh.Topology, mapper Factory) *Network {
 	t.Helper()
-	net, err := NewSkeleton(topo, 1).New(Config{
-		Mapper:  mapper,
-		Factory: func(p sched.PID) App { return &sumApp{} },
-		Seed:    1,
-	})
+	net, err := NewSkeleton(topo, 1).New(mapper, func(p sched.PID) App { return &sumApp{} }, simulator.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,15 +136,12 @@ func TestTicketsUniquePerSender(t *testing.T) {
 		}
 	})
 	sink := appFunc(func(ctx *Context, ticket Ticket, kind Kind, payload any) {})
-	net, err := NewSkeleton(mesh.MustFullyConnected(4), 1).New(Config{
-		Mapper: NewRoundRobin(),
-		Factory: func(p sched.PID) App {
-			if p == 0 {
-				return app
-			}
-			return sink
-		},
-	})
+	net, err := NewSkeleton(mesh.MustFullyConnected(4), 1).New(NewRoundRobin(), func(p sched.PID) App {
+		if p == 0 {
+			return app
+		}
+		return sink
+	}, simulator.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,16 +164,13 @@ func (f appFunc) Recv(ctx *Context, ticket Ticket, kind Kind, payload any) {
 
 func TestReplyToUnknownTicketErrors(t *testing.T) {
 	var replyErr error
-	net, err := NewSkeleton(mesh.MustFullyConnected(2), 1).New(Config{
-		Mapper: NewRoundRobin(),
-		Factory: func(p sched.PID) App {
-			return appFunc(func(ctx *Context, ticket Ticket, kind Kind, payload any) {
-				if kind == Trigger {
-					replyErr = ctx.Reply(Ticket(999), nil)
-				}
-			})
-		},
-	})
+	net, err := NewSkeleton(mesh.MustFullyConnected(2), 1).New(NewRoundRobin(), func(p sched.PID) App {
+		return appFunc(func(ctx *Context, ticket Ticket, kind Kind, payload any) {
+			if kind == Trigger {
+				replyErr = ctx.Reply(Ticket(999), nil)
+			}
+		})
+	}, simulator.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,15 +201,12 @@ func TestReplyTicketConsumedOnce(t *testing.T) {
 			}
 		}
 	})
-	net, err := NewSkeleton(mesh.MustFullyConnected(2), 1).New(Config{
-		Mapper: NewRoundRobin(),
-		Factory: func(p sched.PID) App {
-			if p == 0 {
-				return root
-			}
-			return worker
-		},
-	})
+	net, err := NewSkeleton(mesh.MustFullyConnected(2), 1).New(NewRoundRobin(), func(p sched.PID) App {
+		if p == 0 {
+			return root
+		}
+		return worker
+	}, simulator.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,17 +329,14 @@ func TestOutstandingResetsOnFreshActivity(t *testing.T) {
 			}
 		}
 	})
-	net, err := NewSkeleton(mesh.MustFullyConnected(2), 1).New(Config{
-		Mapper: func(self sched.PID, nbrs []sched.PID, seed int64) Algorithm {
-			return probe
-		},
-		Factory: func(p sched.PID) App {
-			if p == 0 {
-				return root
-			}
-			return worker
-		},
-	})
+	net, err := NewSkeleton(mesh.MustFullyConnected(2), 1).New(func(self sched.PID, nbrs []sched.PID, seed int64) Algorithm {
+		return probe
+	}, func(p sched.PID) App {
+		if p == 0 {
+			return root
+		}
+		return worker
+	}, simulator.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,15 +387,12 @@ func TestActivityPiggybackUpdatesLoads(t *testing.T) {
 			}
 		}
 	})
-	net, err := NewSkeleton(mesh.MustFullyConnected(2), 1).New(Config{
-		Mapper: NewRoundRobin(),
-		Factory: func(p sched.PID) App {
-			if p == 0 {
-				return root
-			}
-			return worker
-		},
-	})
+	net, err := NewSkeleton(mesh.MustFullyConnected(2), 1).New(NewRoundRobin(), func(p sched.PID) App {
+		if p == 0 {
+			return root
+		}
+		return worker
+	}, simulator.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,12 +487,11 @@ func TestKindString(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	sk := NewSkeleton(mesh.MustRing(4), 1)
-	var base Config
-	if _, err := sk.New(base); err == nil {
+	app := func(sched.PID) App { return &sumApp{} }
+	if _, err := sk.New(nil, app, simulator.Config{}); err == nil {
 		t.Error("expected error for missing mapper")
 	}
-	base.Mapper = NewRoundRobin()
-	if _, err := sk.New(base); err == nil {
+	if _, err := sk.New(NewRoundRobin(), nil, simulator.Config{}); err == nil {
 		t.Error("expected error for missing factory")
 	}
 }
@@ -536,12 +517,9 @@ func TestReceivedPerProcess(t *testing.T) {
 // shown an envelope it has already unpacked panics on its kind.
 func TestRecycledEnvelopeIsPoisoned(t *testing.T) {
 	var got []any
-	net, err := NewSkeleton(mesh.MustRing(3), 1).New(Config{
-		Mapper: NewRoundRobin(),
-		Factory: func(sched.PID) App {
-			return appFunc(func(ctx *Context, ticket Ticket, kind Kind, payload any) { got = append(got, payload) })
-		},
-	})
+	net, err := NewSkeleton(mesh.MustRing(3), 1).New(NewRoundRobin(), func(sched.PID) App {
+		return appFunc(func(ctx *Context, ticket Ticket, kind Kind, payload any) { got = append(got, payload) })
+	}, simulator.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

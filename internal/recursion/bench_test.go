@@ -6,6 +6,7 @@ import (
 
 	"hypersolve/internal/mapping"
 	"hypersolve/internal/mesh"
+	"hypersolve/internal/simulator"
 )
 
 // BenchmarkFrameOverhead measures what layers 1-4 charge for a frame whose
@@ -18,10 +19,7 @@ func BenchmarkFrameOverhead(b *testing.B) {
 	b.ReportAllocs()
 	var frames, coroutines int64
 	for i := 0; i < b.N; i++ {
-		net, err := mapping.NewSkeleton(mesh.MustTorus(8, 8), 1).New(mapping.Config{
-			Mapper:  mapping.NewRoundRobin(),
-			Factory: AppFactory(fibTask),
-		})
+		net, err := mapping.NewSkeleton(mesh.MustTorus(8, 8), 1).New(mapping.NewRoundRobin(), AppFactory(fibTask), simulator.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,11 +16,7 @@ import (
 // newNet assembles the full layer 1-4 stack for a task.
 func newNet(t *testing.T, topo mesh.Topology, mapper mapping.Factory, task Task) *mapping.Network {
 	t.Helper()
-	net, err := mapping.NewSkeleton(topo, 1).New(mapping.Config{
-		Mapper:  mapper,
-		Factory: AppFactory(task),
-		Seed:    1,
-	})
+	net, err := mapping.NewSkeleton(topo, 1).New(mapper, AppFactory(task), simulator.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +121,7 @@ func TestFibForkJoin(t *testing.T) {
 func TestPropertySumMatchesClosedForm(t *testing.T) {
 	f := func(raw uint8) bool {
 		n := int(raw % 40)
-		net, err := mapping.NewSkeleton(mesh.MustTorus(5, 5), 1).New(mapping.Config{
-			Mapper:  mapping.NewLeastBusy(),
-			Factory: AppFactory(sumTask),
-		})
+		net, err := mapping.NewSkeleton(mesh.MustTorus(5, 5), 1).New(mapping.NewLeastBusy(), AppFactory(sumTask), simulator.Config{})
 		if err != nil {
 			return false
 		}
@@ -317,11 +310,7 @@ func TestCancelDoesNotChangeVerdicts(t *testing.T) {
 // timing; the late reply must be absorbed without changing the result.
 func TestCancelRaceWithInFlightReply(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		net, err := mapping.NewSkeleton(mesh.MustTorus(4, 4), 1).New(mapping.Config{
-			Mapper:  mapping.NewRandom(),
-			Factory: AppFactory(chooseChainTask(1)),
-			Seed:    seed,
-		})
+		net, err := mapping.NewSkeleton(mesh.MustTorus(4, 4), 1).New(mapping.NewRandom(), AppFactory(chooseChainTask(1)), simulator.Config{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,11 +481,7 @@ func TestAbortReleasesFrames(t *testing.T) {
 	task := func(f *Frame, arg Value) Value {
 		return f.CallSync(arg)
 	}
-	net, err := mapping.NewSkeleton(mesh.MustTorus(4, 4), 1).New(mapping.Config{
-		Mapper:  mapping.NewRoundRobin(),
-		Factory: AppFactory(task),
-		Sim:     simulator.Config{MaxSteps: 60},
-	})
+	net, err := mapping.NewSkeleton(mesh.MustTorus(4, 4), 1).New(mapping.NewRoundRobin(), AppFactory(task), simulator.Config{MaxSteps: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

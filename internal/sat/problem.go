@@ -378,10 +378,11 @@ func (p *Problem) polarities(seen []uint8) {
 }
 
 // SimplifyWith applies the selected simplification mode to a copy of the
-// problem, stopping early when an empty clause appears: Fixpoint (the
-// sequential solver's default) repeats unit propagation and pure-literal
-// elimination until nothing changes; OnePass is the distributed task's
-// paper-faithful default. Both modes are satisfiability-preserving: unit
+// problem, stopping early when an empty clause appears: OnePass (the
+// paper-faithful default of both the distributed task and the sequential
+// solver, as Options' zero value) makes one round of unit propagation and
+// pure-literal elimination; Fixpoint, the strongest pruning, repeats them
+// until nothing changes. Both modes are satisfiability-preserving: unit
 // propagation is forced, and a snapshot-pure literal stays pure after other
 // assignments only remove occurrences.
 func (p *Problem) SimplifyWith(mode SimplifyMode) (*Problem, SimplifyStats) {

@@ -9,17 +9,14 @@ import (
 	"hypersolve/internal/mesh"
 	"hypersolve/internal/recursion"
 	"hypersolve/internal/sched"
+	"hypersolve/internal/simulator"
 )
 
 // solveOnMesh runs the distributed Listing-4 task on a simulated machine
 // and returns the root outcome.
 func solveOnMesh(t *testing.T, f Formula, topo mesh.Topology, mapper mapping.Factory, h Heuristic) Outcome {
 	t.Helper()
-	net, err := mapping.NewSkeleton(topo, 1).New(mapping.Config{
-		Mapper:  mapper,
-		Factory: recursion.AppFactory(Task(h)),
-		Seed:    1,
-	})
+	net, err := mapping.NewSkeleton(topo, 1).New(mapper, recursion.AppFactory(Task(h)), simulator.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +140,7 @@ func TestDistributedWorkSpreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := mapping.NewSkeleton(mesh.MustTorus(6, 6), 1).New(mapping.Config{
-		Mapper:  mapping.NewRoundRobin(),
-		Factory: recursion.AppFactory(Task(FirstUnassigned)),
-	})
+	net, err := mapping.NewSkeleton(mesh.MustTorus(6, 6), 1).New(mapping.NewRoundRobin(), recursion.AppFactory(Task(FirstUnassigned)), simulator.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,15 +43,6 @@ type Process interface {
 // ProcessFactory builds the process for one PID.
 type ProcessFactory func(p PID) Process
 
-// Config assembles a scheduled cluster on a Skeleton, which fixes the
-// physical topology and the process slots per node.
-type Config struct {
-	// Factory builds each process.
-	Factory ProcessFactory
-	// Sim carries layer-1 options through to the simulator.
-	Sim simulator.Config
-}
-
 // Cluster is a simulated machine with layer-2 scheduling installed on every
 // node. It owns the underlying layer-1 simulator.
 type Cluster struct {
@@ -86,12 +77,13 @@ func NewSkeleton(phys mesh.Topology, procsPerNode int) *Skeleton {
 // Virtual returns the PID-level topology of the skeleton.
 func (sk *Skeleton) Virtual() mesh.Topology { return sk.virtual }
 
-// New builds a cluster on the skeleton: one nodeScheduler handler per
-// physical node, whose process slots and contexts are segments of two
-// machine-wide slabs. The skeleton is only read.
-func (sk *Skeleton) New(cfg Config) (*Cluster, error) {
-	if cfg.Factory == nil {
-		return nil, fmt.Errorf("sched: Config.Factory is nil")
+// New builds a cluster on the skeleton that runs the processes factory
+// builds under sim: one nodeScheduler handler per physical node, whose
+// process slots and contexts are segments of two machine-wide slabs. The
+// skeleton is only read.
+func (sk *Skeleton) New(factory ProcessFactory, sim simulator.Config) (*Cluster, error) {
+	if factory == nil {
+		return nil, fmt.Errorf("sched: process factory is nil")
 	}
 	phys, procs := sk.sim.Topology(), sk.virtual.procs
 	c := &Cluster{
@@ -101,21 +93,19 @@ func (sk *Skeleton) New(cfg Config) (*Cluster, error) {
 	}
 	slots := make([]procState, phys.Size()*procs)
 	ctxs := make([]Context, phys.Size()*procs)
-	simCfg := cfg.Sim
-	simCfg.Factory = func(n mesh.NodeID) simulator.Handler {
+	s, err := sk.sim.New(func(n mesh.NodeID) simulator.Handler {
 		ns := &c.nodes[n]
 		lo, hi := int(n)*procs, int(n+1)*procs
 		*ns = nodeScheduler{cluster: c, node: n, procs: slots[lo:hi:hi], ctxs: ctxs[lo:hi:hi]}
 		for slot := range ns.procs {
-			ns.procs[slot].proc = cfg.Factory(c.PIDOf(n, slot))
+			ns.procs[slot].proc = factory(c.PIDOf(n, slot))
 		}
 		return ns
-	}
-	sim, err := sk.sim.New(simCfg)
+	}, sim)
 	if err != nil {
 		return nil, err
 	}
-	c.sim = sim
+	c.sim = s
 	return c, nil
 }
 

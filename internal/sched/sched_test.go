@@ -34,15 +34,13 @@ func (e *echoProc) Receive(ctx *Context, src PID, payload any) {
 
 func newEchoCluster(t *testing.T, topo mesh.Topology, procs int, wire func(PID) PID) *Cluster {
 	t.Helper()
-	c, err := NewSkeleton(topo, procs).New(Config{
-		Factory: func(p PID) Process {
-			fw := PID(-1)
-			if wire != nil {
-				fw = wire(p)
-			}
-			return &echoProc{forward: fw}
-		},
-	})
+	c, err := NewSkeleton(topo, procs).New(func(p PID) Process {
+		fw := PID(-1)
+		if wire != nil {
+			fw = wire(p)
+		}
+		return &echoProc{forward: fw}
+	}, simulator.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +158,11 @@ func TestIntraNodeDelivery(t *testing.T) {
 func TestSelfSendRejected(t *testing.T) {
 	topo := mesh.MustRing(4)
 	var errSeen error
-	c, err := NewSkeleton(topo, 2).New(Config{
-		Factory: func(p PID) Process {
-			return procFunc(func(ctx *Context, src PID, payload any) {
-				errSeen = ctx.Send(ctx.Self(), payload)
-			})
-		},
-	})
+	c, err := NewSkeleton(topo, 2).New(func(p PID) Process {
+		return procFunc(func(ctx *Context, src PID, payload any) {
+			errSeen = ctx.Send(ctx.Self(), payload)
+		})
+	}, simulator.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,16 +187,13 @@ func (f procFunc) Receive(ctx *Context, src PID, payload any) { f(ctx, src, payl
 func TestActivationBudgetTwoRunsInOneStep(t *testing.T) {
 	topo := mesh.MustFullyConnected(2)
 	var steps []int64
-	c, err := NewSkeleton(topo, 2).New(Config{
-		Sim: simulator.Config{DeliverPerStep: 2},
-		Factory: func(p PID) Process {
-			return procFunc(func(ctx *Context, src PID, payload any) {
-				if ctx.Node() == 0 {
-					steps = append(steps, ctx.Step())
-				}
-			})
-		},
-	})
+	c, err := NewSkeleton(topo, 2).New(func(p PID) Process {
+		return procFunc(func(ctx *Context, src PID, payload any) {
+			if ctx.Node() == 0 {
+				steps = append(steps, ctx.Step())
+			}
+		})
+	}, simulator.Config{LinkConfig: simulator.LinkConfig{DeliverPerStep: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,17 +219,14 @@ func TestRoundRobinFairness(t *testing.T) {
 	topo := mesh.MustFullyConnected(2)
 	var order []int
 	var steps []int64
-	c, err := NewSkeleton(topo, 3).New(Config{
-		Sim: simulator.Config{DeliverPerStep: 6},
-		Factory: func(p PID) Process {
-			return procFunc(func(ctx *Context, src PID, payload any) {
-				if ctx.Node() == 0 {
-					order = append(order, ctx.Slot())
-					steps = append(steps, ctx.Step())
-				}
-			})
-		},
-	})
+	c, err := NewSkeleton(topo, 3).New(func(p PID) Process {
+		return procFunc(func(ctx *Context, src PID, payload any) {
+			if ctx.Node() == 0 {
+				order = append(order, ctx.Slot())
+				steps = append(steps, ctx.Step())
+			}
+		})
+	}, simulator.Config{LinkConfig: simulator.LinkConfig{DeliverPerStep: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +271,7 @@ func TestActivationsPerNodeCounts(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewSkeleton(mesh.MustRing(4), 1).New(Config{}); err == nil {
+	if _, err := NewSkeleton(mesh.MustRing(4), 1).New(nil, simulator.Config{}); err == nil {
 		t.Error("expected error for nil factory")
 	}
 }
@@ -292,19 +282,17 @@ func TestMultiHopChain(t *testing.T) {
 	n := 8
 	topo := mesh.MustRing(n)
 	hops := 0
-	c, err := NewSkeleton(topo, 1).New(Config{
-		Factory: func(p PID) Process {
-			return procFunc(func(ctx *Context, src PID, payload any) {
-				hops++
-				next := PID((int(ctx.Self()) + 1) % n)
-				if v := payload.(int); v > 0 {
-					if err := ctx.Send(next, v-1); err != nil {
-						panic(err)
-					}
+	c, err := NewSkeleton(topo, 1).New(func(p PID) Process {
+		return procFunc(func(ctx *Context, src PID, payload any) {
+			hops++
+			next := PID((int(ctx.Self()) + 1) % n)
+			if v := payload.(int); v > 0 {
+				if err := ctx.Send(next, v-1); err != nil {
+					panic(err)
 				}
-			})
-		},
-	})
+			}
+		})
+	}, simulator.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,10 +363,7 @@ func TestRelayAllocsIndependentOfLength(t *testing.T) {
 	}
 	relay := func(hops int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			c, err := NewSkeleton(mesh.MustTorus(4, 4), 2).New(Config{
-				Factory: func(PID) Process { return &relayProc{} },
-				Sim:     simulator.Config{MaxSteps: 1 << 20},
-			})
+			c, err := NewSkeleton(mesh.MustTorus(4, 4), 2).New(func(PID) Process { return &relayProc{} }, simulator.Config{MaxSteps: 1 << 20})
 			if err != nil {
 				t.Fatal(err)
 			}

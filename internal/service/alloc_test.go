@@ -44,11 +44,9 @@ func floodAllocsPerRun(t *testing.T, obs simulator.Observer) int64 {
 	t.Helper()
 	topo := mesh.MustTorus(32, 32)
 	return int64(testing.AllocsPerRun(100, func() {
-		sim, err := simulator.New(simulator.Config{
-			Topology: topo,
-			Factory:  func(mesh.NodeID) simulator.Handler { return &floodHandler{} },
-			Observer: obs,
-		})
+		sim, err := simulator.NewSkeleton(topo).New(
+			func(mesh.NodeID) simulator.Handler { return &floodHandler{} },
+			simulator.Config{Observer: obs})
 		if err != nil {
 			t.Fatal(err)
 		}

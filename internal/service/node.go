@@ -36,6 +36,10 @@ import (
 //	POST /v1/replication/demote          primary → standby ({"follow": url})
 type Node struct {
 	cfg NodeConfig
+	// reg is the node's metrics registry: store, service and replication
+	// metrics all land in it, and it is what GET /metrics serves in either
+	// role.
+	reg *telemetry.Registry
 
 	// inner holds the role-dependent part of the HTTP surface (the
 	// /v1/jobs API): NewHandler over the Service on a primary, over a
@@ -68,15 +72,21 @@ type Node struct {
 // NodeConfig.PullEvery.
 const DefaultPullEvery = 250 * time.Millisecond
 
-// NodeConfig configures one shard member.
+// NodeConfig configures one shard member: what it passes on to its store
+// (Dir, Fsync, SnapshotEvery) and to its service while primary (QueueDepth,
+// Workers), and its replication role. The node owns the rest: the store's
+// replica mode follows the role, and one registry serves both.
 type NodeConfig struct {
 	// Dir is the durable store directory (required: replication is
 	// meaningless without a journal).
 	Dir string
-	// Store tunes the journal (Dir above overrides Store.Dir).
-	Store store.FileConfig
-	// Service sizes the solve service once (or while) the node is primary.
-	Service Config
+	// Fsync and SnapshotEvery tune the journal; see store.FileConfig.
+	Fsync         bool
+	SnapshotEvery int
+	// QueueDepth and Workers size the solve service once (or while) the
+	// node is primary; see Config.
+	QueueDepth int
+	Workers    int
 	// Follow, when non-empty, starts the node as a standby tailing the
 	// given primary's replication feed. Empty starts it as a primary.
 	Follow string
@@ -120,20 +130,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.PullEvery <= 0 {
 		cfg.PullEvery = DefaultPullEvery
 	}
-	if cfg.Service.Telemetry == nil {
-		cfg.Service.Telemetry = telemetry.NewRegistry()
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	n := &Node{cfg: cfg}
-	sc := cfg.Store
-	sc.Dir = cfg.Dir
-	sc.Replica = cfg.Follow != ""
-	// One registry per node: store, service and replication metrics all
-	// land in it, and it is what GET /metrics serves in either role.
-	sc.Telemetry = cfg.Service.Telemetry
-	f, err := store.Open(sc)
+	n := &Node{cfg: cfg, reg: telemetry.NewRegistry()}
+	f, err := n.openStore(cfg.Follow != "")
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +150,19 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 
 // Telemetry returns the node's metrics registry (shared with its store
 // and, while primary, its service).
-func (n *Node) Telemetry() *telemetry.Registry { return n.cfg.Service.Telemetry }
+func (n *Node) Telemetry() *telemetry.Registry { return n.reg }
+
+// openStore opens the node's store in the node's registry, as a replica or
+// read-write.
+func (n *Node) openStore(replica bool) (*store.File, error) {
+	return store.Open(store.FileConfig{
+		Dir:           n.cfg.Dir,
+		Fsync:         n.cfg.Fsync,
+		SnapshotEvery: n.cfg.SnapshotEvery,
+		Replica:       replica,
+		Telemetry:     n.reg,
+	})
+}
 
 // registerMetrics publishes the replication surface: role, epoch, the
 // local and source cursors, and the lag between them. All are sampled
@@ -186,9 +199,7 @@ func (n *Node) registerMetrics() {
 // startPrimary spins up the Service over the (read-write) store and swaps
 // in the full handler. Callers hold n.mu or own the node exclusively.
 func (n *Node) startPrimary() {
-	sc := n.cfg.Service
-	sc.Store = n.file
-	n.svc = New(sc)
+	n.svc = New(Config{QueueDepth: n.cfg.QueueDepth, Workers: n.cfg.Workers, Store: n.file, Telemetry: n.reg})
 	n.following = ""
 	n.inner.Store(NewHandler(n.svc))
 }
@@ -327,11 +338,7 @@ func (n *Node) Demote(follow string) (ReplicationStatus, error) {
 	} else if err := n.file.Close(); err != nil && !errors.Is(err, store.ErrClosed) {
 		return ReplicationStatus{}, err
 	}
-	sc := n.cfg.Store
-	sc.Dir = n.cfg.Dir
-	sc.Replica = true
-	sc.Telemetry = n.Telemetry()
-	f, err := store.Open(sc)
+	f, err := n.openStore(true)
 	if err != nil {
 		return ReplicationStatus{}, fmt.Errorf("service: reopening store as replica: %w", err)
 	}

@@ -42,17 +42,19 @@ func waitCaughtUp(t *testing.T, c *Client, wantLSN int64) ReplicationStatus {
 // queued work, and serves the full job history.
 func TestNodeReplicationAndPromotion(t *testing.T) {
 	primary, psrv := startNode(t, NodeConfig{
-		Dir:     t.TempDir(),
-		Service: Config{QueueDepth: 8, Workers: 2},
+		Dir:        t.TempDir(),
+		QueueDepth: 8,
+		Workers:    2,
 	})
 	// The standby gets enough workers that, after promotion, the re-run of
 	// the queued quick job is not starved behind the two re-queued slow
 	// jobs.
 	_, ssrv := startNode(t, NodeConfig{
-		Dir:       t.TempDir(),
-		Service:   Config{QueueDepth: 8, Workers: 4},
-		Follow:    psrv.URL,
-		PullEvery: 10 * time.Millisecond,
+		Dir:        t.TempDir(),
+		QueueDepth: 8,
+		Workers:    4,
+		Follow:     psrv.URL,
+		PullEvery:  10 * time.Millisecond,
 	})
 	pc := &Client{Base: psrv.URL}
 	sc := &Client{Base: ssrv.URL}
@@ -138,12 +140,14 @@ func TestNodeReplicationAndPromotion(t *testing.T) {
 // re-syncs wholesale from the new source, dropping its own tail.
 func TestNodeDemoteResyncs(t *testing.T) {
 	a, asrv := startNode(t, NodeConfig{
-		Dir:     t.TempDir(),
-		Service: Config{QueueDepth: 8, Workers: 2},
+		Dir:        t.TempDir(),
+		QueueDepth: 8,
+		Workers:    2,
 	})
 	_, bsrv := startNode(t, NodeConfig{
-		Dir:     t.TempDir(),
-		Service: Config{QueueDepth: 8, Workers: 2},
+		Dir:        t.TempDir(),
+		QueueDepth: 8,
+		Workers:    2,
 	})
 	ac := &Client{Base: asrv.URL}
 	bc := &Client{Base: bsrv.URL}
@@ -187,7 +191,7 @@ func TestNodeDemoteResyncs(t *testing.T) {
 // TestNodeStandbyFencedFromStalePrimary: a standby that has applied a
 // higher epoch refuses the old primary's feed rather than diverging.
 func TestNodeStandbyFencedFromStalePrimary(t *testing.T) {
-	stale, err := NewNode(NodeConfig{Dir: t.TempDir(), Service: Config{QueueDepth: 4, Workers: 1}})
+	stale, err := NewNode(NodeConfig{Dir: t.TempDir(), QueueDepth: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +201,7 @@ func TestNodeStandbyFencedFromStalePrimary(t *testing.T) {
 	dir := t.TempDir()
 	promotedDir := t.TempDir()
 	_ = dir
-	pn, err := NewNode(NodeConfig{Dir: promotedDir, Service: Config{QueueDepth: 4, Workers: 1}, Follow: "http://unused.invalid", PullEvery: time.Hour})
+	pn, err := NewNode(NodeConfig{Dir: promotedDir, QueueDepth: 4, Workers: 1, Follow: "http://unused.invalid", PullEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +213,11 @@ func TestNodeStandbyFencedFromStalePrimary(t *testing.T) {
 
 	// A fresh standby follows the promoted node (epoch 1), catches up...
 	sb, sbsrv := startNode(t, NodeConfig{
-		Dir:       t.TempDir(),
-		Service:   Config{QueueDepth: 4, Workers: 1},
-		Follow:    pnSrv.URL,
-		PullEvery: 10 * time.Millisecond,
+		Dir:        t.TempDir(),
+		QueueDepth: 4,
+		Workers:    1,
+		Follow:     pnSrv.URL,
+		PullEvery:  10 * time.Millisecond,
 	})
 	sbc := &Client{Base: sbsrv.URL}
 	pst, err := (&Client{Base: pnSrv.URL}).ReplicationStatus(context.Background())

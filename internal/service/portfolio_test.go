@@ -417,14 +417,16 @@ func TestPortfolioRecoveryReRaces(t *testing.T) {
 // raced by the promoted standby, to the winner the step rule names.
 func TestPortfolioPromotionReRaces(t *testing.T) {
 	primary, psrv := startNode(t, NodeConfig{
-		Dir:     t.TempDir(),
-		Service: Config{QueueDepth: 8, Workers: 1},
+		Dir:        t.TempDir(),
+		QueueDepth: 8,
+		Workers:    1,
 	})
 	_, ssrv := startNode(t, NodeConfig{
-		Dir:       t.TempDir(),
-		Service:   Config{QueueDepth: 8, Workers: 3},
-		Follow:    psrv.URL,
-		PullEvery: 10 * time.Millisecond,
+		Dir:        t.TempDir(),
+		QueueDepth: 8,
+		Workers:    3,
+		Follow:     psrv.URL,
+		PullEvery:  10 * time.Millisecond,
 	})
 	pc := &Client{Base: psrv.URL}
 	sc := &Client{Base: ssrv.URL}

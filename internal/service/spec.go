@@ -94,7 +94,7 @@ type JobSpec struct {
 }
 
 // LinkSpec is the JSON shape of the layer-1 link-model extensions (see
-// simulator.Config for semantics).
+// simulator.LinkConfig for semantics).
 type LinkSpec struct {
 	// QueueModel is "node" (default) or "link".
 	QueueModel      string  `json:"queue_model,omitempty"`
@@ -276,15 +276,15 @@ func (s JobSpec) Compile() (Compiled, error) {
 		MaxSteps:     s.MaxSteps,
 		RecordSeries: s.RecordSeries,
 	}
-	if out.Config.Link, err = s.Link.simConfig(); err != nil {
+	if out.Config.Link, err = s.Link.linkConfig(); err != nil {
 		return out, err
 	}
 	out.Arg = arg
 	return out, nil
 }
 
-func (l LinkSpec) simConfig() (simulator.Config, error) {
-	var sim simulator.Config
+func (l LinkSpec) linkConfig() (simulator.LinkConfig, error) {
+	var sim simulator.LinkConfig
 	switch strings.ToLower(l.QueueModel) {
 	case "", "node":
 		sim.QueueModel = simulator.NodeQueues

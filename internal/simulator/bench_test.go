@@ -12,10 +12,7 @@ func BenchmarkFloodStep(b *testing.B) {
 	topo := mesh.MustTorus(32, 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sim, err := New(Config{
-			Topology: topo,
-			Factory:  func(mesh.NodeID) Handler { return &floodHandler{} },
-		})
+		sim, err := NewSkeleton(topo).New(func(mesh.NodeID) Handler { return &floodHandler{} }, Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -35,11 +32,7 @@ func BenchmarkFloodQueueModels(b *testing.B) {
 	for _, model := range []QueueModel{NodeQueues, LinkQueues} {
 		b.Run(model.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sim, err := New(Config{
-					Topology:   topo,
-					QueueModel: model,
-					Factory:    func(mesh.NodeID) Handler { return &floodHandler{} },
-				})
+				sim, err := NewSkeleton(topo).New(func(mesh.NodeID) Handler { return &floodHandler{} }, Config{LinkConfig: LinkConfig{QueueModel: model}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -63,11 +56,7 @@ func BenchmarkReliabilityOverhead(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sim, err := New(Config{
-					Topology: topo,
-					Reliable: reliable,
-					Factory:  func(mesh.NodeID) Handler { return &floodHandler{} },
-				})
+				sim, err := NewSkeleton(topo).New(func(mesh.NodeID) Handler { return &floodHandler{} }, Config{LinkConfig: LinkConfig{Reliable: reliable}})
 				if err != nil {
 					b.Fatal(err)
 				}

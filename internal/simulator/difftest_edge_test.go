@@ -34,10 +34,7 @@ func bothEngines(t *testing.T, run func(t *testing.T, eng loop) Stats) {
 // TestZeroSlotMachine runs a machine with no nodes at all.
 func TestZeroSlotMachine(t *testing.T) {
 	run := func(t *testing.T, eng loop) Stats {
-		sim, err := New(Config{
-			Topology: emptyTopo{},
-			Factory:  func(mesh.NodeID) Handler { panic("no slots to build") },
-		})
+		sim, err := NewSkeleton(emptyTopo{}).New(func(mesh.NodeID) Handler { panic("no slots to build") }, Config{})
 		if err != nil {
 			t.Fatalf("New(%s): %v", eng, err)
 		}
@@ -71,13 +68,11 @@ func TestMessageDueExactlyAtMaxSteps(t *testing.T) {
 	run := func(maxSteps int64) func(t *testing.T, eng loop) Stats {
 		return func(t *testing.T, eng loop) Stats {
 			tr := &trace{}
-			sim, err := New(Config{
-				Topology: mesh.MustRing(3),
-				Factory: func(n mesh.NodeID) Handler {
-					return &chainHandler{tr: tr, node: n, hops: 0}
-				},
-				LinkLatency: lat,
-				MaxSteps:    maxSteps,
+			sim, err := NewSkeleton(mesh.MustRing(3)).New(func(n mesh.NodeID) Handler {
+				return &chainHandler{tr: tr, node: n, hops: 0}
+			}, Config{
+				LinkConfig: LinkConfig{LinkLatency: lat},
+				MaxSteps:   maxSteps,
 			})
 			if err != nil {
 				t.Fatalf("New(%s): %v", eng, err)
@@ -114,14 +109,12 @@ func TestCancellationInEmptyGap(t *testing.T) {
 		defer cancel()
 		obs := &cancellingObserver{cancelAt: cancelAt, cancel: cancel, inner: &recordingObserver{}}
 		tr := &trace{}
-		sim, err := New(Config{
-			Topology: mesh.MustRing(4),
-			Factory: func(n mesh.NodeID) Handler {
-				return &chainHandler{tr: tr, node: n, hops: 20}
-			},
-			LinkLatency: 5000, // every hop opens a ~5000-step empty gap
-			MaxSteps:    1 << 20,
-			Observer:    obs,
+		sim, err := NewSkeleton(mesh.MustRing(4)).New(func(n mesh.NodeID) Handler {
+			return &chainHandler{tr: tr, node: n, hops: 20}
+		}, Config{
+			LinkConfig: LinkConfig{LinkLatency: 5000}, // every hop opens a ~5000-step empty gap
+			MaxSteps:   1 << 20,
+			Observer:   obs,
 		})
 		if err != nil {
 			t.Fatalf("New(%s): %v", eng, err)
@@ -151,10 +144,7 @@ func TestCancellationBeforeStart(t *testing.T) {
 			cancel()
 			tr := &trace{}
 			c := Case{Workload: workload, Param: 5}
-			sim, err := New(Config{
-				Topology: mesh.MustRing(4),
-				Factory:  factory(c, tr),
-			})
+			sim, err := NewSkeleton(mesh.MustRing(4)).New(factory(c, tr), Config{})
 			if err != nil {
 				t.Fatalf("New(%s): %v", eng, err)
 			}
@@ -175,11 +165,7 @@ func TestObserverOnSilentMachine(t *testing.T) {
 	run := func(t *testing.T, eng loop) Stats {
 		obs := &recordingObserver{}
 		tr := &trace{}
-		sim, err := New(Config{
-			Topology: mesh.MustStar(6),
-			Factory:  factory(Case{Workload: "silent"}, tr),
-			Observer: obs,
-		})
+		sim, err := NewSkeleton(mesh.MustStar(6)).New(factory(Case{Workload: "silent"}, tr), Config{Observer: obs})
 		if err != nil {
 			t.Fatalf("New(%s): %v", eng, err)
 		}

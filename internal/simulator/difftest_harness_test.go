@@ -278,25 +278,25 @@ func runEngine(t testing.TB, c Case, eng loop) runResult {
 	}
 	tr := &trace{}
 	cfg := Config{
-		Topology:        topo,
-		Factory:         factory(c, tr),
-		QueueModel:      c.QueueModel,
-		LinkLatency:     c.LinkLatency,
-		DeliverPerStep:  c.DeliverPerStep,
-		QueueCap:        c.QueueCap,
-		LossRate:        c.LossRate,
-		Reliable:        c.LossRate > 0,
-		RetransmitAfter: c.RetransmitAfter,
-		MaxSteps:        c.MaxSteps,
-		Seed:            c.Seed,
-		RecordSeries:    c.RecordSeries,
+		LinkConfig: LinkConfig{
+			QueueModel:      c.QueueModel,
+			LinkLatency:     c.LinkLatency,
+			DeliverPerStep:  c.DeliverPerStep,
+			QueueCap:        c.QueueCap,
+			LossRate:        c.LossRate,
+			Reliable:        c.LossRate > 0,
+			RetransmitAfter: c.RetransmitAfter,
+		},
+		MaxSteps:     c.MaxSteps,
+		Seed:         c.Seed,
+		RecordSeries: c.RecordSeries,
 	}
 	var obs *recordingObserver
 	if c.Observe {
 		obs = &recordingObserver{}
 		cfg.Observer = obs
 	}
-	sim, err := New(cfg)
+	sim, err := NewSkeleton(topo).New(factory(c, tr), cfg)
 	if err != nil {
 		t.Fatalf("%v: New(%s): %v", c, eng, err)
 	}

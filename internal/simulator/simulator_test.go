@@ -31,9 +31,7 @@ func (h *floodHandler) Receive(ctx *Context, src mesh.NodeID, payload Payload) {
 
 func newFloodSim(t *testing.T, topo mesh.Topology, cfg Config) *Simulator {
 	t.Helper()
-	cfg.Topology = topo
-	cfg.Factory = func(mesh.NodeID) Handler { return &floodHandler{} }
-	sim, err := New(cfg)
+	sim, err := NewSkeleton(topo).New(func(mesh.NodeID) Handler { return &floodHandler{} }, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,16 +96,12 @@ func TestComputationTimeBracketsActivity(t *testing.T) {
 func TestNonAdjacentSendRejected(t *testing.T) {
 	topo := mesh.MustGrid(3, 3)
 	var sendErr error
-	cfg := Config{
-		Topology: topo,
-		Factory: func(n mesh.NodeID) Handler {
-			return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
-				// Node 0 (corner) tries to message node 8 (opposite corner).
-				sendErr = ctx.Send(8, nil)
-			})
-		},
-	}
-	sim, err := New(cfg)
+	sim, err := NewSkeleton(topo).New(func(n mesh.NodeID) Handler {
+		return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
+			// Node 0 (corner) tries to message node 8 (opposite corner).
+			sendErr = ctx.Send(8, nil)
+		})
+	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +123,15 @@ func (f handlerFunc) Receive(ctx *Context, src mesh.NodeID, p Payload) { f(ctx, 
 func TestConfigValidation(t *testing.T) {
 	topo := mesh.MustRing(4)
 	factory := func(mesh.NodeID) Handler { return &floodHandler{} }
-	cases := []Config{
-		{},               // nil topology
-		{Topology: topo}, // nil factory
-		{Topology: topo, Factory: factory, LossRate: 0.5},                 // loss without reliability
-		{Topology: topo, Factory: factory, LossRate: 1.5, Reliable: true}, // loss out of range
+	sk := NewSkeleton(topo)
+	if _, err := sk.New(nil, Config{}); err == nil {
+		t.Error("nil factory: expected config error")
 	}
-	for i, cfg := range cases {
-		if _, err := New(cfg); err == nil {
+	for i, link := range []LinkConfig{
+		{LossRate: 0.5},                 // loss without reliability
+		{LossRate: 1.5, Reliable: true}, // loss out of range
+	} {
+		if _, err := sk.New(factory, Config{LinkConfig: link}); err == nil {
 			t.Errorf("case %d: expected config error", i)
 		}
 	}
@@ -159,17 +154,13 @@ func TestInjectValidation(t *testing.T) {
 func TestMaxStepsAborts(t *testing.T) {
 	// A two-node ping-pong never quiesces; MaxSteps must stop it.
 	topo := mesh.MustFullyConnected(2)
-	cfg := Config{
-		Topology: topo,
-		MaxSteps: 50,
-		Factory: func(n mesh.NodeID) Handler {
-			return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
-				other := mesh.NodeID(1 - int(ctx.Node()))
-				_ = ctx.Send(other, nil)
-			})
-		},
-	}
-	sim, err := New(cfg)
+	cfg := Config{MaxSteps: 50}
+	sim, err := NewSkeleton(topo).New(func(n mesh.NodeID) Handler {
+		return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
+			other := mesh.NodeID(1 - int(ctx.Node()))
+			_ = ctx.Send(other, nil)
+		})
+	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +201,7 @@ func TestDeterminism(t *testing.T) {
 func TestLinkLatencyDelaysDelivery(t *testing.T) {
 	for _, latency := range []int64{1, 3, 7} {
 		topo := mesh.MustRing(12)
-		sim := newFloodSim(t, topo, Config{LinkLatency: latency})
+		sim := newFloodSim(t, topo, Config{LinkConfig: LinkConfig{LinkLatency: latency}})
 		if err := sim.Inject(0, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -230,21 +221,17 @@ func TestPerLinkParallelIngest(t *testing.T) {
 	leaves := 16
 	topo := mesh.MustStar(leaves + 1)
 	var hubSteps []int64
-	cfg := Config{
-		Topology:   topo,
-		QueueModel: LinkQueues,
-		Factory: func(n mesh.NodeID) Handler {
-			return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
-				switch {
-				case ctx.Node() == 0 && src != mesh.None:
-					hubSteps = append(hubSteps, ctx.Step())
-				case ctx.Node() != 0 && src == mesh.None:
-					_ = ctx.Send(0, nil) // each leaf pings the hub once
-				}
-			})
-		},
-	}
-	sim, err := New(cfg)
+	cfg := Config{LinkConfig: LinkConfig{QueueModel: LinkQueues}}
+	sim, err := NewSkeleton(topo).New(func(n mesh.NodeID) Handler {
+		return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
+			switch {
+			case ctx.Node() == 0 && src != mesh.None:
+				hubSteps = append(hubSteps, ctx.Step())
+			case ctx.Node() != 0 && src == mesh.None:
+				_ = ctx.Send(0, nil) // each leaf pings the hub once
+			}
+		})
+	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,20 +257,16 @@ func TestDeliverPerStepLinkBandwidth(t *testing.T) {
 	burst := 8
 	topo := mesh.MustStar(2)
 	run := func(bw int) int64 {
-		cfg := Config{
-			Topology:       topo,
-			DeliverPerStep: bw,
-			Factory: func(n mesh.NodeID) Handler {
-				return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
-					if ctx.Node() == 1 && src == mesh.None {
-						for i := 0; i < burst; i++ {
-							_ = ctx.Send(0, i)
-						}
+		cfg := Config{LinkConfig: LinkConfig{DeliverPerStep: bw}}
+		sim, err := NewSkeleton(topo).New(func(n mesh.NodeID) Handler {
+			return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
+				if ctx.Node() == 1 && src == mesh.None {
+					for i := 0; i < burst; i++ {
+						_ = ctx.Send(0, i)
 					}
-				})
-			},
-		}
-		sim, err := New(cfg)
+				}
+			})
+		}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,23 +290,19 @@ func TestQueueCapBackpressure(t *testing.T) {
 	burst := 8
 	topo := mesh.MustStar(2)
 	var hubReceived int
-	cfg := Config{
-		Topology: topo,
-		QueueCap: 1,
-		Factory: func(n mesh.NodeID) Handler {
-			return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
-				switch {
-				case ctx.Node() == 0 && src != mesh.None:
-					hubReceived++
-				case ctx.Node() == 1 && src == mesh.None:
-					for i := 0; i < burst; i++ {
-						_ = ctx.Send(0, i)
-					}
+	cfg := Config{LinkConfig: LinkConfig{QueueCap: 1}}
+	sim, err := NewSkeleton(topo).New(func(n mesh.NodeID) Handler {
+		return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
+			switch {
+			case ctx.Node() == 0 && src != mesh.None:
+				hubReceived++
+			case ctx.Node() == 1 && src == mesh.None:
+				for i := 0; i < burst; i++ {
+					_ = ctx.Send(0, i)
 				}
-			})
-		},
-	}
-	sim, err := New(cfg)
+			}
+		})
+	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,23 +327,19 @@ func TestLossyLinksWithReliability(t *testing.T) {
 	topo := mesh.MustTorus(5, 5)
 	received := make([]int, topo.Size())
 	cfg := Config{
-		Topology:        topo,
-		LossRate:        0.3,
-		Reliable:        true,
-		RetransmitAfter: 4,
-		Seed:            7,
-		Factory: func(n mesh.NodeID) Handler {
-			return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
-				received[ctx.Node()]++
-				if received[ctx.Node()] == 1 {
-					for _, nb := range ctx.Neighbours() {
-						_ = ctx.Send(nb, nil)
-					}
-				}
-			})
-		},
+		LinkConfig: LinkConfig{LossRate: 0.3, Reliable: true, RetransmitAfter: 4},
+		Seed:       7,
 	}
-	sim, err := New(cfg)
+	sim, err := NewSkeleton(topo).New(func(n mesh.NodeID) Handler {
+		return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
+			received[ctx.Node()]++
+			if received[ctx.Node()] == 1 {
+				for _, nb := range ctx.Neighbours() {
+					_ = ctx.Send(nb, nil)
+				}
+			}
+		})
+	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,23 +382,19 @@ func TestReliabilityExactlyOnceProperty(t *testing.T) {
 		topo := mesh.MustTorus(3, 3)
 		received := make([]int, topo.Size())
 		cfg := Config{
-			Topology:        topo,
-			LossRate:        loss,
-			Reliable:        true,
-			RetransmitAfter: 3,
-			Seed:            seed,
-			Factory: func(n mesh.NodeID) Handler {
-				return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
-					received[ctx.Node()]++
-					if received[ctx.Node()] == 1 {
-						for _, nb := range ctx.Neighbours() {
-							_ = ctx.Send(nb, nil)
-						}
-					}
-				})
-			},
+			LinkConfig: LinkConfig{LossRate: loss, Reliable: true, RetransmitAfter: 3},
+			Seed:       seed,
 		}
-		sim, err := New(cfg)
+		sim, err := NewSkeleton(topo).New(func(n mesh.NodeID) Handler {
+			return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
+				received[ctx.Node()]++
+				if received[ctx.Node()] == 1 {
+					for _, nb := range ctx.Neighbours() {
+						_ = ctx.Send(nb, nil)
+					}
+				}
+			})
+		}, cfg)
 		if err != nil {
 			return false
 		}
@@ -531,18 +502,14 @@ func TestQueueModelsDiffer(t *testing.T) {
 	leaves := 12
 	topo := mesh.MustStar(leaves + 1)
 	run := func(model QueueModel) int64 {
-		cfg := Config{
-			Topology:   topo,
-			QueueModel: model,
-			Factory: func(n mesh.NodeID) Handler {
-				return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
-					if ctx.Node() != 0 && src == mesh.None {
-						_ = ctx.Send(0, nil)
-					}
-				})
-			},
-		}
-		sim, err := New(cfg)
+		cfg := Config{LinkConfig: LinkConfig{QueueModel: model}}
+		sim, err := NewSkeleton(topo).New(func(n mesh.NodeID) Handler {
+			return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
+				if ctx.Node() != 0 && src == mesh.None {
+					_ = ctx.Send(0, nil)
+				}
+			})
+		}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -577,7 +544,7 @@ func TestQueueModelsAgreeOnVisitedSet(t *testing.T) {
 	// visits exactly the same nodes under both.
 	topo := mesh.MustTorus(7, 7)
 	run := func(model QueueModel) []bool {
-		sim := newFloodSim(t, topo, Config{QueueModel: model})
+		sim := newFloodSim(t, topo, Config{LinkConfig: LinkConfig{QueueModel: model}})
 		if err := sim.Inject(3, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -603,7 +570,7 @@ func TestQueueModelsAgreeOnVisitedSet(t *testing.T) {
 
 func TestLinkQueuesDeterminism(t *testing.T) {
 	run := func() Stats {
-		sim := newFloodSim(t, mesh.MustTorus(6, 6), Config{QueueModel: LinkQueues, RecordSeries: true})
+		sim := newFloodSim(t, mesh.MustTorus(6, 6), Config{LinkConfig: LinkConfig{QueueModel: LinkQueues}, RecordSeries: true})
 		if err := sim.Inject(0, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -625,24 +592,19 @@ func TestLossyLinkQueuesReliability(t *testing.T) {
 	topo := mesh.MustTorus(4, 4)
 	received := make([]int, topo.Size())
 	cfg := Config{
-		Topology:        topo,
-		QueueModel:      LinkQueues,
-		LossRate:        0.25,
-		Reliable:        true,
-		RetransmitAfter: 4,
-		Seed:            3,
-		Factory: func(n mesh.NodeID) Handler {
-			return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
-				received[ctx.Node()]++
-				if received[ctx.Node()] == 1 {
-					for _, nb := range ctx.Neighbours() {
-						_ = ctx.Send(nb, nil)
-					}
-				}
-			})
-		},
+		LinkConfig: LinkConfig{QueueModel: LinkQueues, LossRate: 0.25, Reliable: true, RetransmitAfter: 4},
+		Seed:       3,
 	}
-	sim, err := New(cfg)
+	sim, err := NewSkeleton(topo).New(func(n mesh.NodeID) Handler {
+		return handlerFunc(func(ctx *Context, src mesh.NodeID, p Payload) {
+			received[ctx.Node()]++
+			if received[ctx.Node()] == 1 {
+				for _, nb := range ctx.Neighbours() {
+					_ = ctx.Send(nb, nil)
+				}
+			}
+		})
+	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,10 @@ import (
 //
 // A function's zero-guarded default on its own parameter, as in
 // `if cfg.F <= 0 { cfg.F = d }`, is not a write: it fills in what no caller
-// set. NewNode's default for cfg.Service.Telemetry is a write, because it
-// sets the registry that the node hands to service.New. Two kinds of field
-// are exempt: those with a json tag, which a decoder writes, and those of
-// the types the root facade aliases, which a library user sets.
+// set. (TestNoSettingOverwritten keeps every other write to a parameter
+// out.) Two kinds of field are exempt: those with a json tag, which a
+// decoder writes, and those of the types the root facade aliases, which a
+// library user sets.
 func TestEveryFieldIsSet(t *testing.T) {
 	l := loadedModule(t)
 	// allow lists fields kept although nothing outside tests writes them, one
@@ -166,28 +166,7 @@ func structOf(t types.Type) (*types.Struct, bool) {
 // A default on a nested config (`p.Sub.F = d`) fills in what the function
 // hands to another constructor, so it is a write.
 func zeroDefaults(f *ast.File, info *types.Info) map[ast.Expr]bool {
-	params := map[types.Object]bool{}
-	addParams := func(fields ...*ast.FieldList) {
-		for _, fl := range fields {
-			if fl == nil {
-				continue
-			}
-			for _, field := range fl.List {
-				for _, name := range field.Names {
-					params[info.Defs[name]] = true
-				}
-			}
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			addParams(n.Recv, n.Type.Params)
-		case *ast.FuncLit:
-			addParams(n.Type.Params)
-		}
-		return true
-	})
+	params := funcParams(f, info)
 	isConst := func(e ast.Expr) bool {
 		tv := info.Types[e]
 		return tv.Value != nil || tv.IsNil()
@@ -259,15 +238,9 @@ func TestSettableSurface(t *testing.T) {
 		field internal/experiments.Figure5Config.Seed
 		field internal/experiments.Figure5Config.Side
 		field internal/experiments.Figure5Config.Workload
-		field internal/mapping.Config.Factory
-		field internal/mapping.Config.Mapper
-		field internal/mapping.Config.Seed
-		field internal/mapping.Config.Sim
 		field internal/sat.Options.Heuristic
 		field internal/sat.Options.MaxCalls
 		field internal/sat.Options.Simplify
-		field internal/sched.Config.Factory
-		field internal/sched.Config.Sim
 		field internal/service.Client.Base
 		field internal/service.Config.QueueDepth
 		field internal/service.Config.Store
@@ -275,23 +248,24 @@ func TestSettableSurface(t *testing.T) {
 		field internal/service.Config.Workers
 		field internal/service.NodeConfig.Dir
 		field internal/service.NodeConfig.Follow
+		field internal/service.NodeConfig.Fsync
 		field internal/service.NodeConfig.Logger
 		field internal/service.NodeConfig.PullEvery
-		field internal/service.NodeConfig.Service
-		field internal/service.NodeConfig.Store
-		field internal/simulator.Config.DeliverPerStep
-		field internal/simulator.Config.Factory
-		field internal/simulator.Config.LinkLatency
-		field internal/simulator.Config.LossRate
+		field internal/service.NodeConfig.QueueDepth
+		field internal/service.NodeConfig.SnapshotEvery
+		field internal/service.NodeConfig.Workers
+		field internal/simulator.Config.LinkConfig
 		field internal/simulator.Config.MaxSteps
 		field internal/simulator.Config.Observer
-		field internal/simulator.Config.QueueCap
-		field internal/simulator.Config.QueueModel
 		field internal/simulator.Config.RecordSeries
-		field internal/simulator.Config.Reliable
-		field internal/simulator.Config.RetransmitAfter
 		field internal/simulator.Config.Seed
-		field internal/simulator.Config.Topology
+		field internal/simulator.LinkConfig.DeliverPerStep
+		field internal/simulator.LinkConfig.LinkLatency
+		field internal/simulator.LinkConfig.LossRate
+		field internal/simulator.LinkConfig.QueueCap
+		field internal/simulator.LinkConfig.QueueModel
+		field internal/simulator.LinkConfig.Reliable
+		field internal/simulator.LinkConfig.RetransmitAfter
 		field internal/store.FileConfig.Dir
 		field internal/store.FileConfig.Fsync
 		field internal/store.FileConfig.History
@@ -523,4 +497,205 @@ func commandInputs(cmd string, f *ast.File, info *types.Info) []string {
 		return true
 	})
 	return out
+}
+
+// TestNoSettingOverwritten: no non-test file overwrites a setting it was
+// handed, so each setting has one place to be set and reaches the code that
+// reads it unchanged. An overwrite is an unconditional `x.F = e` where F is
+// a field of a module struct named *Config or *Options (directly or through
+// an embedded struct), and x is a parameter or receiver of the enclosing
+// function, or a local copied with := from a field path that starts at one.
+//
+// Two such assignments are not overwrites: one inside an if whose condition
+// compares the same path (the zero-guarded default, `if cfg.F <= 0 {
+// cfg.F = d }`), and a derivation whose right-hand side reads the same path
+// (RunSuite's `c.Seed = cfg.Seed + int64(i)`, where c is a copy of cfg).
+func TestNoSettingOverwritten(t *testing.T) {
+	l := loadedModule(t)
+	// allow lists overwrites kept on purpose, one reason each, keyed as the
+	// failure message prints them after the line number.
+	allow := map[string]string{
+		"internal/service/service.go: execute sets cfg.Mapper":   "each attempt of a portfolio race runs its own strategy's mapper on a copy of Compile's output, not of a caller's setting",
+		"internal/service/service.go: execute sets cfg.Observer": "each attempt streams progress to its own job's broker, on a copy of Compile's output, not of a caller's setting",
+	}
+	for _, ip := range l.paths() {
+		for _, f := range l.dirs[ip].files {
+			for _, o := range overwrites(f, l.pkgs[ip].info) {
+				key := l.fset.File(f.Pos()).Name() + ": " + o.fn + " sets " + o.lhs
+				if _, ok := allow[key]; ok {
+					delete(allow, key)
+					continue
+				}
+				t.Errorf("%s: %s sets %s, a setting it was handed: let the caller set it, or build the config as one literal",
+					l.fset.Position(o.pos), o.fn, o.lhs)
+			}
+		}
+	}
+	for key := range allow {
+		t.Errorf("allowlisted overwrite %q is gone: drop it from the list", key)
+	}
+}
+
+// overwrite is one assignment TestNoSettingOverwritten reports.
+type overwrite struct {
+	pos token.Pos
+	fn  string // the enclosing function declaration
+	lhs string // the assigned expression, as written
+}
+
+// overwrites returns the overwrites of a file, as TestNoSettingOverwritten
+// defines them.
+func overwrites(f *ast.File, info *types.Info) []overwrite {
+	params := funcParams(f, info)
+	// copies maps a local to the path it was copied from.
+	copies := map[types.Object]string{}
+	// path renders a field path rooted at a parameter, with a copied local
+	// replaced by its source, so that two spellings of one setting compare
+	// equal; ok is false for any other expression.
+	var path func(e ast.Expr) (string, bool)
+	path = func(e ast.Expr) (string, bool) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			obj := info.ObjectOf(e)
+			if src, ok := copies[obj]; ok {
+				return src, true
+			}
+			if params[obj] {
+				return fmt.Sprintf("%s@%d", e.Name, obj.Pos()), true
+			}
+		case *ast.StarExpr:
+			return path(e.X)
+		case *ast.SelectorExpr:
+			if s := info.Selections[e]; s != nil && s.Kind() == types.FieldVal {
+				if p, ok := path(e.X); ok {
+					return p + "." + e.Sel.Name, true
+				}
+			}
+		}
+		return "", false
+	}
+	reads := func(e ast.Node, p string) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if x, ok := n.(ast.Expr); ok && !found {
+				if q, ok := path(x); ok && q == p {
+					found = true
+				}
+			}
+			return !found
+		})
+		return found
+	}
+	compares := func(cond ast.Expr, p string) bool {
+		found := false
+		ast.Inspect(cond, func(n ast.Node) bool {
+			if b, ok := n.(*ast.BinaryExpr); ok && !found {
+				switch b.Op {
+				case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+					found = reads(b.X, p) || reads(b.Y, p)
+				}
+			}
+			return !found
+		})
+		return found
+	}
+
+	var out []overwrite
+	var fn string
+	var stack []ast.Node // the visited node and its ancestors
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		if d, ok := n.(*ast.FuncDecl); ok {
+			fn = d.Name.Name
+		}
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		if as.Tok == token.DEFINE && len(as.Lhs) == len(as.Rhs) {
+			for i, lhs := range as.Lhs {
+				if p, ok := path(as.Rhs[i]); ok && info.ObjectOf(lhs.(*ast.Ident)) != nil {
+					copies[info.ObjectOf(lhs.(*ast.Ident))] = p
+				}
+			}
+		}
+		if as.Tok != token.ASSIGN {
+			return true
+		}
+	lhs:
+		for i, lhs := range as.Lhs {
+			sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+			if !ok || !isSetting(info.Selections[sel]) {
+				continue
+			}
+			p, ok := path(sel)
+			if !ok || len(as.Lhs) == len(as.Rhs) && reads(as.Rhs[i], p) {
+				continue
+			}
+			for j := len(stack) - 1; j > 0; j-- {
+				if ifs, ok := stack[j-1].(*ast.IfStmt); ok && stack[j] == ifs.Body && compares(ifs.Cond, p) {
+					continue lhs
+				}
+			}
+			out = append(out, overwrite{pos: as.Pos(), fn: fn, lhs: types.ExprString(lhs)})
+		}
+		return true
+	})
+	return out
+}
+
+// funcParams returns the receivers and parameters of every function
+// declaration and literal in f.
+func funcParams(f *ast.File, info *types.Info) map[types.Object]bool {
+	params := map[types.Object]bool{}
+	add := func(fields ...*ast.FieldList) {
+		for _, fl := range fields {
+			if fl == nil {
+				continue
+			}
+			for _, field := range fl.List {
+				for _, name := range field.Names {
+					params[info.Defs[name]] = true
+				}
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			add(n.Recv, n.Type.Params)
+		case *ast.FuncLit:
+			add(n.Type.Params)
+		}
+		return true
+	})
+	return params
+}
+
+// isSetting reports whether a selection reads a field of a module struct
+// named *Config or *Options, directly or through embedded structs.
+func isSetting(s *types.Selection) bool {
+	if s == nil || s.Kind() != types.FieldVal {
+		return false
+	}
+	deref := func(t types.Type) types.Type {
+		if ptr, ok := t.Underlying().(*types.Pointer); ok {
+			return ptr.Elem()
+		}
+		return t
+	}
+	owner := s.Recv()
+	for _, i := range s.Index()[:len(s.Index())-1] {
+		owner = deref(owner).Underlying().(*types.Struct).Field(i).Type()
+	}
+	named, ok := types.Unalias(deref(owner)).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || !isModulePath(named.Obj().Pkg().Path()) {
+		return false
+	}
+	name := named.Obj().Name()
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")
 }
